@@ -480,10 +480,27 @@ def _fmt_cell(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else format(float(v), ".12g")
+        return str(v.numerator) if v.denominator == 1 else _fmt_real(v)
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)
+
+
+def _fmt_real(v: Fraction) -> str:
+    """12 significant digits as format(float(v), ".12g") prints them; past
+    the float range the exact value is rounded (half to even) instead."""
+    try:
+        return format(float(v), ".12g")
+    except OverflowError:
+        pass
+    a = abs(v)
+    e = len(str(a.numerator // a.denominator)) - 1
+    digits = round(a / 10 ** (e - 11))
+    if digits == 10**12:
+        digits, e = digits // 10, e + 1
+    mant = str(digits).rstrip("0")
+    mant = mant[0] + ("." + mant[1:] if len(mant) > 1 else "")
+    return f"{'-' if v < 0 else ''}{mant}e+{e}"
 
 
 def _render(header, rows, payload) -> str:

@@ -50,6 +50,8 @@ class WeightedForm:
                 )
 
     def evaluate(self, coords: Sequence[int]) -> int:
+        """Value at one point; given one object array of Python ints per
+        coordinate instead, the values at every row, exactly."""
         return sum(
             c * math.prod(x**k for x, k in zip(coords, e)) for c, e in self.terms
         )
@@ -131,30 +133,90 @@ class Cover:
                 return None
         return s
 
-    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
-        """All values y of the last coordinate with |y| <= bound making
-        (prefix, y) a member; requires column_solver() to apply."""
+    def column_kernel(self) -> "ColumnKernel":
+        """The block column solver; requires column_solver() to apply."""
         s = self.column_solver()
         if s is None:
             raise ValueError("cover constant term is not a separated coordinate")
-        coords0 = tuple(prefix) + (0,)
-        cj = [
-            form.evaluate(coords0) if form else 0 for form in self.coeffs[1:]
-        ]  # c_1 .. c_{deg-1}
-        # Any integer root t of t^deg + sum c_j t^j = -s*y with |y| <= bound obeys
-        # the Fujiwara-style bound |t| <= 2 max(|c_j|^{1/(deg-j)}, bound^{1/deg}).
-        tmax = _iroot(bound, self.degree) + 1
-        for j, c in enumerate(cj, start=1):
-            if c:
-                tmax = max(tmax, _iroot(abs(c), self.degree - j) + 1)
-        tmax = 2 * tmax + 1
-        ys = set()
-        for t in range(-tmax, tmax + 1):
-            g = t**self.degree + sum(c * t**j for j, c in enumerate(cj, start=1))
-            y = -s * g
-            if abs(y) <= bound:
-                ys.add(y)
-        return sorted(ys)
+        return ColumnKernel(self, s)
+
+    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
+        """All values y of the last coordinate with |y| <= bound making
+        (prefix, y) a member; requires column_solver() to apply.  This is
+        the one-row case of ColumnKernel.solve."""
+        ys, keep = self.column_kernel().solve([prefix], bound)
+        return ys[0, keep[0]].tolist()
+
+    def column_width(self, prefix_cutoffs: Sequence[int], bound: int) -> int:
+        """Row width 2T+1 of ColumnKernel.solve for any block of prefixes
+        with |x_i| <= prefix_cutoffs[i]: an upper bound on its per-row work."""
+        box = (*prefix_cutoffs, 0)
+        cmax = [
+            sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
+            if form else 0
+            for form in self.coeffs[1:]
+        ]
+        return 2 * _column_tmax(self.degree, bound, cmax) + 1
+
+
+@dataclass(frozen=True)
+class ColumnKernel:
+    """Members of fixed-prefix columns, solved for a block of prefixes at once.
+
+    With constant term s * y (s = +-1) and c_1..c_{deg-1} free of y, the value
+    y makes (prefix, y) a member exactly when y = -s * f(t) for an integer t,
+    where f(t) = t^deg + sum_j c_j(prefix) t^j.  Every such t with |y| <= bound
+    lies in |t| <= T, T the Fujiwara-style bound of _column_tmax.
+    """
+
+    cover: Cover
+    sign: int
+
+    def solve(self, prefixes: Sequence[Sequence[int]], bound: int):
+        """(ys, keep) for a nonempty block of prefixes.
+
+        Row i of ys holds -s * f_i(t) for |t| <= T, sorted; keep[i] marks its
+        distinct values with |y| <= bound, which are the members of the column
+        over prefixes[i].  T is the largest row bound in the block: a wider
+        window than a row needs is still exact, because every value is
+        filtered by |y| <= bound.  The dtype is int64 when no evaluation (nor
+        any Horner intermediate) can reach 2^63, and object (Python ints)
+        otherwise.
+        """
+        deg = self.cover.degree
+        n = len(prefixes)
+        cols = (*np.array(prefixes, dtype=object).T, np.zeros(n, dtype=object))
+        c = np.zeros((n, deg - 1), dtype=object)  # exact c_1 .. c_{deg-1} per row
+        for j, form in enumerate(self.cover.coeffs[1:]):
+            if form:
+                c[:, j] = form.evaluate(cols)
+        cmax = np.abs(c).max(axis=0).tolist()
+        tmax = _column_tmax(deg, bound, cmax)
+        reach = tmax**deg + sum(m * tmax**j for j, m in enumerate(cmax, start=1))
+        dtype = np.int64 if reach < 2**63 else object
+        c = c.astype(dtype)
+        t = np.arange(-tmax, tmax + 1).astype(dtype)
+        ys = t + c[:, deg - 2, None]  # Horner on f(t) / t, then one more t
+        for j in range(deg - 2, 0, -1):
+            ys *= t
+            ys += c[:, j - 1, None]
+        ys *= -self.sign * t
+        ys.sort(axis=1)
+        keep = ys >= -bound
+        keep &= ys <= bound
+        keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
+        return ys, keep
+
+
+def _column_tmax(degree: int, bound: int, cmax: Sequence[int]) -> int:
+    """Any integer root t of t^deg + sum_{0<j<deg} c_j t^j + c_0 with
+    |c_j| <= cmax[j-1] and |c_0| <= bound obeys |t| <= the returned T
+    (Fujiwara: |t| <= 2 max |c_j|^{1/(deg-j)})."""
+    tmax = _iroot(bound, degree) + 1
+    for j, c in enumerate(cmax, start=1):
+        if c:
+            tmax = max(tmax, _iroot(c, degree - j) + 1)
+    return 2 * tmax + 1
 
 
 def _iroot(v: int, k: int) -> int:
@@ -197,12 +259,13 @@ def has_integer_root(poly: Sequence[int]) -> bool:
     if c0 == 0:
         return True
     for d in arith.divisors(abs(c0)):
-        if _poly_eval(poly, d) == 0 or _poly_eval(poly, -d) == 0:
+        if poly_eval(poly, d) == 0 or poly_eval(poly, -d) == 0:
             return True
     return False
 
 
-def _poly_eval(poly: Sequence[int], t: int) -> int:
+def poly_eval(poly: Sequence[int], t: int) -> int:
+    """Value at t of an integer polynomial given by ascending coefficients."""
     acc = 0
     for c in reversed(poly):
         acc = acc * t + c

@@ -12,8 +12,17 @@ and log-log exponent fits of the census columns.
 The census never walks the full box point by point: for each prefix of
 coordinates the last coordinate is counted arithmetically (inclusion-
 exclusion for the weighted-gcd condition) and thin members are produced by
-solving the cover for the constant coefficient.  Both routes are checked
-against brute-force oracles in the test suite.
+solving the cover for the constant coefficient.  The prefixes are streamed
+in fixed blocks of _BLOCK_ROWS; the block column kernel
+(covers.ColumnKernel) turns a block into one rows x (2T+1) matrix of values
+y = -s * f(t), T the Fujiwara root bound, and the census counts the members
+of every cutoff with array masks (excluded primes, the zero prefix,
+singular values, the row's smallest cutoff).  The matrix is int64 when its
+exact value bound stays below 2^63 and Python ints otherwise, so any height
+is exact.  The budget counts this work: prefixes times 2T+1 with a thin
+cover, prefixes alone without one, and the box for testers the kernel
+cannot solve, which are run point by point.  Every route is checked against
+brute-force oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -81,13 +90,6 @@ def _trim(poly: Sequence[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _poly_eval(poly: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * t + c
-    return acc
 
 
 def _derivative(poly: Sequence[int]) -> list[int]:
@@ -230,14 +232,14 @@ def _integer_roots_within(R: Sequence[int], bound: int) -> list[int]:
     c = _content(R)
     R = [x // c for x in R]
     if 2 * bound + 1 <= 64:
-        return [y for y in range(-bound, bound + 1) if _poly_eval(R, y) == 0]
+        return [y for y in range(-bound, bound + 1) if covers.poly_eval(R, y) == 0]
     need = 2 * bound + 1
     prime_roots: list[tuple[int, list[int]]] = []
     prod = 1
     for p in arith.primes_up_to(10_000):
         if p < 101:
             continue
-        roots = [r for r in range(p) if _poly_eval([x % p for x in R], r) % p == 0]
+        roots = [r for r in range(p) if covers.poly_eval([x % p for x in R], r) % p == 0]
         prime_roots.append((p, roots))
         prod *= p
         if prod >= need:
@@ -251,7 +253,7 @@ def _integer_roots_within(R: Sequence[int], bound: int) -> list[int]:
             x += mod * ((r - x) * pow(mod, -1, p) % p)
             mod *= p
         y = ((x + bound) % mod) - bound
-        if -bound <= y <= bound and _poly_eval(R, y) == 0:
+        if -bound <= y <= bound and covers.poly_eval(R, y) == 0:
             out.append(y)
     return sorted(set(out))
 
@@ -369,11 +371,11 @@ def census(
         raise ValueError("census needs a nonempty height grid")
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("census heights must increase strictly")
-    _tester_cover(thin, g)  # validate the name before any work
+    cover = _tester_cover(thin, g)  # validate the name before any work
     if budget is not None:
-        vol = box_volume(wv, bounds[-1])
-        if vol > budget:
-            raise BudgetExceededError(vol, budget)
+        work = _census_work(wv, bounds[-1], cover)
+        if work > budget:
+            raise BudgetExceededError(work, budget, "census needs {} steps")
     if workers <= 1:
         totals, thins = _census_chunk((g, bounds, thin, smooth_only, None))
     else:
@@ -396,6 +398,19 @@ def census(
         "wall_time_s": time.perf_counter() - t0,
     }
     return CensusTable(rows, meta)
+
+
+def _census_work(wv, bound, cover) -> int:
+    """Steps the census takes up to its top height: the box for the pointwise
+    path; for the column path the prefixes, times the row width 2T+1 of the
+    column kernel when there is a thin cover."""
+    if cover is not None and cover.column_solver() is None:
+        return box_volume(wv, bound)
+    Ms = box_cutoffs(wv, bound)
+    prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
+    if cover is None:
+        return prefixes
+    return prefixes * cover.column_width(Ms[:-1], Ms[-1])
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
@@ -431,6 +446,11 @@ def _clip_ranges(Ms, x0_range):
     return ranges
 
 
+# Prefixes per call of the block column kernel.  Fixed, so that the blocks
+# (and the kernel's dtype choices) do not depend on the worker count.
+_BLOCK_ROWS = 128
+
+
 def _census_columns(
     g, wv, cutoffs, Ms, plist, cover, smooth_only, x0_range, totals, thins
 ):
@@ -440,54 +460,79 @@ def _census_columns(
     if ranges is None:
         return
     prefix_cut = [c[:-1] for c in cutoffs]
-    for prefix in itertools.product(*ranges):
-        j0 = next(
-            j
-            for j in range(nG)
-            if all(abs(x) <= cm for x, cm in zip(prefix, prefix_cut[j]))
-        )
-        # primes excluding on this column: p^{a_i} | x_i for every prefix slot
-        P = [
-            pas[last]
-            for _, pas in plist
-            if all(x % q == 0 for x, q in zip(prefix, pas))
-        ]
-        zero_prefix = not any(prefix)
-        subs = [(1, 1)]
-        for q in P:
-            subs += [(-sg, mod * q) for sg, mod in subs]
-        for j in range(j0, nG):
-            M = cutoffs[j][last]
-            cnt = sum(sg * (2 * (M // mod) + 1) for sg, mod in subs)
-            if zero_prefix and not P:
-                cnt -= 1  # the all-zero tuple is not a point
-            totals[j] += cnt
-        if cover is not None:
-            ys = cover.column_members(prefix, Ms[last])
-            ys = [y for y in ys if not any(y % q == 0 for q in P)]
+    last_cut = [c[last] for c in cutoffs]
+    kernel = cover.column_kernel() if cover is not None else None
+    prefixes = itertools.product(*ranges)
+    while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
+        j0s, Ps, sings = [], [], []
+        zero_row = None
+        for i, prefix in enumerate(block):
+            j0 = next(
+                j
+                for j in range(nG)
+                if all(abs(x) <= cm for x, cm in zip(prefix, prefix_cut[j]))
+            )
+            # primes excluding on this column: p^{a_i} | x_i for every prefix slot
+            P = [
+                pas[last]
+                for _, pas in plist
+                if all(x % q == 0 for x, q in zip(prefix, pas))
+            ]
+            zero_prefix = not any(prefix)
             if zero_prefix:
-                ys = [y for y in ys if y != 0]
+                zero_row = i
+            subs = [(1, 1)]
+            for q in P:
+                subs += [(-sg, mod * q) for sg, mod in subs]
+            for j in range(j0, nG):
+                M = cutoffs[j][last]
+                cnt = sum(sg * (2 * (M // mod) + 1) for sg, mod in subs)
+                if zero_prefix and not P:
+                    cnt -= 1  # the all-zero tuple is not a point
+                totals[j] += cnt
+            j0s.append(j0)
+            Ps.append(P)
             if smooth_only:
-                ys = [
-                    y
-                    for y in ys
-                    if _disc_poly(_poly_from_coords(g, prefix + (y,))) != 0
-                ]
-            for y in ys:
-                ay = abs(y)
-                for j in range(j0, nG):
-                    if ay <= cutoffs[j][last]:
-                        thins[j] += 1
-        if smooth_only:
-            sing = _singular_last_values(g, prefix, Ms[last])
-            sing = [y for y in sing if not any(y % q == 0 for q in P)]
-            if zero_prefix:
-                sing = [y for y in sing if y != 0]
-            for y in sing:
-                ay = abs(y)
-                for j in range(j0, nG):
-                    if ay <= cutoffs[j][last]:
-                        totals[j] -= 1
+                sing = _singular_last_values(g, prefix, Ms[last])
+                sings.append(sing)
+                sing = [y for y in sing if not any(y % q == 0 for q in P)]
+                if zero_prefix:
+                    sing = [y for y in sing if y != 0]
+                for y in sing:
+                    ay = abs(y)
+                    for j in range(j0, nG):
+                        if ay <= cutoffs[j][last]:
+                            totals[j] -= 1
+        if kernel is not None:
+            _count_thin_block(
+                kernel.solve(block, Ms[last]), j0s, Ps, zero_row, sings,
+                [pas[last] for _, pas in plist], last_cut, thins,
+            )
+
+
+def _count_thin_block(solved, j0s, Ps, zero_row, sings, qs, last_cut, thins):
+    """Add a block's column members to the thin counts of every cutoff.
+
+    Members divisible by an excluded prime of their row, y = 0 over the zero
+    prefix and (when sings is given) singular values are dropped first; a
+    member counts at cutoff j when its row's j0 <= j and |y| <= M_j.
+    """
+    ys, keep = solved
+    for q in qs:
+        rows = np.fromiter((q in P for P in Ps), bool, len(Ps))
+        if rows.any():
+            keep[rows] &= ys[rows] % q != 0
+    if zero_row is not None:
+        keep[zero_row] &= ys[zero_row] != 0
+    for i, sing in enumerate(sings):
+        for y in sing:  # disc = +-Res(f, f'): the thin members that are singular
+            keep[i] &= ys[i] != y
+    j0 = np.array(j0s)
+    for j, m in enumerate(last_cut):
+        inside = ys >= -m
+        inside &= ys <= m
+        inside &= keep
+        thins[j] += int(np.count_nonzero(inside[j0 <= j]))
 
 
 def _census_pointwise(

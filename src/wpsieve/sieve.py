@@ -186,8 +186,9 @@ def compute_G(Q: int, rs: ResidueSystem) -> Fraction:
     return total
 
 
-def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float:
-    """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q)."""
+def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float | Fraction:
+    """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), as a float; a value past
+    the float range comes back as the exact Fraction."""
     G = compute_G(params.Q, rs)
     if G <= 0:
         raise ValueError("sieve mass must be positive")
@@ -196,7 +197,11 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float:
     b = params.bound
     for a in params.weights:
         prod *= b**a + shift
-    return float(prod / G)
+    bound = prod / G
+    try:
+        return float(bound)
+    except OverflowError:
+        return bound
 
 
 # --- survivors -------------------------------------------------------------

@@ -27,12 +27,12 @@ _CHUNKS = 32
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration box holds more tuples than the configured budget."""
+    """A job needs more work steps (by default, enumeration-box tuples) than
+    the configured budget."""
 
-    def __init__(self, volume: int, budget: int):
-        super().__init__(
-            f"enumeration box holds {volume} tuples, budget is {budget}"
-        )
+    def __init__(self, volume: int, budget: int,
+                 what: str = "enumeration box holds {} tuples"):
+        super().__init__(f"{what.format(volume)}, budget is {budget}")
         self.volume = volume
         self.budget = budget
 

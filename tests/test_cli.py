@@ -78,6 +78,18 @@ def test_sieve_bound_density_only(capsys):
     assert out.splitlines()[1] == "1,2,1,1.33333333333,18.75"
 
 
+def test_sieve_bound_past_float_range(tmp_path, capsys):
+    rs = write_rs(tmp_path, "2 1 1 2\n")
+    for height, bound in (("1" + "0" * 41, "5e+409"), ("3" + "0" * 40, "2.95245e+404")):
+        code, out, _ = run_cli(
+            ["sieve-bound", "--weights", "4,6", "--height-max", height, "--Q", "5",
+             "--residues", rs],
+            capsys,
+        )
+        assert code == 0
+        assert out == f"B,Q,m,G,bound\n{height},5,1,2,{bound}\n"
+
+
 def test_survivors_row(tmp_path, capsys):
     rs = write_rs(tmp_path)
     code, out, _ = run_cli(
@@ -291,6 +303,13 @@ def test_budget_exit_and_force(capsys):
     code, out, _ = run_cli(argv + ["--force"], capsys)
     assert code == 0
     assert out == "B,count\n3,16\n"
+
+
+def test_census_budget_counts_column_work(capsys):
+    # the box at B = 12 holds 2.5e11 tuples; the column census needs ~2.4e7 steps
+    code, out, _ = run_cli(["census", "--genus", "1", "--heights", "2,4,8,12"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "12,247429284466,11725994,two-torsion"
 
 
 def test_workers_env(monkeypatch, capsys):

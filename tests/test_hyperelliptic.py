@@ -250,6 +250,15 @@ def test_census_validation():
     census(1, [1], budget=None)
 
 
+def test_census_budget_counts_work_done():
+    # column path: 33 prefixes at B = 2, times the kernel row width 23 with a
+    # thin cover, alone without one; pointwise path: the 33 * 129 box
+    for thin, work in (("two-torsion", 33 * 23), ("none", 33), ("disc-square", 33 * 129)):
+        census(1, [1, 2], thin=thin, budget=work)
+        with pytest.raises(BudgetExceededError):
+            census(1, [1, 2], thin=thin, budget=work - 1)
+
+
 def test_census_table_validation():
     row = CensusRow(Fraction(1), 10, 3, "two-torsion")
     CensusTable([row])

@@ -74,6 +74,10 @@ def test_sieve_upper_bound_examples():
     rs = ResidueSystem(1, {2: Omega(2, 1, density=Fraction(1, 4))})
     b = sieve.sieve_upper_bound(SieveParams(W46, 2, 2), rs)
     assert b == pytest.approx(1020.0)
+    # past the float range the bound stays exact
+    rs = ResidueSystem(1, {2: Omega(2, 1, density=Fraction(1, 2))})
+    b = sieve.sieve_upper_bound(SieveParams(W46, 10**41, 5), rs)
+    assert b == Fraction((10**164 + 25) * (10**246 + 25), 2)
 
 
 OMEGA_00 = Omega(2, 1, residues={(0, 0)})
