@@ -3,7 +3,8 @@
 Everything here is deterministic and exact: a growable prime table, trial
 division factorization, p-adic valuations and the Moebius function.  Inputs
 are desk-scale (well under 64 bits), so nothing fancier than a sieve plus
-trial division is warranted.
+trial division is warranted, except that a primality test past the table
+uses deterministic Miller-Rabin rather than growing the table to sqrt(n).
 """
 
 from __future__ import annotations
@@ -43,18 +44,35 @@ def primes_up_to(q: int) -> list[int]:
     return _primes[: bisect_right(_primes, q)]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this limit (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < 3.3e24; larger n raise ValueError."""
     if not isinstance(n, int) or n < 2:
         return False
     if n <= _limit:
         i = bisect_right(_primes, n)
         return i > 0 and _primes[i - 1] == n
-    r = math.isqrt(n)
-    _grow_primes(r)
-    for p in _primes:
-        if p > r:
-            break
-        if n % p == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is out of range (n >= {_MR_LIMIT})")
+    if any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

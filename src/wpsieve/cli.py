@@ -325,10 +325,7 @@ def _run_count(args, integral: bool):
     wv = _need_weights(args)
     grid = _resolve_grid(args)
     fn = wps.count_integral if integral else wps.count
-    rows = [
-        [b, fn(wv, b, workers=args.workers, budget=args.budget)] for b in grid
-    ]
-    return ["B", "count"], rows
+    return ["B", "count"], [[b, fn(wv, b, budget=args.budget)] for b in grid]
 
 
 def _run_enumerate(args):
@@ -355,7 +352,8 @@ def _sieve_params(args) -> tuple[sieve.SieveParams, sieve.ResidueSystem]:
 def _run_sieve_bound(args):
     params, rs = _sieve_params(args)
     G = sieve.compute_G(params.Q, rs)
-    bound = sieve.sieve_upper_bound(params, rs)
+    # 12 significant digits, also for an integral bound past the float range
+    bound = _fmt_real(Fraction(sieve.sieve_upper_bound(params, rs)))
     return (
         ["B", "Q", "m", "G", "bound"],
         [[params.bound, params.Q, rs.m, G, bound]],

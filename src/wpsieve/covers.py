@@ -225,12 +225,12 @@ def _iroot(v: int, k: int) -> int:
         raise ValueError("negative radicand")
     if k == 1 or v in (0, 1):
         return v
-    r = int(round(v ** (1.0 / k)))
-    while r > 0 and r**k > v:
-        r -= 1
-    while (r + 1) ** k <= v:
-        r += 1
-    return r
+    r = 1 << -(-v.bit_length() // k)  # 2^ceil(bits/k) > v^(1/k)
+    while True:  # Newton from above decreases strictly until floor(v^(1/k))
+        s = ((k - 1) * r + v // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _check_point(weights: WeightVector, point: WpsPoint) -> None:

@@ -9,10 +9,11 @@ discriminant, computed exactly), rational 2-torsion (an integer root of the
 right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
-The census never walks the full box point by point: for each prefix of
-coordinates the last coordinate is counted arithmetically (inclusion-
-exclusion for the weighted-gcd condition) and thin members are produced by
-solving the cover for the constant coefficient.  The prefixes are streamed
+The census totals are wps.count at each cutoff (the Moebius closed form),
+less the singular tuples with --smooth-only.  The census never walks the
+full box point by point: thin members (and singular tuples) are found per
+prefix of coordinates by solving for the last coordinate; with neither a
+thin tester nor --smooth-only no prefix is visited.  The prefixes are streamed
 in fixed blocks of _BLOCK_ROWS; the block column kernel
 (covers.ColumnKernel) turns a block into one rows x (2T+1) matrix of values
 y = -s * f(t), T the Fujiwara root bound, and the census counts the members
@@ -32,7 +33,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,10 +45,12 @@ from .wps import (
     WpsPoint,
     as_bound,
     box_cutoffs,
+    box_primes,
     box_volume,
-    _box_primes,
-    _chunk_ranges,
-    _wgcd_one_in_box,
+    clip_ranges,
+    count,
+    map_chunks,
+    wgcd_one_in_box,
 )
 
 
@@ -360,9 +362,10 @@ def census(
 ) -> CensusTable:
     """Point totals and thin counts for every height cutoff in the grid.
 
-    One pass over coordinate prefixes serves the whole grid: each prefix is
-    bucketed by the smallest cutoff whose box contains it and the last
-    coordinate is counted per cutoff.
+    The totals come from wps.count.  One pass over coordinate prefixes
+    finds the thin (and, with smooth_only, the singular) tuples of the whole
+    grid: each prefix is bucketed by the smallest cutoff whose box contains
+    it and its last coordinate is counted per cutoff.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -376,19 +379,15 @@ def census(
         work = _census_work(wv, bounds[-1], cover)
         if work > budget:
             raise BudgetExceededError(work, budget, "census needs {} steps")
-    if workers <= 1:
-        totals, thins = _census_chunk((g, bounds, thin, smooth_only, None))
-    else:
+    sings, thins = [0] * len(bounds), [0] * len(bounds)
+    if cover is not None or smooth_only:
         m0 = box_cutoffs(wv, bounds[-1])[0]
-        tasks = [
-            (g, bounds, thin, smooth_only, rng) for rng in _chunk_ranges(m0)
-        ]
-        with Pool(workers) as pool:
-            parts = pool.map(_census_chunk, tasks)
-        totals = [sum(p[0][j] for p in parts) for j in range(len(bounds))]
-        thins = [sum(p[1][j] for p in parts) for j in range(len(bounds))]
+        parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), m0, workers)
+        sings = [sum(col) for col in zip(*(p[0] for p in parts))]
+        thins = [sum(col) for col in zip(*(p[1] for p in parts))]
     rows = [
-        CensusRow(b, totals[j], thins[j], thin) for j, b in enumerate(bounds)
+        CensusRow(b, count(wv, b, budget=None) - sing, th, thin)
+        for b, sing, th in zip(bounds, sings, thins)
     ]
     meta = {
         "genus": g,
@@ -414,36 +413,19 @@ def _census_work(wv, bound, cover) -> int:
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
+    """(singular, thin) counts per cutoff over the prefixes of one x0 range."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in bounds]
-    Ms = cutoffs[-1]
-    nG = len(bounds)
     cover = _tester_cover(thin, g)
-    use_column = cover is None or cover.column_solver() is not None
-    plist = _box_primes(wv, bounds[-1])
-    totals = [0] * nG
-    thins = [0] * nG
-    if use_column:
-        _census_columns(
-            g, wv, cutoffs, Ms, plist, cover, smooth_only, x0_range, totals, thins
-        )
+    plist = box_primes(wv, bounds[-1])
+    sings = [0] * len(bounds)
+    thins = [0] * len(bounds)
+    if cover is None or cover.column_solver() is not None:
+        _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins)
     else:
-        _census_pointwise(
-            g, wv, cutoffs, Ms, plist, cover, smooth_only, x0_range, totals, thins
-        )
-    return totals, thins
-
-
-def _clip_ranges(Ms, x0_range):
-    ranges = [range(-m, m + 1) for m in Ms]
-    if x0_range is not None:
-        lo = max(x0_range[0], -Ms[0])
-        hi = min(x0_range[1], Ms[0])
-        if lo > hi:
-            return None
-        ranges[0] = range(lo, hi + 1)
-    return ranges
+        _census_pointwise(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins)
+    return sings, thins
 
 
 # Prefixes per call of the block column kernel.  Fixed, so that the blocks
@@ -451,20 +433,16 @@ def _clip_ranges(Ms, x0_range):
 _BLOCK_ROWS = 128
 
 
-def _census_columns(
-    g, wv, cutoffs, Ms, plist, cover, smooth_only, x0_range, totals, thins
-):
+def _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins):
     nG = len(cutoffs)
-    last = len(wv) - 1
-    ranges = _clip_ranges(Ms[:-1], x0_range)
-    if ranges is None:
-        return
+    Ms = cutoffs[-1]
+    last = len(Ms) - 1
     prefix_cut = [c[:-1] for c in cutoffs]
     last_cut = [c[last] for c in cutoffs]
     kernel = cover.column_kernel() if cover is not None else None
-    prefixes = itertools.product(*ranges)
+    prefixes = itertools.product(*clip_ranges(Ms[:-1], x0_range))
     while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
-        j0s, Ps, sings = [], [], []
+        j0s, Ps, sing_rows = [], [], []
         zero_row = None
         for i, prefix in enumerate(block):
             j0 = next(
@@ -478,34 +456,22 @@ def _census_columns(
                 for _, pas in plist
                 if all(x % q == 0 for x, q in zip(prefix, pas))
             ]
-            zero_prefix = not any(prefix)
-            if zero_prefix:
+            if not any(prefix):
                 zero_row = i
-            subs = [(1, 1)]
-            for q in P:
-                subs += [(-sg, mod * q) for sg, mod in subs]
-            for j in range(j0, nG):
-                M = cutoffs[j][last]
-                cnt = sum(sg * (2 * (M // mod) + 1) for sg, mod in subs)
-                if zero_prefix and not P:
-                    cnt -= 1  # the all-zero tuple is not a point
-                totals[j] += cnt
             j0s.append(j0)
             Ps.append(P)
             if smooth_only:
                 sing = _singular_last_values(g, prefix, Ms[last])
-                sings.append(sing)
-                sing = [y for y in sing if not any(y % q == 0 for q in P)]
-                if zero_prefix:
-                    sing = [y for y in sing if y != 0]
+                sing_rows.append(sing)
                 for y in sing:
-                    ay = abs(y)
+                    if any(y % q == 0 for q in P) or (zero_row == i and y == 0):
+                        continue  # not a point: weighted gcd > 1, or all zero
                     for j in range(j0, nG):
-                        if ay <= cutoffs[j][last]:
-                            totals[j] -= 1
+                        if abs(y) <= last_cut[j]:
+                            sings[j] += 1
         if kernel is not None:
             _count_thin_block(
-                kernel.solve(block, Ms[last]), j0s, Ps, zero_row, sings,
+                kernel.solve(block, Ms[last]), j0s, Ps, zero_row, sing_rows,
                 [pas[last] for _, pas in plist], last_cut, thins,
             )
 
@@ -535,35 +501,25 @@ def _count_thin_block(solved, j0s, Ps, zero_row, sings, qs, last_cut, thins):
         thins[j] += int(np.count_nonzero(inside[j0 <= j]))
 
 
-def _census_pointwise(
-    g, wv, cutoffs, Ms, plist, cover, smooth_only, x0_range, totals, thins
-):
-    nG = len(cutoffs)
-    ranges = _clip_ranges(Ms, x0_range)
-    if ranges is None:
-        return
-    for tup in itertools.product(*ranges):
+def _census_pointwise(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins):
+    for tup in itertools.product(*clip_ranges(cutoffs[-1], x0_range)):
         if not any(tup):
             continue
-        if not _wgcd_one_in_box(tup, plist):
+        if not wgcd_one_in_box(tup, plist):
             continue
         if smooth_only and _disc_poly(_poly_from_coords(g, tup)) == 0:
+            counts = sings
+        elif covers.has_integer_root(cover.poly_at(tup)):
+            counts = thins
+        else:
             continue
         j0 = next(
-            (
-                j
-                for j in range(nG)
-                if all(abs(x) <= cm for x, cm in zip(tup, cutoffs[j]))
-            ),
-            None,
+            j
+            for j, c in enumerate(cutoffs)
+            if all(abs(x) <= cm for x, cm in zip(tup, c))
         )
-        if j0 is None:
-            continue
-        member = cover is not None and covers.has_integer_root(cover.poly_at(tup))
-        for j in range(j0, nG):
-            totals[j] += 1
-            if member:
-                thins[j] += 1
+        for j in range(j0, len(cutoffs)):
+            counts[j] += 1
 
 
 # --- exponent fits ---------------------------------------------------------

@@ -7,7 +7,8 @@ residue tuples modulo p^m with exact density nu_p.  The sieve mass
 
 is computed exactly; the bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q) and a
 fully explicit large-sieve inequality over Q (no hidden constants) are
-evaluated against a brute-force survivor count.
+evaluated against a brute-force survivor count.  An Omega is an explicit set
+of residue tuples, or (for the bound alone) a bare density.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,31 +29,29 @@ from .wps import (
     as_bound,
     box_cutoffs,
     box_volume,
+    clip_ranges,
+    is_sign_canonical,
+    map_chunks,
 )
-
-# Materializing a predicate-defined Omega enumerates p^{m(n+1)} tuples; cap it.
-_MATERIALIZE_CAP = 1_000_000
 
 
 class Omega:
     """Excluded residue classes modulo p^m at one prime.
 
-    Given either as an explicit set of residue tuples, or as a predicate
-    plus an exactly-computed density, or (for bound evaluation only) as a
-    bare density.  The stored density is always the exact fraction
-    #Omega / p^{m * width}.
+    Given either as an explicit set of residue tuples or (for bound
+    evaluation only) as a bare density.  With explicit residues the stored
+    density is the exact fraction #Omega / p^{m * width}.
     """
 
-    __slots__ = ("p", "m", "residues", "predicate", "density")
+    __slots__ = ("p", "m", "residues", "density")
 
-    def __init__(self, p, m, residues=None, density=None, predicate=None):
+    def __init__(self, p, m, residues=None, density=None):
         if not arith.is_prime(p):
             raise ValueError(f"Omega modulus base must be prime, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"modulus exponent must be a positive integer: {m!r}")
         self.p = p
         self.m = m
-        self.predicate = predicate
         q = p**m
         if residues is not None:
             res = frozenset(tuple(r) for r in residues)
@@ -81,31 +79,15 @@ class Omega:
             raise ValueError(f"density must lie in [0, 1), got {self.density}")
 
     def contains(self, residue_tuple) -> bool:
-        if self.residues is not None:
-            return tuple(residue_tuple) in self.residues
-        if self.predicate is not None:
-            return bool(self.predicate(tuple(residue_tuple)))
-        raise ValueError(
-            f"Omega at p={self.p} has only a density; membership is undecidable"
-        )
+        return tuple(residue_tuple) in self.explicit_residues(len(residue_tuple))
 
     def explicit_residues(self, width: int) -> frozenset:
-        """Materialize the excluded set as tuples of the given width."""
-        if self.residues is not None:
-            return self.residues
-        if self.predicate is None:
+        """The excluded set, as tuples of the given width."""
+        if self.residues is None:
             raise ValueError(
                 f"Omega at p={self.p} has only a density; cannot materialize"
             )
-        q = self.p**self.m
-        if q**width > _MATERIALIZE_CAP:
-            raise BudgetExceededError(q**width, _MATERIALIZE_CAP)
-        res = frozenset(
-            t for t in itertools.product(range(q), repeat=width) if self.predicate(t)
-        )
-        if Fraction(len(res), q**width) != self.density:
-            raise ValueError("predicate disagrees with its declared density")
-        return res
+        return self.residues
 
 
 @dataclass(frozen=True)
@@ -207,22 +189,6 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float | Fractio
 # --- survivors -------------------------------------------------------------
 
 
-def _canon_state(prefix, weights) -> str:
-    # Sign canon: the first odd-weight nonzero coordinate must be positive.
-    # Decide from the prefix when possible; otherwise constrain the last axis.
-    for i, a in enumerate(weights):
-        if a % 2 == 0:
-            continue
-        if i < len(prefix):
-            if prefix[i] > 0:
-                return "full"
-            if prefix[i] < 0:
-                return "skip"
-        else:
-            return "nonneg"
-    return "full"
-
-
 def _prime_data(params: SieveParams, rs: ResidueSystem, width: int):
     """Per prime p <= Q: modulus q = p^m and a map from prefix residues to
     the excluded residues of the last coordinate."""
@@ -254,19 +220,14 @@ def _survivors_chunk(args) -> int:
     full = np.ones(y.size, dtype=bool)
     nonneg = y >= 0
     nonzero = y != 0
-    ranges = [range(-m, m + 1) for m in Ms[:-1]]
-    if ranges and x0_range is not None:
-        lo = max(x0_range[0], -Ms[0])
-        hi = min(x0_range[1], Ms[0])
-        if lo > hi:
-            return 0
-        ranges[0] = range(lo, hi + 1)
     total = 0
-    for prefix in itertools.product(*ranges):
-        state = _canon_state(prefix, weights)
-        if state == "skip":
+    for prefix in itertools.product(*clip_ranges(Ms[:-1], x0_range)):
+        # Sign canon of (prefix, y): a prefix that decides it keeps all y or
+        # none; otherwise an odd last weight keeps y >= 0.
+        if not is_sign_canonical((*prefix, 1), weights):
             continue
-        mask = (nonneg if state == "nonneg" else full).copy()
+        canon_neg = is_sign_canonical((*prefix, -1), weights)
+        mask = (full if canon_neg else nonneg).copy()
         if not any(prefix):
             mask &= nonzero  # the all-zero tuple is not a point
         for q, ymod, arr_map in y_mods:
@@ -285,14 +246,10 @@ def survivors(params: SieveParams, rs: ResidueSystem, *,
         vol = box_volume(params.weights, params.bound)
         if vol > budget:
             raise BudgetExceededError(vol, budget)
-    if workers <= 1 or len(params.weights) < 2:
-        return _survivors_chunk((params, rs, None))
-    from .wps import _chunk_ranges
-
+    if len(params.weights) < 2:
+        workers = 1  # no prefix coordinate to partition
     m0 = box_cutoffs(params.weights, params.bound)[0]
-    tasks = [(params, rs, rng) for rng in _chunk_ranges(m0)]
-    with Pool(workers) as pool:
-        return sum(pool.map(_survivors_chunk, tasks))
+    return sum(map_chunks(_survivors_chunk, (params, rs), m0, workers))
 
 
 class LsCheck(NamedTuple):

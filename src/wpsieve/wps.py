@@ -5,6 +5,12 @@ lambda^{a_n} x_n).  Orbits are represented by integer tuples of weighted gcd
 1 with a fixed sign convention, the height max_i |x_i|^{1/a_i} is compared
 through L-th powers (L = lcm a_i) so rational height cutoffs are exact, and
 bounded-height enumeration walks the box |x_i| <= B^{a_i} directly.
+
+Counts are computed, not walked: d divides the weighted gcd exactly when
+d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
+points, and the enumeration stays as its oracle.  Code that does walk a box
+(the sieve's survivors, the census) partitions the first coordinate with
+map_chunks and clip_ranges.
 """
 
 from __future__ import annotations
@@ -208,9 +214,10 @@ def height_leq(point: WpsPoint, bound) -> bool:
 # --- enumeration -----------------------------------------------------------
 
 
-def _box_primes(weights: WeightVector, bound) -> list[tuple[int, tuple[int, ...]]]:
-    # p^{a_i} | x_i with some 0 < |x_i| <= B^{a_i} forces p <= B, so inside
-    # the box only primes up to floor(B) can witness weighted gcd > 1.
+def box_primes(weights: WeightVector, bound) -> list[tuple[int, tuple[int, ...]]]:
+    """(p, (p^{a_0}, ..., p^{a_n})) for every prime that can witness weighted
+    gcd > 1 inside the box of height B."""
+    # p^{a_i} | x_i with some 0 < |x_i| <= B^{a_i} forces p <= B.
     b = as_bound(bound)
     pmax = b.numerator // b.denominator
     return [
@@ -218,7 +225,8 @@ def _box_primes(weights: WeightVector, bound) -> list[tuple[int, tuple[int, ...]
     ]
 
 
-def _wgcd_one_in_box(coords, prime_powers) -> bool:
+def wgcd_one_in_box(coords, prime_powers) -> bool:
+    """Weighted gcd 1 for a tuple of the box that box_primes was built for."""
     for _, pas in prime_powers:
         if all(x % pa == 0 for x, pa in zip(coords, pas)):  # 0 % pa == 0: v = inf
             return False
@@ -234,22 +242,11 @@ def _check_budget(weights: WeightVector, bound, budget) -> None:
 
 
 def _iter_canonical(
-    weights: WeightVector,
-    bound,
-    budget,
-    x0_range,
-    integral: bool,
+    weights: WeightVector, bound, budget, integral: bool
 ) -> Iterator[tuple[int, ...]]:
     _check_budget(weights, bound, budget)
-    Ms = box_cutoffs(weights, bound)
-    prime_powers = None if integral else _box_primes(weights, bound)
-    ranges = [range(-m, m + 1) for m in Ms]
-    if x0_range is not None:
-        lo = max(x0_range[0], -Ms[0])
-        hi = min(x0_range[1], Ms[0])
-        if lo > hi:
-            return
-        ranges[0] = range(lo, hi + 1)
+    prime_powers = None if integral else box_primes(weights, bound)
+    ranges = [range(-m, m + 1) for m in box_cutoffs(weights, bound)]
     for tup in itertools.product(*ranges):
         if not any(tup):
             continue
@@ -258,25 +255,69 @@ def _iter_canonical(
         if integral:
             if math.gcd(*tup) != 1:
                 continue
-        elif not _wgcd_one_in_box(tup, prime_powers):
+        elif not wgcd_one_in_box(tup, prime_powers):
             continue
         yield tup
 
 
 def enumerate_points(
-    weights: WeightVector, bound, *, budget=DEFAULT_BUDGET, x0_range=None
+    weights: WeightVector, bound, *, budget=DEFAULT_BUDGET
 ) -> Iterator[WpsPoint]:
     """Stream every normalized point of height <= B, in lexicographic order."""
-    for tup in _iter_canonical(weights, bound, budget, x0_range, integral=False):
+    for tup in _iter_canonical(weights, bound, budget, integral=False):
         yield WpsPoint(tup, weights)
 
 
 def enumerate_integral(
-    weights: WeightVector, bound, *, budget=DEFAULT_BUDGET, x0_range=None
+    weights: WeightVector, bound, *, budget=DEFAULT_BUDGET
 ) -> Iterator[IntegralPoint]:
     """Stream gcd-1 integer tuples of height <= B, in lexicographic order."""
-    for tup in _iter_canonical(weights, bound, budget, x0_range, integral=True):
+    for tup in _iter_canonical(weights, bound, budget, integral=True):
         yield IntegralPoint(tup, weights)
+
+
+# --- counting ----------------------------------------------------------------
+
+
+def _count(weights: WeightVector, bound, integral: bool) -> int:
+    # Moebius inversion over d | gcd: the nonzero tuples with d^{a_i} | x_i
+    # (d | x_i for the plain gcd) number prod_i (2 floor(M_i / d^{a_i}) + 1) - 1.
+    # Negation fixes the tuples whose odd-weight coordinates are all 0 and
+    # pairs off the rest, so the sign-canonical count is (N_all + N_fixed) / 2.
+    Ms = box_cutoffs(weights, bound)
+    even = [i for i, a in enumerate(weights) if a % 2 == 0]
+    b = as_bound(bound)
+    dmax = max(Ms) if integral else b.numerator // b.denominator
+    n_all = n_fixed = 0
+    for d in range(1, dmax + 1):
+        mu = arith.moebius(d)
+        if mu == 0:
+            continue
+        sides = [
+            2 * (m // (d if integral else d**a)) + 1 for m, a in zip(Ms, weights)
+        ]
+        n_all += mu * (math.prod(sides) - 1)
+        n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
+    return (n_all + n_fixed) // 2
+
+
+def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
+    """Number of points of height <= B (weighted gcd 1, canonical sign).
+
+    Computed by the Moebius sum over d <= B, not by walking the box; the
+    budget still refuses a box of more than `budget` tuples."""
+    _check_budget(weights, bound, budget)
+    return _count(weights, bound, False)
+
+
+def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
+    """Number of gcd-1 canonical tuples of height <= B (Moebius sum over
+    d <= max floor(B^{a_i}))."""
+    _check_budget(weights, bound, budget)
+    return _count(weights, bound, True)
+
+
+# --- partitioning ------------------------------------------------------------
 
 
 def _chunk_ranges(m0: int) -> list[tuple[int, int]]:
@@ -287,31 +328,25 @@ def _chunk_ranges(m0: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1] - 1) for i in range(pieces)]
 
 
-def _count_chunk(args) -> int:  # top level so Pool can pickle it
-    weights, bound, lo, hi, integral = args
-    rng = None if lo is None else (lo, hi)
-    return sum(1 for _ in _iter_canonical(weights, bound, None, rng, integral))
+def map_chunks(fn, args: tuple, m0: int, workers: int) -> list:
+    """Results of fn((*args, x0_range)) over a fixed partition of [-m0, m0].
 
-
-def _count(weights, bound, integral, workers, budget) -> int:
-    _check_budget(weights, bound, budget)
+    With workers <= 1 this is the single call fn((*args, None)); otherwise
+    fn (a top-level function, so Pool can pickle it) runs on _CHUNKS pieces
+    of the first coordinate.  The pieces never depend on the worker count,
+    so merged results are the same for any number of workers."""
     if workers <= 1:
-        return _count_chunk((weights, bound, None, None, integral))
-    m0 = box_cutoffs(weights, bound)[0]
-    tasks = [
-        (weights, bound, lo, hi, integral) for lo, hi in _chunk_ranges(m0)
-    ]
+        return [fn((*args, None))]
+    tasks = [(*args, rng) for rng in _chunk_ranges(m0)]
     with Pool(workers) as pool:
-        return sum(pool.map(_count_chunk, tasks))
+        return pool.map(fn, tasks)
 
 
-def count(weights: WeightVector, bound, *, workers: int = 1,
-          budget=DEFAULT_BUDGET) -> int:
-    """Number of points of height <= B (weighted gcd 1, canonical sign)."""
-    return _count(weights, bound, False, workers, budget)
-
-
-def count_integral(weights: WeightVector, bound, *, workers: int = 1,
-                   budget=DEFAULT_BUDGET) -> int:
-    """Number of gcd-1 canonical tuples of height <= B."""
-    return _count(weights, bound, True, workers, budget)
+def clip_ranges(cutoffs: Sequence[int], x0_range) -> list[range]:
+    """range(-M_i, M_i + 1) per cutoff, the first cut down to the inclusive
+    window x0_range = (lo, hi) when one is given (empty when disjoint)."""
+    ranges = [range(-m, m + 1) for m in cutoffs]
+    if x0_range is not None:
+        lo, hi = x0_range
+        ranges[0] = range(max(lo, -cutoffs[0]), min(hi, cutoffs[0]) + 1)
+    return ranges

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,21 @@ def test_is_prime_small_and_carmichael():
     assert not arith.is_prime(-7)
     assert not arith.is_prime(561)  # Carmichael number, trial division is immune
     assert arith.is_prime(10**9 + 7)
+
+
+def test_is_prime_past_the_table_without_a_sieve():
+    tracemalloc.start()
+    try:
+        assert arith.is_prime(10**14 + 31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # growing the table to sqrt(n) would take ~10 MB
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not arith.is_prime(n), n
+    with pytest.raises(ValueError):
+        arith.is_prime(3317044064679887385961981)
 
 
 def test_factorize_reconstructs_and_moebius_matches_sieve():

@@ -80,7 +80,8 @@ def test_sieve_bound_density_only(capsys):
 
 def test_sieve_bound_past_float_range(tmp_path, capsys):
     rs = write_rs(tmp_path, "2 1 1 2\n")
-    for height, bound in (("1" + "0" * 41, "5e+409"), ("3" + "0" * 40, "2.95245e+404")):
+    for height, bound in (("1" + "0" * 41, "5e+409"), ("3" + "0" * 40, "2.95245e+404"),
+                          ("1" + "0" * 40 + "1", "5e+409")):
         code, out, _ = run_cli(
             ["sieve-bound", "--weights", "4,6", "--height-max", height, "--Q", "5",
              "--residues", rs],
@@ -303,6 +304,15 @@ def test_budget_exit_and_force(capsys):
     code, out, _ = run_cli(argv + ["--force"], capsys)
     assert code == 0
     assert out == "B,count\n3,16\n"
+
+
+def test_census_budget_past_float_range(capsys):
+    # the column width at B = 1e52 needs integer roots of values past 1e308
+    argv = ["census", "--genus", "1", "--heights", "1e52"]
+    for extra in ([], ["--force"]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "budget"
 
 
 def test_census_budget_counts_column_work(capsys):

@@ -4,7 +4,7 @@ census's block counting, against brute force and the scalar t-scan."""
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import covers, hyperelliptic as hyp
-from wpsieve.wps import box_cutoffs
+from wpsieve.wps import box_cutoffs, box_primes
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -110,7 +110,7 @@ def test_count_thin_block_matches_member_loop(data, g, smooth):
     wv = hyp.moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in (1, 2)]
     last = len(wv) - 1
-    plist = hyp._box_primes(wv, 2)
+    plist = box_primes(wv, 2)
     Ms = cutoffs[-1]
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
     cover = covers.two_torsion_cover(g)

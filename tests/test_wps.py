@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wpsieve import wps
+from wpsieve import cli, wps
 from wpsieve.wps import WeightVector, WpsPoint
 
 
@@ -135,11 +136,38 @@ def test_count_examples_and_consistency():
     assert counts == sorted(counts)
 
 
-def test_count_workers_agree():
-    for wv in (W12, W46):
-        b = 3
-        assert wps.count(wv, b, workers=2) == wps.count(wv, b, workers=1)
-        assert wps.count_integral(wv, b, workers=2) == wps.count_integral(wv, b)
+def test_count_workers_agree(capsys):
+    for cmd in ("count", "count-integral"):
+        for w in ("1,2", "4,6"):
+            outs = []
+            for workers in ("1", "2"):
+                argv = [cmd, "--weights", w, "--height-max", "3", "--workers", workers]
+                assert cli.main(argv) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+
+
+def _small_bounds(wv):
+    # rational heights whose box stays small enough to enumerate
+    return sorted({
+        Fraction(n, d) for d in (1, 2, 3) for n in range(1, 13)
+        if wps.box_volume(wv, Fraction(n, d)) <= 3000
+    })
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       ws=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_count_closed_form_matches_enumeration(data, ws):
+    wv = WeightVector(tuple(ws))
+    b = data.draw(st.sampled_from(_small_bounds(wv)))
+    assert wps.count(wv, b) == len(list(wps.enumerate_points(wv, b)))
+    assert wps.count_integral(wv, b) == len(list(wps.enumerate_integral(wv, b)))
+
+
+def test_count_closed_form_frozen_large_height():
+    # a box of 10^30 tuples: only the Moebius sum over d <= 1000 can count it
+    assert wps.count(W46, 1000, budget=None) == 3996025652278090938348230069350
 
 
 def test_integral_vs_rational():
