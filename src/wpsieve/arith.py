@@ -1,17 +1,21 @@
 """Exact integer arithmetic shared by the other modules.
 
 Everything here is deterministic and exact: a growable prime table, trial
-division factorization, p-adic valuations and the Moebius function.  Inputs
-are desk-scale (well under 64 bits), so nothing fancier than a sieve plus
-trial division is warranted, except that a primality test past the table
-uses deterministic Miller-Rabin rather than growing the table to sqrt(n).
+division factorization, p-adic valuations and the Moebius function (also as
+one sieved table for a whole range).  Inputs are desk-scale (well under 64
+bits), so nothing fancier than a sieve plus trial division is warranted,
+except that a primality test past the table uses deterministic Miller-Rabin
+rather than growing the table to sqrt(n).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 # Valuation of 0.  Compares above every finite valuation and floor-divides
 # to itself, which is exactly what weighted-gcd minima need.
@@ -130,6 +134,25 @@ def moebius(n: int) -> int:
     if any(e >= 2 for _, e in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
+
+
+def moebius_table(n: int) -> array:
+    """mu(d) for 0 <= d <= n (mu(0) = 0), one signed byte per d, by one sieve.
+
+    Only the primes p <= sqrt(n) are sieved: each flips the sign of its
+    multiples, zeroes the multiples of p^2 and is multiplied into the
+    product of the small primes of d.  A squarefree d whose product falls
+    short of d has exactly one prime factor above sqrt(n), one more flip."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    dtype = np.int32 if n < 2**31 else np.int64  # small[d] divides d <= n
+    small = np.ones(n + 1, dtype=dtype)
+    for p in primes_up_to(math.isqrt(n)):
+        mu[p::p] *= -1
+        small[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[small < np.arange(n + 1, dtype=dtype)] *= -1
+    return array("b", mu.tobytes())
 
 
 def divisors(n: int) -> list[int]:

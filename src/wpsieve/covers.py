@@ -250,11 +250,17 @@ def typeI_member(form: WeightedForm, point: WpsPoint) -> bool:
 def has_integer_root(poly: Sequence[int]) -> bool:
     """Integer root test for a monic integer polynomial (ascending coeffs).
 
-    A rational root of a monic integer polynomial is an integer dividing the
-    constant term, so divisor enumeration is complete.
+    A quadratic t^2 + bt + c is decided by one isqrt: it has an integer root
+    exactly when b^2 - 4c is a square s^2, and then s = b mod 2 (as
+    b^2 - 4c = b^2 mod 4), so the roots (-b +- s) / 2 are integers.  Higher
+    degrees enumerate divisors: a rational root of a monic integer
+    polynomial is an integer dividing the constant term.
     """
     if poly[-1] != 1:
         raise ValueError("polynomial must be monic")
+    if len(poly) == 3:
+        disc = poly[1] ** 2 - 4 * poly[0]
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
     c0 = poly[0]
     if c0 == 0:
         return True

@@ -20,14 +20,18 @@ y = -s * f(t), T the Fujiwara root bound, and the census counts the members
 of every cutoff with array masks (excluded primes, the zero prefix,
 singular values, the row's smallest cutoff).  The matrix is int64 when its
 exact value bound stays below 2^63 and Python ints otherwise, so any height
-is exact.  The budget counts this work: prefixes times 2T+1 with a thin
-cover, prefixes alone without one, and the box for testers the kernel
-cannot solve, which are run point by point.  Every route is checked against
-brute-force oracles in the test suite.
+is exact.  With --smooth-only the singular values of a block are found at
+once: 2g+1 exact resultants per prefix, one integer matrix product for the
+polynomial Res_t(f, f') in y, and its integer roots in the window from Horner
+matrices (mod a few primes, then CRT, for large windows).  The budget counts
+this work: prefixes times 2T+1 with a thin cover, prefixes alone without
+one, and the box for testers the kernel cannot solve, which are run point
+by point.  Every route is checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -193,91 +197,108 @@ def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
 # --- singular values along a column ---------------------------------------
 
 
-def _interp_int_poly(points: list[tuple[int, int]]) -> list[int]:
-    """Integer polynomial (ascending) through the given (x, value) pairs."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for k, (xk, vk) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == k:
-                continue
-            basis = [Fraction(0)] + basis
-            for i in range(len(basis) - 1):
-                basis[i] -= xj * basis[i + 1]
-            denom *= xk - xj
-        scale = Fraction(vk, denom)
-        for i, b in enumerate(basis):
-            coeffs[i] += scale * b
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("interpolation of an integer family left a denominator")
-        out.append(c.numerator)
-    return out
+@functools.cache
+def _interp_matrix(g: int) -> tuple[np.ndarray, int]:
+    """(M, D) with M / D the inverse Vandermonde at y = 0..2g: a polynomial
+    of degree <= 2g with values v_k at y = k has ascending coefficients
+    M @ v / D.  Column k of D * V^{-1} is D times the Lagrange basis
+    prod_{j != k} (y - j) / (k - j); D = (2g)! clears every denominator."""
+    n = 2 * g + 1
+    D = math.factorial(n - 1)
+    M = np.zeros((n, n), dtype=object)
+    for k in range(n):
+        basis, denom = [1], 1
+        for j in range(n):
+            if j != k:
+                basis = [a - j * b for a, b in zip([0, *basis], [*basis, 0])]
+                denom *= k - j
+        M[:, k] = [b * D // denom for b in basis]
+    return M, D
 
 
-def _integer_roots_within(R: Sequence[int], bound: int) -> list[int]:
-    """All integer roots y of R with |y| <= bound, found exactly.
+def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
+    """Per row of R (an object array of ascending integer coefficients, no
+    row zero), the integer roots y with |y| <= bound, sorted, found exactly.
 
-    Small windows are scanned directly.  Larger windows are filtered through
-    roots of R modulo a few primes whose product exceeds the window, then
-    candidates are verified exactly; every integer root survives reduction
-    mod every prime, so the filter is complete.
-    """
-    R = _trim(R)
-    if not R:
-        raise ValueError("zero polynomial has every root")
-    if len(R) == 1:
-        return []
-    c = _content(R)
-    R = [x // c for x in R]
-    if 2 * bound + 1 <= 64:
-        return [y for y in range(-bound, bound + 1) if covers.poly_eval(R, y) == 0]
+    Rows are divided by their content, so none vanishes identically mod a
+    prime.  A window of at most 64 values is scanned as one rows x window
+    Horner matrix.  A larger one is filtered by the roots mod a few primes
+    whose product exceeds it (one rows x p Horner matrix each); CRT
+    candidates are verified exactly.  Every integer root reduces to a root
+    mod every prime, so the filter is complete."""
+    content = np.gcd.reduce(R, axis=1)
+    if not content.all():
+        raise AssertionError("a row of the root finder is the zero polynomial")
+    R //= content[:, None]
     need = 2 * bound + 1
-    prime_roots: list[tuple[int, list[int]]] = []
-    prod = 1
-    for p in arith.primes_up_to(10_000):
-        if p < 101:
-            continue
-        roots = [r for r in range(p) if covers.poly_eval([x % p for x in R], r) % p == 0]
-        prime_roots.append((p, roots))
+    if need <= 64:
+        ys = np.arange(-bound, bound + 1).astype(object)
+        vals = np.zeros((len(R), need), dtype=object)
+        for j in range(R.shape[1] - 1, -1, -1):
+            vals = vals * ys + R[:, j, None]
+        return [ys[row == 0].tolist() for row in vals]
+    primes, hits, prod = [], [], 1
+    for p in arith.primes_up_to(10_000)[25:]:  # 101, 103, ...
+        Rp = (R % p).astype(np.int64)
+        r = np.arange(p, dtype=np.int64)
+        acc = np.zeros((len(R), p), dtype=np.int64)
+        for j in range(R.shape[1] - 1, -1, -1):
+            acc = (acc * r + Rp[:, j, None]) % p
+        primes.append(p)
+        hits.append(acc == 0)
         prod *= p
         if prod >= need:
             break
     else:
         raise AssertionError("prime pool exhausted while filtering roots")
-    out = []
-    for combo in itertools.product(*(roots for _, roots in prime_roots)):
-        x, mod = 0, 1
-        for (p, _), r in zip(prime_roots, combo):
-            x += mod * ((r - x) * pow(mod, -1, p) % p)
-            mod *= p
-        y = ((x + bound) % mod) - bound
-        if -bound <= y <= bound and covers.poly_eval(R, y) == 0:
-            out.append(y)
-    return sorted(set(out))
+    alive = np.logical_and.reduce([h.any(axis=1) for h in hits])
+    out: list[list[int]] = [[] for _ in range(len(R))]
+    for i in np.flatnonzero(alive).tolist():
+        row = R[i].tolist()
+        found = set()
+        for combo in itertools.product(*(np.flatnonzero(h[i]).tolist() for h in hits)):
+            x, mod = 0, 1
+            for p, r in zip(primes, combo):
+                x += mod * ((r - x) * pow(mod, -1, p) % p)
+                mod *= p
+            y = ((x + bound) % mod) - bound
+            if -bound <= y <= bound and covers.poly_eval(row, y) == 0:
+                found.add(y)
+        out[i] = sorted(found)
+    return out
+
+
+def _integer_roots_within(R: Sequence[int], bound: int) -> list[int]:
+    """All integer roots y of R with |y| <= bound; the one-row case of
+    _integer_roots_block."""
+    if not any(R):
+        raise ValueError("zero polynomial has every root")
+    return _integer_roots_block(np.array([list(R)], dtype=object), bound)[0]
+
+
+def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> list[list[int]]:
+    """Per prefix of a nonempty block, the values y of the last coordinate,
+    |y| <= bound, where the column's curve polynomial has a repeated root.
+
+    Res_t(f_y, f') is a polynomial of degree <= 2g in y (f' does not involve
+    y): its values at y = 0..2g are exact resultants, its coefficients one
+    integer matrix product with _interp_matrix(g) away, and its integer
+    roots in the window come from _integer_roots_block."""
+    vals = []
+    for prefix in prefixes:
+        base = _poly_from_coords(g, (*prefix, 0))
+        dfdt = _derivative(base)
+        vals.append([resultant([k, *base[1:]], dfdt) for k in range(2 * g + 1)])
+    M, D = _interp_matrix(g)
+    R = np.array(vals, dtype=object) @ M.T
+    if (R % D).any():
+        raise AssertionError("interpolation of an integer family left a denominator")
+    return _integer_roots_block(R // D, bound)
 
 
 def _singular_last_values(g: int, prefix: Sequence[int], bound: int) -> list[int]:
-    """Values y of the last coordinate, |y| <= bound, where the column's curve
-    polynomial has a repeated root.
-
-    Res_t(f_y, f') is a polynomial of degree <= 2g in y (f' does not involve
-    y); it is recovered exactly by interpolation and its integer roots in the
-    window are extracted."""
-    base = _poly_from_coords(g, tuple(prefix) + (0,))
-    dfdt = _derivative(base)
-    pts = []
-    for k in range(2 * g + 1):
-        fk = list(base)
-        fk[0] = k
-        pts.append((k, resultant(fk, dfdt)))
-    R = _trim(_interp_int_poly(pts))
-    if not R:
-        raise AssertionError("resultant in y vanished identically")
-    return _integer_roots_within(R, bound)
+    """_singular_block for one prefix."""
+    return _singular_block(g, [prefix], bound)[0]
 
 
 # --- census ----------------------------------------------------------------
@@ -442,8 +463,9 @@ def _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thin
     kernel = cover.column_kernel() if cover is not None else None
     prefixes = itertools.product(*clip_ranges(Ms[:-1], x0_range))
     while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
-        j0s, Ps, sing_rows = [], [], []
+        j0s, Ps = [], []
         zero_row = None
+        sing_rows = _singular_block(g, block, Ms[last]) if smooth_only else []
         for i, prefix in enumerate(block):
             j0 = next(
                 j
@@ -461,9 +483,7 @@ def _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thin
             j0s.append(j0)
             Ps.append(P)
             if smooth_only:
-                sing = _singular_last_values(g, prefix, Ms[last])
-                sing_rows.append(sing)
-                for y in sing:
+                for y in sing_rows[i]:
                     if any(y % q == 0 for q in P) or (zero_row == i and y == 0):
                         continue  # not a point: weighted gcd > 1, or all zero
                     for j in range(j0, nG):

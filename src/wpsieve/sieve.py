@@ -264,17 +264,43 @@ def testable_ls_inequality(params: SieveParams, rs: ResidueSystem, *,
 
     survivors <= prod_i (N_i^{1/2} + Q^m)^2 / G(Q) with N_i = 2 floor(B^{a_i}) + 1
     (the box side counts).  Every quantity on the right is explicit, so a
-    violation would be a genuine bug, not a constant hiding somewhere.
+    violation would be a genuine bug, not a constant hiding somewhere.  The
+    reported rhs is a float; holds is decided exactly.
     """
     lhs = survivors(params, rs, budget=budget, workers=workers)
     G = compute_G(params.Q, rs)
     shift = float(params.Q) ** rs.m
+    ns = [2 * m + 1 for m in box_cutoffs(params.weights, params.bound)]
     rhs = 1.0
-    for m in box_cutoffs(params.weights, params.bound):
-        n_i = 2 * m + 1
+    for n_i in ns:
         rhs *= (math.sqrt(n_i) + shift) ** 2
     rhs /= float(G)
-    return LsCheck(lhs, rhs, lhs <= rhs)
+    return LsCheck(lhs, rhs, _ls_holds(lhs * G, ns, params.Q**rs.m))
+
+
+def _ls_holds(target: Fraction, ns, shift: int) -> bool:
+    """target <= prod_i (sqrt(n_i) + shift)^2, decided exactly.
+
+    Each sqrt(n_i) is bracketed by r / 2^k <= sqrt(n_i) <= (r + 1) / 2^k with
+    r = isqrt(n_i * 4^k), k growing until target falls on one side of the
+    product's bracket.  A square n_i is exact at once (r / 2^k is the root);
+    otherwise shift >= 1 leaves the product irrational, so it never equals
+    target and the loop ends.
+    """
+    k = 0
+    while True:
+        lo = hi = target.denominator
+        for n in ns:
+            n4 = n << 2 * k
+            r = math.isqrt(n4)
+            lo *= (r + (shift << k)) ** 2
+            hi *= (r + (r * r != n4) + (shift << k)) ** 2
+        scaled = target.numerator << 2 * k * len(ns)
+        if scaled <= lo:
+            return True
+        if scaled > hi:
+            return False
+        k = 2 * k + 32
 
 
 # --- text format -----------------------------------------------------------

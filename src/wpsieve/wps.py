@@ -289,8 +289,7 @@ def _count(weights: WeightVector, bound, integral: bool) -> int:
     b = as_bound(bound)
     dmax = max(Ms) if integral else b.numerator // b.denominator
     n_all = n_fixed = 0
-    for d in range(1, dmax + 1):
-        mu = arith.moebius(d)
+    for d, mu in enumerate(arith.moebius_table(dmax)):
         if mu == 0:
             continue
         sides = [

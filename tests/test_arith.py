@@ -68,6 +68,13 @@ def test_factorize_reconstructs_and_moebius_matches_sieve():
         assert arith.moebius(n) == int(mu[n])
 
 
+def test_moebius_table_matches_moebius():
+    for n in (0, 1, 2, 3, 4, 30, 20_000):
+        table = arith.moebius_table(n)
+        assert len(table) == n + 1 and table[0] == 0
+        assert list(table[1:]) == [arith.moebius(d) for d in range(1, n + 1)], n
+
+
 def test_factorize_large_spot_checks():
     rng = random.Random(11)
     for _ in range(50):

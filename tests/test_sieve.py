@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,37 @@ def test_ls_inequality_example():
     # (sqrt(3)+2)^4 / G with G = 1 + (1/4)/(3/4) = 4/3
     assert chk.rhs == pytest.approx((math.sqrt(3) + 2) ** 4 / (4 / 3))
     assert chk.holds
+
+
+def test_ls_inequality_decides_holds_exactly(monkeypatch):
+    # lhs = 4 against (sqrt(3) + 2)^4 / G = (97 + 56 sqrt(3)) / G.  Real
+    # residue systems give G with small denominators, far from a tie, so G
+    # is set 10^-40 off the tie on either side: both float rhs land within
+    # one ulp of lhs, so a float comparison cannot tell them apart.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tie = (97 + 56 * Decimal(3).sqrt()) / 4
+        near = [(Fraction(tie + off), holds)  # Fraction(Decimal) is exact
+                for off, holds in ((Decimal("1e-40"), False), (Decimal("-1e-40"), True))]
+    params = SieveParams(W11, 1, 2)
+    rs = ResidueSystem.from_omegas([OMEGA_00])
+    for G, holds in near:
+        monkeypatch.setattr(sieve, "compute_G", lambda Q, rs: G)
+        chk = sieve.testable_ls_inequality(params, rs)
+        assert chk.lhs == 4
+        assert abs(chk.rhs - 4) <= math.ulp(4.0)
+        assert chk.holds is holds
+
+
+def test_ls_inequality_exact_tie_with_square_sides(monkeypatch):
+    # B = 4 on weights (1, 1): N_i = 9 are squares, so (3 + 2)^4 / G is
+    # rational and an exact tie lhs = rhs holds, decided at the first bracket
+    params = SieveParams(W11, 4, 2)
+    rs = ResidueSystem.from_omegas([OMEGA_00])
+    lhs = sieve.survivors(params, rs)
+    for G, holds in ((Fraction(625, lhs), True), (Fraction(626, lhs), False)):
+        monkeypatch.setattr(sieve, "compute_G", lambda Q, rs: G)
+        assert sieve.testable_ls_inequality(params, rs).holds is holds
 
 
 def test_ls_inequality_empty_system_trivial():

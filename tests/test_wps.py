@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpsieve import cli, wps
+from wpsieve import arith, cli, wps
 from wpsieve.wps import WeightVector, WpsPoint
 
 
@@ -168,6 +168,16 @@ def test_count_closed_form_matches_enumeration(data, ws):
 def test_count_closed_form_frozen_large_height():
     # a box of 10^30 tuples: only the Moebius sum over d <= 1000 can count it
     assert wps.count(W46, 1000, budget=None) == 3996025652278090938348230069350
+
+
+def test_count_integral_sieves_moebius(monkeypatch):
+    # mu(d) for every d <= max M_i = 90000 comes from one sieve, not from
+    # one factorization per d
+    def no_factorize(n):
+        raise AssertionError(f"count_integral factored {n}")
+
+    monkeypatch.setattr(arith, "factorize", no_factorize)
+    assert wps.count_integral(W12, 300, budget=None) == 32853027
 
 
 def test_integral_vs_rational():
