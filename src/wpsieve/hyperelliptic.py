@@ -10,23 +10,25 @@ right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
 The census totals are wps.count at each cutoff (the Moebius closed form),
-less the singular tuples with --smooth-only.  The census never walks the
-full box point by point: thin members (and singular tuples) are found per
-prefix of coordinates by solving for the last coordinate; with neither a
-thin tester nor --smooth-only no prefix is visited.  The prefixes are streamed
-in fixed blocks of _BLOCK_ROWS; the block column kernel
-(covers.ColumnKernel) turns a block into one rows x (2T+1) matrix of values
-y = -s * f(t), T the Fujiwara root bound, and the census counts the members
-of every cutoff with array masks (excluded primes, the zero prefix,
-singular values, the row's smallest cutoff).  The matrix is int64 when its
-exact value bound stays below 2^63 and Python ints otherwise, so any height
-is exact.  With --smooth-only the singular values of a block are found at
-once: 2g+1 exact resultants per prefix, one integer matrix product for the
-polynomial Res_t(f, f') in y, and its integer roots in the window from Horner
-matrices (mod a few primes, then CRT, for large windows).  The budget counts
-this work: prefixes times 2T+1 with a thin cover, prefixes alone without
-one, and the box for testers the kernel cannot solve, which are run point
-by point.  Every route is checked against brute-force oracles in the tests.
+less the singular tuples with --smooth-only.  Thin members and singular
+tuples are found in one loop over blocks of _BLOCK_ROWS prefixes (all
+coordinates but the last); with neither a thin tester nor --smooth-only no
+prefix is visited.  A block's candidate values y of the last coordinate come
+from one of three sources.  A cover whose constant term is +-y, such as
+two-torsion, is solved by the block column kernel (covers.ColumnKernel):
+one rows x (2T+1) matrix of y = -s * f(t), T the Fujiwara root bound, int64
+when its exact value bound stays below 2^63 and Python ints otherwise, so
+any height is exact.  Other covers are tested at every y of the window.
+With --smooth-only the singular values come from 2g+1 exact resultants per
+prefix, one integer matrix product for the polynomial Res_t(f, f') in y,
+and its integer roots from Horner matrices mod a few primes and CRT; they
+are counted and also masked out of the thin members.  One counter,
+_count_block, drops the candidates that are not points (the zero tuple,
+weighted gcd > 1) and counts the rest at every cutoff from the row's
+smallest one.  The budget counts this work: prefixes times 2T+1 with a
+thin cover, prefixes alone without one, and the box for testers the kernel
+cannot solve.  Every route is checked against brute-force oracles in the
+tests.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .wps import (
     clip_ranges,
     count,
     map_chunks,
-    wgcd_one_in_box,
 )
 
 
@@ -221,22 +222,14 @@ def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
     row zero), the integer roots y with |y| <= bound, sorted, found exactly.
 
     Rows are divided by their content, so none vanishes identically mod a
-    prime.  A window of at most 64 values is scanned as one rows x window
-    Horner matrix.  A larger one is filtered by the roots mod a few primes
-    whose product exceeds it (one rows x p Horner matrix each); CRT
+    prime.  The window is filtered by the roots mod a few primes whose
+    product exceeds its width (one rows x p Horner matrix each); CRT
     candidates are verified exactly.  Every integer root reduces to a root
     mod every prime, so the filter is complete."""
     content = np.gcd.reduce(R, axis=1)
     if not content.all():
         raise AssertionError("a row of the root finder is the zero polynomial")
     R //= content[:, None]
-    need = 2 * bound + 1
-    if need <= 64:
-        ys = np.arange(-bound, bound + 1).astype(object)
-        vals = np.zeros((len(R), need), dtype=object)
-        for j in range(R.shape[1] - 1, -1, -1):
-            vals = vals * ys + R[:, j, None]
-        return [ys[row == 0].tolist() for row in vals]
     primes, hits, prod = [], [], 1
     for p in arith.primes_up_to(10_000)[25:]:  # 101, 103, ...
         Rp = (R % p).astype(np.int64)
@@ -247,7 +240,7 @@ def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
         primes.append(p)
         hits.append(acc == 0)
         prod *= p
-        if prod >= need:
+        if prod > 2 * bound:
             break
     else:
         raise AssertionError("prime pool exhausted while filtering roots")
@@ -268,14 +261,6 @@ def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
     return out
 
 
-def _integer_roots_within(R: Sequence[int], bound: int) -> list[int]:
-    """All integer roots y of R with |y| <= bound; the one-row case of
-    _integer_roots_block."""
-    if not any(R):
-        raise ValueError("zero polynomial has every root")
-    return _integer_roots_block(np.array([list(R)], dtype=object), bound)[0]
-
-
 def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> list[list[int]]:
     """Per prefix of a nonempty block, the values y of the last coordinate,
     |y| <= bound, where the column's curve polynomial has a repeated root.
@@ -294,11 +279,6 @@ def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> li
     if (R % D).any():
         raise AssertionError("interpolation of an integer family left a denominator")
     return _integer_roots_block(R // D, bound)
-
-
-def _singular_last_values(g: int, prefix: Sequence[int], bound: int) -> list[int]:
-    """_singular_block for one prefix."""
-    return _singular_block(g, [prefix], bound)[0]
 
 
 # --- census ----------------------------------------------------------------
@@ -434,112 +414,79 @@ def _census_work(wv, bound, cover) -> int:
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
-    """(singular, thin) counts per cutoff over the prefixes of one x0 range."""
+    """(singular, thin) counts per cutoff over the prefixes of one x0 range.
+
+    One loop over blocks of _BLOCK_ROWS prefixes.  The candidate last
+    coordinates of a block come from the singular finder (with smooth_only),
+    from the column kernel of a solvable cover or from the pointwise tester,
+    and every kind is counted by _count_block."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in bounds]
+    prefix_cut = np.array([c[:-1] for c in cutoffs], dtype=object)
+    m = cutoffs[-1][-1]
     cover = _tester_cover(thin, g)
+    solvable = cover is not None and cover.column_solver() is not None
+    kernel = cover.column_kernel() if solvable else None
     plist = box_primes(wv, bounds[-1])
-    sings = [0] * len(bounds)
-    thins = [0] * len(bounds)
-    if cover is None or cover.column_solver() is not None:
-        _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins)
-    else:
-        _census_pointwise(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins)
+    sings, thins = [0] * len(bounds), [0] * len(bounds)
+    prefixes = itertools.product(*clip_ranges(cutoffs[-1][:-1], x0_range))
+    while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
+        X = np.array(block, dtype=object)
+        # first cutoff whose box holds the prefix; the boxes are nested
+        j0 = len(bounds) - (abs(X)[:, None, :] <= prefix_cut).all(axis=2).sum(axis=1)
+        if smooth_only:
+            sing_ys, sing_keep = _padded(_singular_block(g, block, m))
+            _count_block(X, sing_ys, sing_keep, j0, cutoffs, plist, sings)
+        if kernel is not None:
+            ys, keep = kernel.solve(block, m)
+        elif cover is not None:
+            ys, keep = _padded([
+                [y for y in range(-m, m + 1)
+                 if covers.has_integer_root(cover.poly_at((*prefix, y)))]
+                for prefix in block
+            ])
+        else:
+            continue
+        if smooth_only:  # disc = +-Res(f, f'): the singular members are not thin
+            sing_ys = sing_ys.astype(ys.dtype)  # |y| <= m fits any dtype ys has
+            for k in range(sing_ys.shape[1]):
+                keep &= ~(sing_keep[:, k, None] & (ys == sing_ys[:, k, None]))
+        _count_block(X, ys, keep, j0, cutoffs, plist, thins)
     return sings, thins
 
 
-# Prefixes per call of the block column kernel.  Fixed, so that the blocks
-# (and the kernel's dtype choices) do not depend on the worker count.
+# Prefixes per block.  Fixed, so that the blocks (and the column kernel's
+# dtype choices) do not depend on the worker count.
 _BLOCK_ROWS = 128
 
 
-def _census_columns(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins):
-    nG = len(cutoffs)
-    Ms = cutoffs[-1]
-    last = len(Ms) - 1
-    prefix_cut = [c[:-1] for c in cutoffs]
-    last_cut = [c[last] for c in cutoffs]
-    kernel = cover.column_kernel() if cover is not None else None
-    prefixes = itertools.product(*clip_ranges(Ms[:-1], x0_range))
-    while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
-        j0s, Ps = [], []
-        zero_row = None
-        sing_rows = _singular_block(g, block, Ms[last]) if smooth_only else []
-        for i, prefix in enumerate(block):
-            j0 = next(
-                j
-                for j in range(nG)
-                if all(abs(x) <= cm for x, cm in zip(prefix, prefix_cut[j]))
-            )
-            # primes excluding on this column: p^{a_i} | x_i for every prefix slot
-            P = [
-                pas[last]
-                for _, pas in plist
-                if all(x % q == 0 for x, q in zip(prefix, pas))
-            ]
-            if not any(prefix):
-                zero_row = i
-            j0s.append(j0)
-            Ps.append(P)
-            if smooth_only:
-                for y in sing_rows[i]:
-                    if any(y % q == 0 for q in P) or (zero_row == i and y == 0):
-                        continue  # not a point: weighted gcd > 1, or all zero
-                    for j in range(j0, nG):
-                        if abs(y) <= last_cut[j]:
-                            sings[j] += 1
-        if kernel is not None:
-            _count_thin_block(
-                kernel.solve(block, Ms[last]), j0s, Ps, zero_row, sing_rows,
-                [pas[last] for _, pas in plist], last_cut, thins,
-            )
+def _padded(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, keep) for ragged per-row lists of values: an object array padded
+    with zeros, and the mask of the entries that are values."""
+    lengths = np.array([len(r) for r in rows])
+    ys = np.zeros((len(rows), lengths.max()), dtype=object)
+    for i, r in enumerate(rows):
+        ys[i, : len(r)] = r
+    return ys, np.arange(ys.shape[1]) < lengths[:, None]
 
 
-def _count_thin_block(solved, j0s, Ps, zero_row, sings, qs, last_cut, thins):
-    """Add a block's column members to the thin counts of every cutoff.
+def _count_block(X, ys, keep, j0, cutoffs, plist, counts) -> None:
+    """Add the points among a block's candidates to the counts of every cutoff.
 
-    Members divisible by an excluded prime of their row, y = 0 over the zero
-    prefix and (when sings is given) singular values are dropped first; a
-    member counts at cutoff j when its row's j0 <= j and |y| <= M_j.
+    Row i of ys holds candidate last coordinates y over the prefix X[i],
+    those marked in keep[i].  (X[i], y) is a point unless it is all zero or
+    some prime p of plist has p^{a_k} dividing every coordinate (weighted
+    gcd > 1).  A point counts at cutoff j when j0[i] <= j and |y| <= M_j.
     """
-    ys, keep = solved
-    for q in qs:
-        rows = np.fromiter((q in P for P in Ps), bool, len(Ps))
+    ok = keep & ((ys != 0) | (X != 0).any(axis=1)[:, None])
+    for _, pas in plist:
+        rows = (X % pas[:-1] == 0).all(axis=1)
         if rows.any():
-            keep[rows] &= ys[rows] % q != 0
-    if zero_row is not None:
-        keep[zero_row] &= ys[zero_row] != 0
-    for i, sing in enumerate(sings):
-        for y in sing:  # disc = +-Res(f, f'): the thin members that are singular
-            keep[i] &= ys[i] != y
-    j0 = np.array(j0s)
-    for j, m in enumerate(last_cut):
-        inside = ys >= -m
-        inside &= ys <= m
-        inside &= keep
-        thins[j] += int(np.count_nonzero(inside[j0 <= j]))
-
-
-def _census_pointwise(g, cutoffs, plist, cover, smooth_only, x0_range, sings, thins):
-    for tup in itertools.product(*clip_ranges(cutoffs[-1], x0_range)):
-        if not any(tup):
-            continue
-        if not wgcd_one_in_box(tup, plist):
-            continue
-        if smooth_only and _disc_poly(_poly_from_coords(g, tup)) == 0:
-            counts = sings
-        elif covers.has_integer_root(cover.poly_at(tup)):
-            counts = thins
-        else:
-            continue
-        j0 = next(
-            j
-            for j, c in enumerate(cutoffs)
-            if all(abs(x) <= cm for x, cm in zip(tup, c))
-        )
-        for j in range(j0, len(cutoffs)):
-            counts[j] += 1
+            ok[rows] &= ys[rows] % pas[-1] != 0
+    for j, c in enumerate(cutoffs):
+        inside = ok & (ys >= -c[-1]) & (ys <= c[-1])
+        counts[j] += int(np.count_nonzero(inside[j0 <= j]))
 
 
 # --- exponent fits ---------------------------------------------------------

@@ -333,11 +333,12 @@ def map_chunks(fn, args: tuple, m0: int, workers: int) -> list:
     With workers <= 1 this is the single call fn((*args, None)); otherwise
     fn (a top-level function, so Pool can pickle it) runs on _CHUNKS pieces
     of the first coordinate.  The pieces never depend on the worker count,
-    so merged results are the same for any number of workers."""
+    so merged results are the same for any number of workers, and no more
+    processes are started than there are pieces."""
     if workers <= 1:
         return [fn((*args, None))]
     tasks = [(*args, rng) for rng in _chunk_ranges(m0)]
-    with Pool(workers) as pool:
+    with Pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks)
 
 

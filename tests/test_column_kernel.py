@@ -1,6 +1,7 @@
 """Property tests of the block column kernel (covers.ColumnKernel) and of the
-census's block counting, against brute force and the scalar t-scan."""
+census's block counter, against brute force and the scalar t-scan."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import covers, hyperelliptic as hyp
@@ -105,8 +106,9 @@ def test_column_members_is_the_one_row_kernel():
 
 @SETTINGS
 @given(data=st.data(), g=st.sampled_from((1, 2)), smooth=st.booleans())
-def test_count_thin_block_matches_member_loop(data, g, smooth):
-    # the census's count of one block against its old per-member cutoff loop
+def test_count_block_matches_member_loop(data, g, smooth):
+    # the census's one counter, on a block's singular values and on its
+    # column members, against a loop over members and cutoffs
     wv = hyp.moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in (1, 2)]
     last = len(wv) - 1
@@ -114,28 +116,30 @@ def test_count_thin_block_matches_member_loop(data, g, smooth):
     Ms = cutoffs[-1]
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
     cover = covers.two_torsion_cover(g)
-    j0s, Ps, sings, zero_row = [], [], [], None
-    want = [0] * len(cutoffs)
-    for i, prefix in enumerate(block):
+    j0s, sings = [], []
+    want_sing, want_thin = [0] * len(cutoffs), [0] * len(cutoffs)
+    for prefix in block:
         j0 = next(j for j, c in enumerate(cutoffs)
                   if all(abs(x) <= cm for x, cm in zip(prefix, c)))
         P = [pas[last] for _, pas in plist
              if all(x % q == 0 for x, q in zip(prefix, pas))]
-        if not any(prefix):
-            zero_row = i
-        sing = hyp._singular_last_values(g, prefix, Ms[last]) if smooth else []
+        sing = hyp._singular_block(g, [prefix], Ms[last])[0] if smooth else []
+        members = [y for y in cover.column_members(prefix, Ms[last]) if y not in sing]
         j0s.append(j0)
-        Ps.append(P)
         sings.append(sing)
-        for y in cover.column_members(prefix, Ms[last]):
-            if any(y % q == 0 for q in P) or (zero_row == i and y == 0) or y in sing:
-                continue
-            for j in range(j0, len(cutoffs)):
-                if abs(y) <= cutoffs[j][last]:
-                    want[j] += 1
-    got = [0] * len(cutoffs)
-    hyp._count_thin_block(
-        cover.column_kernel().solve(block, Ms[last]), j0s, Ps, zero_row,
-        sings if smooth else [], [pas[last] for _, pas in plist],
-        [c[last] for c in cutoffs], got)
-    assert got == want
+        for ys, want in ((sing, want_sing), (members, want_thin)):
+            for y in ys:
+                if any(y % q == 0 for q in P) or not any((*prefix, y)):
+                    continue
+                for j in range(j0, len(cutoffs)):
+                    if abs(y) <= cutoffs[j][last]:
+                        want[j] += 1
+    X, j0 = np.array(block, dtype=object), np.array(j0s)
+    got_sing, got_thin = [0] * len(cutoffs), [0] * len(cutoffs)
+    hyp._count_block(X, *hyp._padded(sings), j0, cutoffs, plist, got_sing)
+    ys, keep = cover.column_kernel().solve(block, Ms[last])
+    for i, sing in enumerate(sings):
+        for y in sing:
+            keep[i] &= ys[i] != y
+    hyp._count_block(X, ys, keep, j0, cutoffs, plist, got_thin)
+    assert (got_sing, got_thin) == (want_sing, want_thin)

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wpsieve import covers, hyperelliptic as hyp, wps
@@ -141,7 +142,7 @@ def test_singular_column_finder_matches_scan():
         (2, [(0, 0, 0), (1, -2, 3), (-4, 0, 2)], 30),
     ):
         for prefix in prefixes:
-            got = hyp._singular_last_values(g, prefix, bound)
+            got = hyp._singular_block(g, [prefix], bound)[0]
             want = [
                 y
                 for y in range(-bound, bound + 1)
@@ -151,9 +152,9 @@ def test_singular_column_finder_matches_scan():
 
 
 def test_singular_column_finder_large_window():
-    # window > 64 takes the CRT filter path
+    # a window of 1001 values needs two filter primes (101 * 103 > 1001)
     for prefix in ((0,), (3,), (-6,)):
-        got = hyp._singular_last_values(1, prefix, 500)
+        got = hyp._singular_block(1, [prefix], 500)[0]
         want = [
             y
             for y in range(-500, 501)
@@ -165,10 +166,10 @@ def test_singular_column_finder_large_window():
 def test_integer_roots_within():
     # (y-100)(y+3)*7, content stripped
     R = [-2100, -679, 7]
-    assert hyp._integer_roots_within(R, 500) == [-3, 100]
-    assert hyp._integer_roots_within(R, 50) == [-3]
-    with pytest.raises(ValueError):
-        hyp._integer_roots_within([0, 0], 10)
+    for bound, want in ((500, [-3, 100]), (50, [-3])):
+        assert hyp._integer_roots_block(np.array([R], dtype=object), bound) == [want]
+    with pytest.raises(AssertionError):  # the zero polynomial has every root
+        hyp._integer_roots_block(np.array([R, [0, 0, 0]], dtype=object), 10)
 
 
 def _census_oracle(g, grid, thin, smooth_only):
@@ -218,12 +219,14 @@ def test_census_known_values():
     assert (g2.rows[0].total, g2.rows[0].thin) == (80, 42)
 
 
-def test_census_workers_agree():
+@pytest.mark.parametrize("thin", ["two-torsion", "disc-square", "none"])
+@pytest.mark.parametrize("smooth_only", [False, True])
+def test_census_workers_agree(thin, smooth_only):
     grid = [1, Fraction(3, 2), 2]
-    base = census(1, grid, smooth_only=True)
-    multi = census(1, grid, smooth_only=True, workers=3)
+    base = census(1, grid, thin=thin, smooth_only=smooth_only, workers=1)
+    multi = census(1, grid, thin=thin, smooth_only=smooth_only, workers=2)
     assert base.rows == multi.rows
-    assert multi.metadata["workers"] == 3
+    assert multi.metadata["workers"] == 2
 
 
 def test_census_monotone_and_bounded():

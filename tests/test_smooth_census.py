@@ -37,18 +37,20 @@ def _scan(g, prefix, bound):
 
 
 @SETTINGS
-@given(data=st.data(), g=st.sampled_from((1, 2)), crt=st.booleans())
-def test_singular_block_matches_scan(data, g, crt):
+@given(data=st.data(), g=st.sampled_from((1, 2)), two_primes=st.booleans())
+def test_singular_block_matches_scan(data, g, two_primes):
     block = data.draw(_blocks(g))
-    # windows of at most 64 values are scanned, larger ones CRT-filtered
-    bound = data.draw(st.integers(33, 90) if crt else st.integers(0, 31))
+    # windows of at most 101 values are filtered mod 101 alone, wider ones
+    # mod 101 and 103 with CRT
+    bound = data.draw(st.integers(51, 90) if two_primes else st.integers(0, 50))
     got = hyp._singular_block(g, block, bound)
     assert got == [_scan(g, prefix, bound) for prefix in block]
 
 
 def test_singular_block_hits_both_paths_with_content():
     # a = -3: the cusp family (-3m^2, +-2m^3) at m = 1 has singular y = +-2;
-    # a = -12 (content 27) at m = 2 has y = +-16; a = 0 gives y = 0.
+    # a = -12 (content 27) at m = 2 has y = +-16; a = 0 gives y = 0.  The
+    # window at bound 20 takes one filter prime, at bound 500 two.
     block = [(-3,), (-12,), (0,), (1,)]
     for bound in (20, 500):
         assert hyp._singular_block(1, block, bound) == [[-2, 2], [-16, 16], [0], []]

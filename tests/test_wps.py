@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpsieve import arith, cli, wps
+from wpsieve import arith, cli, hyperelliptic, wps
 from wpsieve.wps import WeightVector, WpsPoint
 
 
@@ -145,6 +145,33 @@ def test_count_workers_agree(capsys):
                 assert cli.main(argv) == 0
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1]
+
+
+def test_map_chunks_starts_no_more_processes_than_pieces(monkeypatch):
+    asked = []
+
+    class SerialPool:  # records the process count it is asked for, maps here
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(wps, "Pool", SerialPool)
+    for m0, workers in ((100, 100_000), (100, 3), (2, 50)):
+        parts = wps.map_chunks(lambda args: args[-1], (), m0, workers)
+        assert [x for lo, hi in parts for x in range(lo, hi + 1)] == list(range(-m0, m0 + 1))
+    assert asked == [wps._CHUNKS, 3, 5]
+    one = hyperelliptic.census(1, [1, 2], thin="disc-square", workers=1)
+    many = hyperelliptic.census(1, [1, 2], thin="disc-square", workers=100_000)
+    assert one.rows == many.rows
+    assert asked[-1] == wps._CHUNKS
 
 
 def _small_bounds(wv):
