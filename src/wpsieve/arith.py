@@ -2,10 +2,11 @@
 
 Everything here is deterministic and exact: a growable prime table, trial
 division factorization, p-adic valuations and the Moebius function (also as
-one sieved table for a whole range).  Inputs are desk-scale (well under 64
-bits), so nothing fancier than a sieve plus trial division is warranted,
-except that a primality test past the table uses deterministic Miller-Rabin
-rather than growing the table to sqrt(n).
+one sieved table for a whole range, and summed as the Mertens function).
+Inputs are desk-scale (well under 64 bits), so nothing fancier than a sieve
+plus trial division is warranted, except that a primality test past the
+table uses deterministic Miller-Rabin rather than growing the table to
+sqrt(n).
 """
 
 from __future__ import annotations
@@ -153,6 +154,33 @@ def moebius_table(n: int) -> array:
         mu[p * p :: p * p] = 0
     mu[small < np.arange(n + 1, dtype=dtype)] *= -1
     return array("b", mu.tobytes())
+
+
+def mertens(n: int):
+    """The Mertens function M(x) = sum_{d <= x} mu(d), for 0 <= x <= n.
+
+    M is read from a sieved prefix table up to about n^{2/3}; above it,
+    M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)), summed over the blocks of k
+    with equal quotient and memoised.  The x = floor(n/k) all together
+    cost O(n^{2/3}) steps."""
+    L = max(1, round(n ** (2 / 3)))
+    prefix = np.cumsum(np.frombuffer(moebius_table(L), dtype=np.int8), dtype=np.int32)
+    memo: dict[int, int] = {}
+
+    def M(x: int) -> int:
+        if x <= L:
+            return int(prefix[x])
+        if x not in memo:
+            total, k = 1, 2
+            while k <= x:
+                q = x // k
+                k_end = x // q
+                total -= (k_end - k + 1) * M(q)
+                k = k_end + 1
+            memo[x] = total
+        return memo[x]
+
+    return M
 
 
 def divisors(n: int) -> list[int]:

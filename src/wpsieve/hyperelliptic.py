@@ -229,7 +229,7 @@ def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
     content = np.gcd.reduce(R, axis=1)
     if not content.all():
         raise AssertionError("a row of the root finder is the zero polynomial")
-    R //= content[:, None]
+    R = R // content[:, None]
     primes, hits, prod = [], [], 1
     for p in arith.primes_up_to(10_000)[25:]:  # 101, 103, ...
         Rp = (R % p).astype(np.int64)

@@ -141,6 +141,10 @@ class QuadField:
         u, v = _pell_min_unit(D)
         self.epsilon = QuadInt(u, v, D)
         assert self.epsilon.norm() in (1, -1)
+        # √D and ε's log embedding at _PREC_BITS, for every decomposition
+        with mp.workprec(_PREC_BITS):
+            self._sqrt_D = mp.sqrt(D)
+            self._unit_logs = _log_pair(self.epsilon, self._sqrt_D)
 
     @classmethod
     def get(cls, D: int) -> "QuadField":
@@ -228,9 +232,8 @@ def _log_maxes(x, weights: WeightVector, sqrtD):
 def _decompose(x, spec: DomainSpec):
     """s, log M₁, log M₂ with (log M₁, log M₂) = s·u₁ + t·(1,1); requires an
     active mp.workprec context."""
-    sqrtD = mp.sqrt(spec.field.D)
-    u11, u12 = _log_pair(spec.field.epsilon, sqrtD)
-    m1, m2 = _log_maxes(x, spec.weights, sqrtD)
+    u11, u12 = spec.field._unit_logs
+    m1, m2 = _log_maxes(x, spec.weights, spec.field._sqrt_D)
     s = (m1 - m2) / (u11 - u12)
     return s, m1, m2
 
@@ -364,22 +367,27 @@ def prime_ideal_norms_up_to(field: QuadField, Q: int) -> list[tuple[int, int]]:
 
 
 def compute_G_k(field: QuadField, Q: int, density_per_ideal) -> Fraction:
-    """Σ over squarefree ideals 𝔮 with N𝔮 ≤ Q of ∏_{𝔭|𝔮} ν/(1−ν), ν constant."""
+    """Σ over squarefree ideals 𝔮 with N𝔮 ≤ Q of ∏_{𝔭|𝔮} ν/(1−ν), ν constant.
+
+    With r = ν/(1−ν) this is Σ_k n_k·rᵏ, where n_k counts the squarefree
+    ideals of norm ≤ Q with k prime factors: sets of distinct prime ideals,
+    counted with integers over the sorted norm list."""
     nu = Fraction(density_per_ideal)
     if not 0 <= nu < 1:
         raise ValueError(f"ideal density must lie in [0,1), got {nu}")
     norms = []
     for norm, mult in prime_ideal_norms_up_to(field, Q):
         norms.extend([norm] * mult)
-    ratio = nu / (1 - nu)
-    if ratio == 0:
-        return Fraction(1)
+    # each norm is >= 2, so a product of k of them <= Q has k < Q.bit_length()
+    n_k = [0] * Q.bit_length()
 
-    def rec(i: int, cap: int) -> Fraction:
-        total = Fraction(1)
+    def rec(i: int, cap: int, k: int) -> None:
+        n_k[k] += 1
         for j in range(i, len(norms)):
-            if norms[j] <= cap:
-                total += ratio * rec(j + 1, cap // norms[j])
-        return total
+            if norms[j] > cap:
+                break
+            rec(j + 1, cap // norms[j], k + 1)
 
-    return rec(0, Q)
+    rec(0, Q, 0)
+    ratio = nu / (1 - nu)
+    return sum(n * ratio**k for k, n in enumerate(n_k))

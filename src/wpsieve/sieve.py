@@ -7,8 +7,12 @@ residue tuples modulo p^m with exact density nu_p.  The sieve mass
 
 is computed exactly; the bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q) and a
 fully explicit large-sieve inequality over Q (no hidden constants) are
-evaluated against a brute-force survivor count.  An Omega is an explicit set
-of residue tuples, or (for the bound alone) a bare density.
+evaluated against an exact survivor count.  The survivors are counted from
+one bit table per prime, built once: a packed row of the allowed last
+coordinates for each prefix residue that Omega mentions.  Blocks of prefixes
+AND one sign row with one table row per prime and count the set bits, so no
+tuple is tested on its own.  An Omega is an explicit set of residue tuples,
+or (for the bound alone) a bare density.
 """
 
 from __future__ import annotations
@@ -189,23 +193,49 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float | Fractio
 # --- survivors -------------------------------------------------------------
 
 
-def _prime_data(params: SieveParams, rs: ResidueSystem, width: int):
-    """Per prime p <= Q: modulus q = p^m and a map from prefix residues to
-    the excluded residues of the last coordinate."""
-    data = []
-    for p in arith.primes_up_to(params.Q):
+# Prefixes per block, as in the census kernels, and fewer when a block's
+# packed masks would pass _BLOCK_BYTES, so a long last coordinate cannot
+# inflate the block.
+_BLOCK_ROWS = 128
+_BLOCK_BYTES = 1 << 20
+
+# Set bits of each byte value (np.bitwise_count needs numpy >= 2).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
+    """Per prime p <= Q with excluded residues: (q, radix, keys, rows).
+
+    A prefix's key is its residues mod q = p^m dotted with the mixed radix.
+    keys are the sorted keys that occur in Omega; rows[j] packs one bit per
+    y in [-mlast, mlast], set when y mod q is allowed after prefix keys[j],
+    and the last row is all ones, for every prefix Omega does not mention.
+    Tuples of another width than the box exclude nothing."""
+    nbits = 2 * mlast + 1
+    allowed = np.empty(nbits, dtype=bool)
+    tables = []
+    for p in arith.primes_up_to(Q):
         om = rs.entries.get(p)
         if om is None or om.density == 0:
             continue
         q = p**rs.m
-        by_prefix: dict[tuple, list[int]] = {}
+        radix = [q ** (width - 2 - i) for i in range(width - 1)]
+        by_key: dict[int, list[int]] = {}
         for r in om.explicit_residues(width):
-            by_prefix.setdefault(r[:-1], []).append(r[-1])
-        arr_map = {
-            k: np.array(sorted(v), dtype=np.int64) for k, v in by_prefix.items()
-        }
-        data.append((q, arr_map))
-    return data
+            if len(r) == width:
+                by_key.setdefault(sum(c * w for c, w in zip(r, radix)), []).append(r[-1])
+        if not by_key:
+            continue
+        keys = sorted(by_key)
+        rows = np.full((len(keys) + 1, (nbits + 7) // 8), 0xFF, dtype=np.uint8)
+        for j, key in enumerate(keys):
+            allowed[:] = True
+            for e in by_key[key]:
+                allowed[(e + mlast) % q :: q] = False  # index i holds y = i - mlast
+            rows[j] = np.packbits(allowed)
+        dtype = np.int64 if q ** max(width - 1, 1) < 2**63 else object
+        tables.append((q, np.array(radix, dtype=dtype), np.array(keys, dtype=dtype), rows))
+    return tables
 
 
 def _survivors_chunk(args) -> int:
@@ -213,35 +243,42 @@ def _survivors_chunk(args) -> int:
     weights = params.weights
     Ms = box_cutoffs(weights, params.bound)
     width = len(weights)
-    data = _prime_data(params, rs, width)
     mlast = Ms[-1]
-    y = np.arange(-mlast, mlast + 1, dtype=np.int64)
-    y_mods = [(q, y % q, arr_map) for q, arr_map in data]
-    full = np.ones(y.size, dtype=bool)
-    nonneg = y >= 0
-    nonzero = y != 0
-    total = 0
-    for prefix in itertools.product(*clip_ranges(Ms[:-1], x0_range)):
+    tables = _survivor_tables(rs, params.Q, width, mlast)
+    # Base rows, indexed by (y < 0 dropped) + 2 * (y = 0 dropped): all y,
+    # y >= 0, and each of those without y = 0 for the zero prefix.
+    base = np.ones((4, 2 * mlast + 1), dtype=bool)
+    base[1::2, :mlast] = False
+    base[2:, mlast] = False
+    bases = np.packbits(base, axis=1)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // bases.shape[1]))
+
+    def canonical():
         # Sign canon of (prefix, y): a prefix that decides it keeps all y or
         # none; otherwise an odd last weight keeps y >= 0.
-        if not is_sign_canonical((*prefix, 1), weights):
-            continue
-        canon_neg = is_sign_canonical((*prefix, -1), weights)
-        mask = (full if canon_neg else nonneg).copy()
-        if not any(prefix):
-            mask &= nonzero  # the all-zero tuple is not a point
-        for q, ymod, arr_map in y_mods:
-            excl = arr_map.get(tuple(c % q for c in prefix))
-            if excl is not None:
-                mask &= ~np.isin(ymod, excl)
-        total += int(mask.sum())
+        for prefix in itertools.product(*clip_ranges(Ms[:-1], x0_range)):
+            if is_sign_canonical((*prefix, 1), weights):
+                neg = is_sign_canonical((*prefix, -1), weights)
+                yield prefix, (not neg) + 2 * (not any(prefix))
+
+    total = 0
+    walk = canonical()
+    while block := list(itertools.islice(walk, rows)):
+        prefixes, kinds = zip(*block)
+        X = np.array(prefixes, dtype=np.int64).reshape(len(block), width - 1)
+        mask = bases[list(kinds)]
+        for q, radix, keys, table in tables:
+            k = (X.astype(radix.dtype, copy=False) % q) @ radix
+            j = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+            mask &= table[np.where(keys[j] == k, j, len(keys))]
+        total += int(_POPCOUNT[mask].sum())
     return total
 
 
 def survivors(params: SieveParams, rs: ResidueSystem, *,
               budget=DEFAULT_BUDGET, workers: int = 1) -> int:
-    """Brute-force count of sign-canonical tuples in the box surviving every
-    exclusion x mod p^m not in Omega_{p^m}, p <= Q."""
+    """Number of sign-canonical nonzero tuples in the box surviving every
+    exclusion x mod p^m not in Omega_{p^m}, p <= Q (from the bit tables)."""
     if budget is not None:
         vol = box_volume(params.weights, params.bound)
         if vol > budget:

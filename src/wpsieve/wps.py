@@ -286,10 +286,13 @@ def _count(weights: WeightVector, bound, integral: bool) -> int:
     # pairs off the rest, so the sign-canonical count is (N_all + N_fixed) / 2.
     Ms = box_cutoffs(weights, bound)
     even = [i for i, a in enumerate(weights) if a % 2 == 0]
-    b = as_bound(bound)
-    dmax = max(Ms) if integral else b.numerator // b.denominator
+    if integral:
+        terms = _quotient_blocks(Ms)
+    else:
+        b = as_bound(bound)
+        terms = enumerate(arith.moebius_table(b.numerator // b.denominator))
     n_all = n_fixed = 0
-    for d, mu in enumerate(arith.moebius_table(dmax)):
+    for d, mu in terms:
         if mu == 0:
             continue
         sides = [
@@ -298,6 +301,20 @@ def _count(weights: WeightVector, bound, integral: bool) -> int:
         n_all += mu * (math.prod(sides) - 1)
         n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
     return (n_all + n_fixed) // 2
+
+
+def _quotient_blocks(Ms: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(d, sum of mu over d..e) for the maximal blocks d..e of 1..max M_i on
+    which every floor(M_i / d) is constant: O(sqrt M_i) blocks per cutoff,
+    their mu sums taken from the Mertens function."""
+    n = max(Ms)
+    mertens = arith.mertens(n)
+    d, before = 1, 0
+    while d <= n:
+        e = min(m // (m // d) for m in Ms if m >= d)
+        upto = mertens(e)
+        yield d, upto - before
+        d, before = e + 1, upto
 
 
 def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
@@ -311,7 +328,8 @@ def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
 
 def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
     """Number of gcd-1 canonical tuples of height <= B (Moebius sum over
-    d <= max floor(B^{a_i}))."""
+    d <= max floor(B^{a_i}), taken over the blocks of d with equal
+    quotients floor(B^{a_i} / d))."""
     _check_budget(weights, bound, budget)
     return _count(weights, bound, True)
 

@@ -75,6 +75,17 @@ def test_moebius_table_matches_moebius():
         assert list(table[1:]) == [arith.moebius(d) for d in range(1, n + 1)], n
 
 
+def test_mertens_matches_moebius_prefix_sums():
+    # every x the quotient blocks ask for (floor(n / k)) and a few others,
+    # below and above the sieved table's end near n^(2/3)
+    rng = random.Random(5)
+    for n in (0, 1, 2, 3, 10, 100, 1000, 54_321):
+        sums = np.cumsum(np.frombuffer(arith.moebius_table(n), dtype=np.int8))
+        M = arith.mertens(n)
+        xs = {n // k for k in range(1, n + 1)} | {rng.randint(0, n) for _ in range(20)}
+        assert all(M(x) == sums[x] for x in xs), n
+
+
 def test_factorize_large_spot_checks():
     rng = random.Random(11)
     for _ in range(50):

@@ -172,6 +172,13 @@ def test_integer_roots_within():
         hyp._integer_roots_block(np.array([R, [0, 0, 0]], dtype=object), 10)
 
 
+def test_integer_roots_block_leaves_input_unchanged():
+    # the content is divided out of a copy, not out of the caller's array
+    a = np.array([[-2100, -679, 7], [6, 0, 0]], dtype=object)
+    assert hyp._integer_roots_block(a, 500) == [[-3, 100], []]
+    assert a.tolist() == [[-2100, -679, 7], [6, 0, 0]]
+
+
 def _census_oracle(g, grid, thin, smooth_only):
     wv = moduli_weights(g)
     cover = hyp._tester_cover(thin, g)

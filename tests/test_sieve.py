@@ -4,9 +4,11 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wpsieve import arith, sieve, wps
+from wpsieve import arith, covers, sieve, wps
 from wpsieve.sieve import Omega, ResidueSystem, SieveParams
 from wpsieve.wps import WeightVector
 
@@ -141,6 +143,132 @@ def test_survivors_random_systems_match_oracle():
         rs = ResidueSystem.from_omegas(omegas, m=m)
         params = SieveParams(wv, bound, Q)
         assert sieve.survivors(params, rs) == _survivor_oracle(params, rs)
+
+
+def _isin_walk(params, rs):
+    """Reference count for the bit tables: per prefix, one np.isin per prime
+    on y mod q over the whole last-coordinate window."""
+    weights = params.weights
+    Ms = wps.box_cutoffs(weights, params.bound)
+    width = len(weights)
+    mlast = Ms[-1]
+    y = np.arange(-mlast, mlast + 1, dtype=np.int64)
+    y_mods = []
+    for p in arith.primes_up_to(params.Q):
+        om = rs.entries.get(p)
+        if om is None or om.density == 0:
+            continue
+        q = p**rs.m
+        by_prefix = {}
+        for r in om.explicit_residues(width):
+            by_prefix.setdefault(r[:-1], []).append(r[-1])
+        arr_map = {k: np.array(sorted(v), dtype=np.int64) for k, v in by_prefix.items()}
+        y_mods.append((q, y % q, arr_map))
+    total = 0
+    for prefix in itertools.product(*[range(-m, m + 1) for m in Ms[:-1]]):
+        if not wps.is_sign_canonical((*prefix, 1), weights):
+            continue
+        neg = wps.is_sign_canonical((*prefix, -1), weights)
+        mask = np.ones(y.size, dtype=bool) if neg else y >= 0
+        if not any(prefix):
+            mask &= y != 0
+        for q, ymod, arr_map in y_mods:
+            excl = arr_map.get(tuple(c % q for c in prefix))
+            if excl is not None:
+                mask &= ~np.isin(ymod, excl)
+        total += int(mask.sum())
+    return total
+
+
+# (weights, bound).  The last coordinate has 2M+1 bits, always odd, so never
+# a multiple of 8: 7 and 23 stop one bit short of a byte boundary, 9, 17 and
+# 33 end one bit past one, 3, 5 and 11 fill part of one or two bytes.
+# (2, 4) has no odd weight, so -1 acts trivially.
+_SURVIVOR_CASES = [
+    ((1, 1), 3),
+    ((1, 1), 4),
+    ((1, 2), Fraction(3, 2)),
+    ((1, 2), 2),
+    ((2, 4), Fraction(3, 2)),
+    ((2, 4), 2),
+    ((4, 6), 1),
+    ((4, 6), Fraction(3, 2)),
+    ((1, 2, 3), Fraction(3, 2)),
+    ((1, 2, 3), 2),
+]
+
+
+@st.composite
+def _residue_systems(draw, width):
+    """Explicit Omegas mod p^m at p <= Q: absent, empty, a few tuples, or all
+    but a few of the q^width cells."""
+    m = draw(st.sampled_from([1, 2]))
+    Q = draw(st.integers(1, 5))
+    omegas = []
+    for p in arith.primes_up_to(Q):
+        q = p**m
+        cells = q**width
+        kind = draw(st.sampled_from(["absent", "empty", "sparse", "near-full"]))
+        if kind == "absent" or (kind == "near-full" and cells > 1000):
+            continue
+        picked = draw(st.sets(st.integers(0, cells - 1), min_size=1,
+                              max_size=min(6, cells - 1)))
+        if kind == "empty":
+            picked = set()
+        elif kind == "near-full":
+            picked = set(range(cells)) - picked
+        omegas.append(Omega(p, m, residues={
+            tuple(c // q**(width - 1 - i) % q for i in range(width)) for c in picked
+        }))
+    return Q, ResidueSystem.from_omegas(omegas, m=m)
+
+
+@pytest.mark.parametrize("weights,bound", _SURVIVOR_CASES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_survivor_tables_match_isin_walk(weights, bound, data):
+    wv = WeightVector(weights)
+    Q, rs = data.draw(_residue_systems(len(wv)))
+    params = SieveParams(wv, bound, Q)
+    want = _isin_walk(params, rs)
+    assert want == _survivor_oracle(params, rs)
+    for workers in (1, 2):
+        assert sieve.survivors(params, rs, workers=workers) == want, workers
+
+
+def test_survivor_tables_keys_past_int64():
+    # q = 2^64: prefix keys and residues are Python ints, not int64
+    q = 2**64
+    for w in ((2,), (1, 1), (1, 2, 3)):
+        n = len(w)
+        res = {(0,) * (n - 1) + (5,), (1,) * (n - 1) + (q - 1,), (q - 2,) * n}
+        rs = ResidueSystem.from_omegas([Omega(2, 64, residues=res)])
+        params = SieveParams(WeightVector(w), 3, 2)
+        assert sieve.survivors(params, rs) == _survivor_oracle(params, rs), w
+
+
+_BUILTIN_BOUNDS = {
+    "two-torsion-g1": [1, Fraction(3, 2), 2],
+    "two-torsion-g2": [1, Fraction(5, 4)],
+    "disc-square-g1": [1, Fraction(3, 2), 2],
+    "square-coord": [2, 5, 9],
+}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_BUILTIN_BOUNDS)), Q=st.integers(1, 7))
+def test_chain_thin_survivors_ls_rhs(data, name, Q):
+    # The paper's chain: members reduce to mod-p roots, so no Omega from
+    # omega_from_cover removes one, and the survivors obey the large sieve.
+    cover = covers.named_cover(name)
+    bound = data.draw(st.sampled_from(_BUILTIN_BOUNDS[name]))
+    rs = ResidueSystem.from_omegas(
+        [covers.omega_from_cover(cover, p) for p in arith.primes_up_to(Q)], m=1)
+    thin = sum(covers.root_cover_member(cover, pt)
+               for pt in wps.enumerate_points(cover.weights, bound))
+    chk = sieve.testable_ls_inequality(SieveParams(cover.weights, bound, Q), rs)
+    assert thin <= chk.lhs <= chk.rhs
+    assert chk.holds
 
 
 def test_survivors_workers_agree():

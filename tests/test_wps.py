@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -198,13 +199,47 @@ def test_count_closed_form_frozen_large_height():
 
 
 def test_count_integral_sieves_moebius(monkeypatch):
-    # mu(d) for every d <= max M_i = 90000 comes from one sieve, not from
-    # one factorization per d
+    # mu comes from one sieve (up to about max M_i^(2/3)) and the Mertens
+    # recursion, never from one factorization per d
     def no_factorize(n):
         raise AssertionError(f"count_integral factored {n}")
 
     monkeypatch.setattr(arith, "factorize", no_factorize)
     assert wps.count_integral(W12, 300, budget=None) == 32853027
+
+
+def test_count_integral_quotient_blocks_frozen():
+    # max M_i = 9 * 10^6: a sum over every d took 15.9 s and 119 MB; the
+    # quotient blocks need O(M^(2/3)) steps and a table of about M^(2/3)
+    tracemalloc.start()
+    try:
+        assert wps.count_integral(W12, 3000, budget=None) == 32831167177
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ws=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       num=st.integers(1, 400), den=st.integers(1, 3))
+def test_count_integral_quotient_blocks_match_sum_over_d(ws, num, den):
+    # the Moebius sum over every d <= max M_i, as count_integral took it
+    # before the quotient blocks, with boxes too large to enumerate
+    wv = WeightVector(tuple(ws))
+    Ms = wps.box_cutoffs(wv, Fraction(num, den))
+    if max(Ms) > 30_000:
+        Ms = wps.box_cutoffs(wv, 1)
+        num = den = 1
+    mu = arith.moebius_table(max(Ms))
+    even = [i for i, a in enumerate(ws) if a % 2 == 0]
+    n_all = n_fixed = 0
+    for d in range(1, max(Ms) + 1):
+        sides = [2 * (m // d) + 1 for m in Ms]
+        n_all += mu[d] * (math.prod(sides) - 1)
+        n_fixed += mu[d] * (math.prod(sides[i] for i in even) - 1)
+    got = wps.count_integral(wv, Fraction(num, den), budget=None)
+    assert got == (n_all + n_fixed) // 2
 
 
 def test_integral_vs_rational():
