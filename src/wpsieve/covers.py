@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import arith, sieve
-from .wps import BudgetExceededError, WeightVector, WpsPoint
+from .wps import WeightVector, WpsPoint, check_budget
 
 _DENSITY_BUDGET = 5_000_000
 
@@ -311,8 +311,7 @@ def _mod_p_image(cover: Cover, p: int, budget: int):
         raise ValueError(f"modulus must be prime, got {p!r}")
     width = len(cover.weights)
     space = p**width
-    if space > budget:
-        raise BudgetExceededError(space, budget)
+    check_budget(space, budget)
     cols = np.indices((p,) * width).reshape(width, space) % p
     coeff_arrs = [
         form._evaluate_mod_cols(cols, p) if form else np.zeros(space, dtype=np.int64)

@@ -18,22 +18,24 @@ from one of three sources.  A cover whose constant term is +-y, such as
 two-torsion, is solved by the block column kernel (covers.ColumnKernel):
 one rows x (2T+1) matrix of y = -s * f(t), T the Fujiwara root bound, int64
 when its exact value bound stays below 2^63 and Python ints otherwise, so
-any height is exact.  Other covers are tested at every y of the window.
-With --smooth-only the singular values come from 2g+1 exact resultants per
-prefix, one integer matrix product for the polynomial Res_t(f, f') in y,
-and its integer roots from Horner matrices mod a few primes and CRT; they
-are counted and also masked out of the thin members.  One counter,
-_count_block, drops the candidates that are not points (the zero tuple,
-weighted gcd > 1) and counts the rest at every cutoff from the row's
-smallest one.  The budget counts this work: prefixes times 2T+1 with a
-thin cover, prefixes alone without one, and the box for testers the kernel
-cannot solve.  Every route is checked against brute-force oracles in the
-tests.
+any height is exact.  Other covers are evaluated once per prefix over the
+whole window (object arrays) and tested at every y.  With --smooth-only the singular
+values are the integer roots of Res_t(f, f') as a polynomial in y, which is
+(2g+1)^{2g+1} times a characteristic polynomial: it is built mod a few
+primes for the whole block (Faddeev-LeVerrier on int64 matrices), filtered
+by a rows x p matrix of its values mod each prime and CRT, and each
+candidate is checked with one exact resultant; they are counted and also
+masked out of the thin members.  One counter, _count_block, drops the
+candidates that are not points (the zero tuple, weighted gcd > 1) and
+counts the rest at every cutoff from the row's smallest one.  The budget
+counts this work: prefixes times 2T+1 with a thin cover, prefixes alone
+without one, the box for testers the kernel cannot solve, and with
+--smooth-only prefixes times the sum of the filter primes.  Every route is
+checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -46,13 +48,13 @@ import numpy as np
 from . import arith, covers
 from .wps import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     WeightVector,
     WpsPoint,
     as_bound,
     box_cutoffs,
     box_primes,
     box_volume,
+    check_budget,
     clip_ranges,
     count,
     map_chunks,
@@ -103,13 +105,6 @@ def _derivative(poly: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(poly)][1:]
 
 
-def _content(poly: Sequence[int]) -> int:
-    g = 0
-    for c in poly:
-        g = math.gcd(g, c)
-    return g
-
-
 def _prem(A: list[int], B: list[int]) -> list[int]:
     """Pseudo-remainder: lc(B)^{degA-degB+1} * A mod B, exact over Z."""
     dA, dB = len(A) - 1, len(B) - 1
@@ -144,7 +139,7 @@ def resultant(A: Sequence[int], B: Sequence[int]) -> int:
         A, B, degA, degB = B, A, degB, degA
     if degB == 0:
         return s * B[0] ** degA
-    ca, cb = _content(A), _content(B)
+    ca, cb = math.gcd(*A), math.gcd(*B)
     A = [c // ca for c in A]
     B = [c // cb for c in B]
     t = ca**degB * cb**degA
@@ -198,87 +193,87 @@ def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
 # --- singular values along a column ---------------------------------------
 
 
-@functools.cache
-def _interp_matrix(g: int) -> tuple[np.ndarray, int]:
-    """(M, D) with M / D the inverse Vandermonde at y = 0..2g: a polynomial
-    of degree <= 2g with values v_k at y = k has ascending coefficients
-    M @ v / D.  Column k of D * V^{-1} is D times the Lagrange basis
-    prod_{j != k} (y - j) / (k - j); D = (2g)! clears every denominator."""
-    n = 2 * g + 1
-    D = math.factorial(n - 1)
-    M = np.zeros((n, n), dtype=object)
-    for k in range(n):
-        basis, denom = [1], 1
-        for j in range(n):
-            if j != k:
-                basis = [a - j * b for a, b in zip([0, *basis], [*basis, 0])]
-                denom *= k - j
-        M[:, k] = [b * D // denom for b in basis]
-    return M, D
+def _filter_primes(bound: int, above: int = 0) -> list[int]:
+    """Primes over max(100, above), ascending, until their product passes
+    2 * bound, so that CRT tells apart every |y| <= bound.  Primes up to
+    10^4 + 2 (bit length of bound + above) suffice, as theta(x) > 0.89 x there."""
+    out = []
+    for p in arith.primes_up_to(10_000 + 2 * (bound.bit_length() + above))[25:]:
+        if p > above:
+            out.append(p)
+            if math.prod(out) > 2 * bound:
+                return out
+    raise AssertionError("prime pool exhausted while filtering roots")
 
 
-def _integer_roots_block(R: np.ndarray, bound: int) -> list[list[int]]:
-    """Per row of R (an object array of ascending integer coefficients, no
-    row zero), the integer roots y with |y| <= bound, sorted, found exactly.
+def _integer_roots_block(rows_mod, bound: int, is_root, above: int = 0) -> list[list[int]]:
+    """Per row of a block of integer polynomials in y, the sorted integer
+    roots y with |y| <= bound.
 
-    Rows are divided by their content, so none vanishes identically mod a
-    prime.  The window is filtered by the roots mod a few primes whose
-    product exceeds its width (one rows x p Horner matrix each); CRT
-    candidates are verified exactly.  Every integer root reduces to a root
-    mod every prime, so the filter is complete."""
-    content = np.gcd.reduce(R, axis=1)
-    if not content.all():
-        raise AssertionError("a row of the root finder is the zero polynomial")
-    R = R // content[:, None]
-    primes, hits, prod = [], [], 1
-    for p in arith.primes_up_to(10_000)[25:]:  # 101, 103, ...
-        Rp = (R % p).astype(np.int64)
-        r = np.arange(p, dtype=np.int64)
-        acc = np.zeros((len(R), p), dtype=np.int64)
-        for j in range(R.shape[1] - 1, -1, -1):
-            acc = (acc * r + Rp[:, j, None]) % p
-        primes.append(p)
-        hits.append(acc == 0)
-        prod *= p
-        if prod > 2 * bound:
-            break
-    else:
-        raise AssertionError("prime pool exhausted while filtering roots")
+    rows_mod(p) gives the rows' ascending coefficients mod p, int64 with no
+    row zero, for each of the _filter_primes(bound, above); is_root(i, y)
+    decides exactly whether y is a root of row i.  The window is filtered by
+    the roots mod each prime (one rows x p matrix of values: the rows times
+    the powers of 0..p-1), and the CRT candidates in it go to is_root.
+    Every integer root is a root mod every prime, so the filter is complete."""
+    primes = _filter_primes(bound, above)
+    hits = []
+    for p in primes:
+        Rp = rows_mod(p)
+        if not Rp.any(axis=1).all():
+            raise AssertionError("a row of the root finder vanishes mod p")
+        V = np.ones((Rp.shape[1], p), dtype=np.int64)  # V[j, r] = r^j mod p
+        for j in range(1, len(V)):
+            V[j] = V[j - 1] * np.arange(p) % p
+        hits.append(Rp @ V % p == 0)
+    mod = math.prod(primes)
+    crt = [mod // p * pow(mod // p, -1, p) for p in primes]  # 1 mod p, 0 mod the rest
     alive = np.logical_and.reduce([h.any(axis=1) for h in hits])
-    out: list[list[int]] = [[] for _ in range(len(R))]
+    out: list[list[int]] = [[] for _ in alive]
     for i in np.flatnonzero(alive).tolist():
-        row = R[i].tolist()
-        found = set()
-        for combo in itertools.product(*(np.flatnonzero(h[i]).tolist() for h in hits)):
-            x, mod = 0, 1
-            for p, r in zip(primes, combo):
-                x += mod * ((r - x) * pow(mod, -1, p) % p)
-                mod *= p
-            y = ((x + bound) % mod) - bound
-            if -bound <= y <= bound and covers.poly_eval(row, y) == 0:
-                found.add(y)
-        out[i] = sorted(found)
+        combos = itertools.product(*(np.flatnonzero(h[i]).tolist() for h in hits))
+        ys = [(sum(r * e for r, e in zip(combo, crt)) + bound) % mod - bound for combo in combos]
+        out[i] = sorted(y for y in ys if y <= bound and is_root(i, y))
     return out
 
 
-def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> list[list[int]]:
-    """Per prefix of a nonempty block, the values y of the last coordinate,
-    |y| <= bound, where the column's curve polynomial has a repeated root.
+def _res_poly_mod(g: int, X: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients in y of Res_t(f_0 + y, f') mod a prime p > 2g+1,
+    per prefix row (x_0, ..., x_{2g-2}) of X: int64, shape (rows, 2g+1).
 
-    Res_t(f_y, f') is a polynomial of degree <= 2g in y (f' does not involve
-    y): its values at y = 0..2g are exact resultants, its coefficients one
-    integer matrix product with _interp_matrix(g) away, and its integer
-    roots in the window come from _integer_roots_block."""
-    vals = []
-    for prefix in prefixes:
-        base = _poly_from_coords(g, (*prefix, 0))
-        dfdt = _derivative(base)
-        vals.append([resultant([k, *base[1:]], dfdt) for k in range(2 * g + 1)])
-    M, D = _interp_matrix(g)
-    R = np.array(vals, dtype=object) @ M.T
-    if (R % D).any():
-        raise AssertionError("interpolation of an integer family left a denominator")
-    return _integer_roots_block(R // D, bound)
+    With n = 2g+1 and c_j the coefficient of t^j in f_0, n f_0 - t f' is
+    sum_j (n-j) c_j t^j, so r = f_0 mod f' has coefficients (n-j) c_j / n, and
+    Res_t(f_0 + y, f') = n^n prod_{f'(tau)=0} (y + r(tau)) = n^n det(yI + M_r),
+    M_r the multiplication by r on F_p[t]/(f'/n).  Faddeev-LeVerrier gives
+    det(yI - A) for A = -M_r, dividing only by k <= 2g < p."""
+    n, d = 2 * g + 1, 2 * g
+    c = (X[:, ::-1] % p).astype(np.int64) * pow(n, -1, p) % p  # c_j / n, j = 1..2g-1
+    j, zero = np.arange(1, d), np.zeros((len(X), 1), dtype=np.int64)
+    h = np.concatenate([c * j % p, zero], axis=1)  # f'/n - t^{2g}, ascending
+    v = np.concatenate([zero, c * (n - j) % p], axis=1)  # t^k r mod f'/n, from k = 0
+    A = np.empty((len(X), d, d), dtype=np.int64)
+    for k in range(d):
+        A[:, :, k] = -v % p
+        v = (np.concatenate([zero, v[:, :-1]], axis=1) - v[:, -1:] * h) % p
+    coef = np.zeros((len(X), d + 1), dtype=np.int64)
+    coef[:, d] = 1
+    M, diag = np.zeros_like(A), np.arange(d)
+    for k in range(1, d + 1):  # M_k = A M_{k-1} + c_{d-k+1} I, then M = A M_k
+        M[:, diag, diag] += coef[:, d - k + 1, None]
+        M = A @ M % p
+        coef[:, d - k] = -M[:, diag, diag].sum(axis=1) * pow(k, -1, p) % p
+    return coef * pow(n, n, p) % p
+
+
+def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> list[list[int]]:
+    """Per prefix of a nonempty block, the y with |y| <= bound where the
+    column's curve polynomial has a repeated root: the integer roots of
+    Res_t(f_y, f'), of degree 2g in y with leading coefficient (2g+1)^{2g+1}
+    (no row vanishes mod a filter prime), each checked by one _disc_poly."""
+    X = np.array(prefixes, dtype=object).reshape(len(prefixes), 2 * g - 1)
+    return _integer_roots_block(
+        lambda p: _res_poly_mod(g, X, p), bound,
+        lambda i, y: _disc_poly(_poly_from_coords(g, (*prefixes[i], y))) == 0, above=2 * g + 1)
 
 
 # --- census ----------------------------------------------------------------
@@ -377,9 +372,8 @@ def census(
         raise ValueError("census heights must increase strictly")
     cover = _tester_cover(thin, g)  # validate the name before any work
     if budget is not None:
-        work = _census_work(wv, bounds[-1], cover)
-        if work > budget:
-            raise BudgetExceededError(work, budget, "census needs {} steps")
+        work = _census_work(wv, bounds[-1], cover, smooth_only)
+        check_budget(work, budget, "census needs {} steps")
     sings, thins = [0] * len(bounds), [0] * len(bounds)
     if cover is not None or smooth_only:
         m0 = box_cutoffs(wv, bounds[-1])[0]
@@ -400,17 +394,19 @@ def census(
     return CensusTable(rows, meta)
 
 
-def _census_work(wv, bound, cover) -> int:
+def _census_work(wv, bound, cover, smooth_only) -> int:
     """Steps the census takes up to its top height: the box for the pointwise
     path; for the column path the prefixes, times the row width 2T+1 of the
-    column kernel when there is a thin cover."""
-    if cover is not None and cover.column_solver() is None:
-        return box_volume(wv, bound)
+    column kernel with a thin cover; with smooth_only plus prefixes x sum p,
+    the singular finder's value cells."""
     Ms = box_cutoffs(wv, bound)
     prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
+    work = prefixes * sum(_filter_primes(Ms[-1], len(wv) + 1)) if smooth_only else 0  # 2g+1
     if cover is None:
-        return prefixes
-    return prefixes * cover.column_width(Ms[:-1], Ms[-1])
+        return work + prefixes
+    if cover.column_solver() is None:
+        return work + box_volume(wv, bound)
+    return work + prefixes * cover.column_width(Ms[:-1], Ms[-1])
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
@@ -440,12 +436,13 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
             _count_block(X, sing_ys, sing_keep, j0, cutoffs, plist, sings)
         if kernel is not None:
             ys, keep = kernel.solve(block, m)
-        elif cover is not None:
-            ys, keep = _padded([
-                [y for y in range(-m, m + 1)
-                 if covers.has_integer_root(cover.poly_at((*prefix, y)))]
-                for prefix in block
-            ])
+        elif cover is not None:  # per prefix, the cover's coefficients over the whole window
+            window, found = np.array(range(-m, m + 1), dtype=object), []
+            for x in block:
+                C = [np.broadcast_to(c, window.shape).tolist()
+                     for c in cover.poly_at([*x, window])]
+                found.append([k - m for k, c in enumerate(zip(*C)) if covers.has_integer_root(c)])
+            ys, keep = _padded(found)
         else:
             continue
         if smooth_only:  # disc = +-Res(f, f'): the singular members are not thin

@@ -28,11 +28,11 @@ import numpy as np
 from . import arith
 from .wps import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     WeightVector,
     as_bound,
     box_cutoffs,
     box_volume,
+    check_budget,
     clip_ranges,
     is_sign_canonical,
     map_chunks,
@@ -172,9 +172,20 @@ def compute_G(Q: int, rs: ResidueSystem) -> Fraction:
     return total
 
 
+def _check_widths(params: SieveParams, rs: ResidueSystem) -> None:
+    """Explicit residues at p <= Q must have one coordinate per weight: a
+    tuple of another width would count in G(Q) but exclude nothing."""
+    for p, om in sorted(rs.entries.items()):
+        w = len(next(iter(om.residues))) if p <= params.Q and om.residues else None
+        if w not in (None, len(params.weights)):
+            raise ValueError(f"Omega at p={p} has residue tuples of width {w}, "
+                             f"the weights have {len(params.weights)} coordinates")
+
+
 def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float | Fraction:
     """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), as a float; a value past
     the float range comes back as the exact Fraction."""
+    _check_widths(params, rs)
     G = compute_G(params.Q, rs)
     if G <= 0:
         raise ValueError("sieve mass must be positive")
@@ -210,7 +221,7 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
     keys are the sorted keys that occur in Omega; rows[j] packs one bit per
     y in [-mlast, mlast], set when y mod q is allowed after prefix keys[j],
     and the last row is all ones, for every prefix Omega does not mention.
-    Tuples of another width than the box exclude nothing."""
+    The tuples have the box's width (_check_widths)."""
     nbits = 2 * mlast + 1
     allowed = np.empty(nbits, dtype=bool)
     tables = []
@@ -222,10 +233,7 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
         radix = [q ** (width - 2 - i) for i in range(width - 1)]
         by_key: dict[int, list[int]] = {}
         for r in om.explicit_residues(width):
-            if len(r) == width:
-                by_key.setdefault(sum(c * w for c, w in zip(r, radix)), []).append(r[-1])
-        if not by_key:
-            continue
+            by_key.setdefault(sum(c * w for c, w in zip(r, radix)), []).append(r[-1])
         keys = sorted(by_key)
         rows = np.full((len(keys) + 1, (nbits + 7) // 8), 0xFF, dtype=np.uint8)
         for j, key in enumerate(keys):
@@ -279,10 +287,8 @@ def survivors(params: SieveParams, rs: ResidueSystem, *,
               budget=DEFAULT_BUDGET, workers: int = 1) -> int:
     """Number of sign-canonical nonzero tuples in the box surviving every
     exclusion x mod p^m not in Omega_{p^m}, p <= Q (from the bit tables)."""
-    if budget is not None:
-        vol = box_volume(params.weights, params.bound)
-        if vol > budget:
-            raise BudgetExceededError(vol, budget)
+    _check_widths(params, rs)
+    check_budget(box_volume(params.weights, params.bound), budget)
     if len(params.weights) < 2:
         workers = 1  # no prefix coordinate to partition
     m0 = box_cutoffs(params.weights, params.bound)[0]

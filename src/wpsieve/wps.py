@@ -233,18 +233,16 @@ def wgcd_one_in_box(coords, prime_powers) -> bool:
     return True
 
 
-def _check_budget(weights: WeightVector, bound, budget) -> None:
-    if budget is None:
-        return
-    vol = box_volume(weights, bound)
-    if vol > budget:
-        raise BudgetExceededError(vol, budget)
+def check_budget(work: int, budget, what: str = "enumeration box holds {} tuples") -> None:
+    """Refuse work past the budget (None: no limit) with BudgetExceededError."""
+    if budget is not None and work > budget:
+        raise BudgetExceededError(work, budget, what)
 
 
 def _iter_canonical(
     weights: WeightVector, bound, budget, integral: bool
 ) -> Iterator[tuple[int, ...]]:
-    _check_budget(weights, bound, budget)
+    check_budget(box_volume(weights, bound), budget)
     prime_powers = None if integral else box_primes(weights, bound)
     ranges = [range(-m, m + 1) for m in box_cutoffs(weights, bound)]
     for tup in itertools.product(*ranges):
@@ -322,7 +320,7 @@ def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
 
     Computed by the Moebius sum over d <= B, not by walking the box; the
     budget still refuses a box of more than `budget` tuples."""
-    _check_budget(weights, bound, budget)
+    check_budget(box_volume(weights, bound), budget)
     return _count(weights, bound, False)
 
 
@@ -330,7 +328,7 @@ def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> in
     """Number of gcd-1 canonical tuples of height <= B (Moebius sum over
     d <= max floor(B^{a_i}), taken over the blocks of d with equal
     quotients floor(B^{a_i} / d))."""
-    _check_budget(weights, bound, budget)
+    check_budget(box_volume(weights, bound), budget)
     return _count(weights, bound, True)
 
 

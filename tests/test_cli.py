@@ -124,6 +124,20 @@ def test_ls_check_row(tmp_path, capsys):
     assert out == "B,Q,m,lhs,rhs,holds\n1,2,1,4,145.496133918,true\n"
 
 
+def test_residue_width_must_match_weights(tmp_path, capsys):
+    # 3-wide tuples at p = 2 would count in G(Q) but exclude nothing from a
+    # 2-wide box; beyond Q they are not used
+    rs = write_rs(tmp_path, "2 1 explicit 0,0,0\n2 1 explicit 1,1,1\n")
+    argv = ["--weights", "1,1", "--height-max", "3", "--residues", rs]
+    for command in ("survivors", "ls-check", "sieve-bound"):
+        code, out, err = run_cli([command, *argv, "--Q", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "validation"
+        assert "width 3" in json.loads(err)["message"]
+    code, out, _ = run_cli(["survivors", *argv, "--Q", "1"], capsys)
+    assert (code, out) == (0, "B,Q,m,survivors\n3,1,1,24\n")
+
+
 def test_m_cross_check(tmp_path, capsys):
     rs = write_rs(tmp_path)
     code, _, err = run_cli(

@@ -163,19 +163,28 @@ def test_singular_column_finder_large_window():
         assert got == want, prefix
 
 
+def _integer_roots(R, bound):
+    # the root filter on an object array of exact integer rows
+    return hyp._integer_roots_block(
+        lambda p: (R % p).astype(np.int64),
+        bound,
+        lambda i, y: covers.poly_eval(R[i].tolist(), y) == 0,
+    )
+
+
 def test_integer_roots_within():
-    # (y-100)(y+3)*7, content stripped
+    # (y-100)(y+3)*7, with content 7
     R = [-2100, -679, 7]
     for bound, want in ((500, [-3, 100]), (50, [-3])):
-        assert hyp._integer_roots_block(np.array([R], dtype=object), bound) == [want]
+        assert _integer_roots(np.array([R], dtype=object), bound) == [want]
     with pytest.raises(AssertionError):  # the zero polynomial has every root
-        hyp._integer_roots_block(np.array([R, [0, 0, 0]], dtype=object), 10)
+        _integer_roots(np.array([R, [0, 0, 0]], dtype=object), 10)
 
 
 def test_integer_roots_block_leaves_input_unchanged():
-    # the content is divided out of a copy, not out of the caller's array
+    # the filter reads the caller's rows and never writes to them
     a = np.array([[-2100, -679, 7], [6, 0, 0]], dtype=object)
-    assert hyp._integer_roots_block(a, 500) == [[-3, 100], []]
+    assert _integer_roots(a, 500) == [[-3, 100], []]
     assert a.tolist() == [[-2100, -679, 7], [6, 0, 0]]
 
 
@@ -267,6 +276,16 @@ def test_census_budget_counts_work_done():
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
+    # smooth-only adds the singular finder's value cells: 33 prefixes times
+    # 101 + 103, the filter primes for the window |y| <= 64
+    work = 33 + 33 * (101 + 103)
+    census(1, [1, 2], thin="none", smooth_only=True, budget=work)
+    with pytest.raises(BudgetExceededError):
+        census(1, [1, 2], thin="none", smooth_only=True, budget=work - 1)
+    # a window past the product of the primes below 10^4 (about 10^4300)
+    # still gets its filter primes, and the budget refuses it
+    with pytest.raises(BudgetExceededError):
+        census(1, [10**800], thin="none", smooth_only=True)
 
 
 def test_census_table_validation():

@@ -1,7 +1,8 @@
-"""The smooth-only census path: the block singular finder and its root
-finder against brute force, the quadratic isqrt test against divisor
-enumeration, and the genus-1 smooth totals against the closed form of the
-singular locus at heights no enumeration reaches."""
+"""The smooth-only census path: the block singular finder, its polynomial
+in y mod p and its root finder against brute force and exact resultants,
+the quadratic isqrt test against divisor enumeration, and the genus-1 smooth
+totals against the closed form of the singular locus at heights no
+enumeration reaches."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=N
 # (genus, prefix box): small boxes that contain the zero prefix and prefixes
 # divisible by 3, whose resultant polynomials have content > 1 (for g = 1,
 # Res = 27 y^2 + 4 a^3 has content 27 when 3 | a).
-_PREFIX_BOX = {1: (12,), 2: (3, 4, 6)}
+_PREFIX_BOX = {1: (12,), 2: (3, 4, 6), 3: (1, 2, 2, 3, 3)}
 
 
 @st.composite
@@ -37,7 +38,7 @@ def _scan(g, prefix, bound):
 
 
 @SETTINGS
-@given(data=st.data(), g=st.sampled_from((1, 2)), two_primes=st.booleans())
+@given(data=st.data(), g=st.sampled_from((1, 2, 3)), two_primes=st.booleans())
 def test_singular_block_matches_scan(data, g, two_primes):
     block = data.draw(_blocks(g))
     # windows of at most 101 values are filtered mod 101 alone, wider ones
@@ -73,8 +74,35 @@ def test_integer_roots_block_with_content(roots, scale, shift, bound):
         R[0] += shift
         rows.append(R + [0] * (len(roots) + 1 - len(R)))
         want.append([y for y in range(-bound, bound + 1) if covers.poly_eval(R, y) == 0])
-    got = hyp._integer_roots_block(np.array(rows, dtype=object), bound)
+    R = np.array(rows, dtype=object)
+    got = hyp._integer_roots_block(
+        lambda p: (R % p).astype(np.int64),
+        bound,
+        lambda i, y: covers.poly_eval(rows[i], y) == 0,
+    )
     assert got == want
+
+
+@SETTINGS
+@given(
+    g=st.sampled_from((1, 2, 3)),
+    data=st.data(),
+    size=st.sampled_from((5, 10**4, 10**30)),
+)
+def test_res_poly_mod_matches_resultants(g, data, size):
+    # R mod p has degree 2g in y, so 2g + 1 values of y pin it down
+    coord = st.integers(-size, size)
+    block = data.draw(st.lists(st.tuples(*[coord] * (2 * g - 1)), min_size=1, max_size=4))
+    X = np.array(block, dtype=object)
+    for p in (101, 103):
+        R = hyp._res_poly_mod(g, X, p)
+        assert R.shape == (len(block), 2 * g + 1) and R.dtype == np.int64
+        for prefix, row in zip(block, R.tolist()):
+            base = hyp._poly_from_coords(g, (*prefix, 0))
+            dfdt = hyp._derivative(base)
+            for y in range(-g, g + 1):
+                want = hyp.resultant([y, *base[1:]], dfdt) % p
+                assert covers.poly_eval(row, y) % p == want, (prefix, y, p)
 
 
 def _divisor_oracle(poly):
