@@ -1,12 +1,12 @@
 """Exact integer arithmetic shared by the other modules.
 
 Everything here is deterministic and exact: a growable prime table, trial
-division factorization, p-adic valuations and the Moebius function (also as
-one sieved table for a whole range, and summed as the Mertens function).
-Inputs are desk-scale (well under 64 bits), so nothing fancier than a sieve
-plus trial division is warranted, except that a primality test past the
-table uses deterministic Miller-Rabin rather than growing the table to
-sqrt(n).
+division factorization, p-adic valuations, integer k-th roots and the
+Moebius function (also as one sieved table for a whole range, and summed as
+the Mertens function).  Inputs are desk-scale (well under 64 bits), so
+nothing fancier than a sieve plus trial division is warranted, except that
+a primality test past the table uses deterministic Miller-Rabin rather than
+growing the table to sqrt(n).
 """
 
 from __future__ import annotations
@@ -156,14 +156,15 @@ def moebius_table(n: int) -> array:
     return array("b", mu.tobytes())
 
 
-def mertens(n: int):
+def mertens(n: int, dense: bool = False):
     """The Mertens function M(x) = sum_{d <= x} mu(d), for 0 <= x <= n.
 
-    M is read from a sieved prefix table up to about n^{2/3}; above it,
+    M is read from a sieved prefix table up to about n^{2/3} (up to n when
+    dense, for callers that ask for nearly every x); above it,
     M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)), summed over the blocks of k
     with equal quotient and memoised.  The x = floor(n/k) all together
     cost O(n^{2/3}) steps."""
-    L = max(1, round(n ** (2 / 3)))
+    L = max(1, n if dense else round(n ** (2 / 3)))
     prefix = np.cumsum(np.frombuffer(moebius_table(L), dtype=np.int8), dtype=np.int32)
     memo: dict[int, int] = {}
 
@@ -181,6 +182,20 @@ def mertens(n: int):
         return memo[x]
 
     return M
+
+
+def iroot(v: int, k: int) -> int:
+    """floor(v^(1/k)) for v >= 0, exact."""
+    if v < 0:
+        raise ValueError("negative radicand")
+    if k == 1 or v in (0, 1):
+        return v
+    r = 1 << -(-v.bit_length() // k)  # 2^ceil(bits/k) > v^(1/k)
+    while True:  # Newton from above decreases strictly until floor(v^(1/k))
+        s = ((k - 1) * r + v // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def divisors(n: int) -> list[int]:

@@ -10,7 +10,6 @@ computed exactly by exhausting (Z/p)^{n+1}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,61 +132,30 @@ class Cover:
                 return None
         return s
 
-    def column_kernel(self) -> "ColumnKernel":
-        """The block column solver; requires column_solver() to apply."""
-        s = self.column_solver()
-        if s is None:
-            raise ValueError("cover constant term is not a separated coordinate")
-        return ColumnKernel(self, s)
+    def solve_columns(self, prefixes: Sequence[Sequence[int]], bound: int):
+        """Members of fixed-prefix columns, solved for a nonempty block of
+        prefixes at once; requires column_solver() to apply.
 
-    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
-        """All values y of the last coordinate with |y| <= bound making
-        (prefix, y) a member; requires column_solver() to apply.  This is
-        the one-row case of ColumnKernel.solve."""
-        ys, keep = self.column_kernel().solve([prefix], bound)
-        return ys[0, keep[0]].tolist()
-
-    def column_width(self, prefix_cutoffs: Sequence[int], bound: int) -> int:
-        """Row width 2T+1 of ColumnKernel.solve for any block of prefixes
-        with |x_i| <= prefix_cutoffs[i]: an upper bound on its per-row work."""
-        box = (*prefix_cutoffs, 0)
-        cmax = [
-            sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
-            if form else 0
-            for form in self.coeffs[1:]
-        ]
-        return 2 * _column_tmax(self.degree, bound, cmax) + 1
-
-
-@dataclass(frozen=True)
-class ColumnKernel:
-    """Members of fixed-prefix columns, solved for a block of prefixes at once.
-
-    With constant term s * y (s = +-1) and c_1..c_{deg-1} free of y, the value
-    y makes (prefix, y) a member exactly when y = -s * f(t) for an integer t,
-    where f(t) = t^deg + sum_j c_j(prefix) t^j.  Every such t with |y| <= bound
-    lies in |t| <= T, T the Fujiwara-style bound of _column_tmax.
-    """
-
-    cover: Cover
-    sign: int
-
-    def solve(self, prefixes: Sequence[Sequence[int]], bound: int):
-        """(ys, keep) for a nonempty block of prefixes.
-
-        Row i of ys holds -s * f_i(t) for |t| <= T, sorted; keep[i] marks its
-        distinct values with |y| <= bound, which are the members of the column
-        over prefixes[i].  T is the largest row bound in the block: a wider
-        window than a row needs is still exact, because every value is
-        filtered by |y| <= bound.  The dtype is int64 when no evaluation (nor
-        any Horner intermediate) can reach 2^63, and object (Python ints)
-        otherwise.
+        With constant term s * y (s = +-1) and c_1..c_{deg-1} free of y, the
+        value y makes (prefix, y) a member exactly when y = -s * f(t) for an
+        integer t, where f(t) = t^deg + sum_j c_j(prefix) t^j.  Every such t
+        with |y| <= bound lies in |t| <= T, T the Fujiwara-style bound of
+        _column_tmax.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
+        |t| <= T, sorted; keep[i] marks its distinct values with |y| <= bound,
+        which are the members of the column over prefixes[i].  T is the
+        largest row bound in the block: a wider window than a row needs is
+        still exact, because every value is filtered by |y| <= bound.  The
+        dtype is int64 when no evaluation (nor any Horner intermediate) can
+        reach 2^63, and object (Python ints) otherwise.
         """
-        deg = self.cover.degree
+        sign = self.column_solver()
+        if sign is None:
+            raise ValueError("cover constant term is not a separated coordinate")
+        deg = self.degree
         n = len(prefixes)
         cols = (*np.array(prefixes, dtype=object).T, np.zeros(n, dtype=object))
         c = np.zeros((n, deg - 1), dtype=object)  # exact c_1 .. c_{deg-1} per row
-        for j, form in enumerate(self.cover.coeffs[1:]):
+        for j, form in enumerate(self.coeffs[1:]):
             if form:
                 c[:, j] = form.evaluate(cols)
         cmax = np.abs(c).max(axis=0).tolist()
@@ -200,37 +168,41 @@ class ColumnKernel:
         for j in range(deg - 2, 0, -1):
             ys *= t
             ys += c[:, j - 1, None]
-        ys *= -self.sign * t
+        ys *= -sign * t
         ys.sort(axis=1)
         keep = ys >= -bound
         keep &= ys <= bound
         keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
         return ys, keep
 
+    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
+        """All values y of the last coordinate with |y| <= bound making
+        (prefix, y) a member; requires column_solver() to apply.  This is
+        the one-row case of solve_columns."""
+        ys, keep = self.solve_columns([prefix], bound)
+        return ys[0, keep[0]].tolist()
+
+    def column_width(self, prefix_cutoffs: Sequence[int], bound: int) -> int:
+        """Row width 2T+1 of solve_columns for any block of prefixes
+        with |x_i| <= prefix_cutoffs[i]: an upper bound on its per-row work."""
+        box = (*prefix_cutoffs, 0)
+        cmax = [
+            sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
+            if form else 0
+            for form in self.coeffs[1:]
+        ]
+        return 2 * _column_tmax(self.degree, bound, cmax) + 1
+
 
 def _column_tmax(degree: int, bound: int, cmax: Sequence[int]) -> int:
     """Any integer root t of t^deg + sum_{0<j<deg} c_j t^j + c_0 with
     |c_j| <= cmax[j-1] and |c_0| <= bound obeys |t| <= the returned T
     (Fujiwara: |t| <= 2 max |c_j|^{1/(deg-j)})."""
-    tmax = _iroot(bound, degree) + 1
+    tmax = arith.iroot(bound, degree) + 1
     for j, c in enumerate(cmax, start=1):
         if c:
-            tmax = max(tmax, _iroot(c, degree - j) + 1)
+            tmax = max(tmax, arith.iroot(c, degree - j) + 1)
     return 2 * tmax + 1
-
-
-def _iroot(v: int, k: int) -> int:
-    """floor(v^(1/k)) for v >= 0, exact."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    if k == 1 or v in (0, 1):
-        return v
-    r = 1 << -(-v.bit_length() // k)  # 2^ceil(bits/k) > v^(1/k)
-    while True:  # Newton from above decreases strictly until floor(v^(1/k))
-        s = ((k - 1) * r + v // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def _check_point(weights: WeightVector, point: WpsPoint) -> None:
@@ -311,7 +283,8 @@ def _mod_p_image(cover: Cover, p: int, budget: int):
         raise ValueError(f"modulus must be prime, got {p!r}")
     width = len(cover.weights)
     space = p**width
-    check_budget(space, budget)
+    # p passes of Horner over every cell of the space
+    check_budget(space * p, budget, "mod-p image takes {} cell updates")
     cols = np.indices((p,) * width).reshape(width, space) % p
     coeff_arrs = [
         form._evaluate_mod_cols(cols, p) if form else np.zeros(space, dtype=np.int64)

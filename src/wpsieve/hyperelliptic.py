@@ -15,7 +15,7 @@ tuples are found in one loop over blocks of _BLOCK_ROWS prefixes (all
 coordinates but the last); with neither a thin tester nor --smooth-only no
 prefix is visited.  A block's candidate values y of the last coordinate come
 from one of three sources.  A cover whose constant term is +-y, such as
-two-torsion, is solved by the block column kernel (covers.ColumnKernel):
+two-torsion, is solved a block at a time by Cover.solve_columns:
 one rows x (2T+1) matrix of y = -s * f(t), T the Fujiwara root bound, int64
 when its exact value bound stays below 2^63 and Python ints otherwise, so
 any height is exact.  Other covers are evaluated once per prefix over the
@@ -29,7 +29,7 @@ masked out of the thin members.  One counter, _count_block, drops the
 candidates that are not points (the zero tuple, weighted gcd > 1) and
 counts the rest at every cutoff from the row's smallest one.  The budget
 counts this work: prefixes times 2T+1 with a thin cover, prefixes alone
-without one, the box for testers the kernel cannot solve, and with
+without one, the box for testers solve_columns cannot take, and with
 --smooth-only prefixes times the sum of the filter primes.  Every route is
 checked against brute-force oracles in the tests.
 """
@@ -397,7 +397,7 @@ def census(
 def _census_work(wv, bound, cover, smooth_only) -> int:
     """Steps the census takes up to its top height: the box for the pointwise
     path; for the column path the prefixes, times the row width 2T+1 of the
-    column kernel with a thin cover; with smooth_only plus prefixes x sum p,
+    solved columns with a thin cover; with smooth_only plus prefixes x sum p,
     the singular finder's value cells."""
     Ms = box_cutoffs(wv, bound)
     prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
@@ -414,7 +414,7 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
 
     One loop over blocks of _BLOCK_ROWS prefixes.  The candidate last
     coordinates of a block come from the singular finder (with smooth_only),
-    from the column kernel of a solvable cover or from the pointwise tester,
+    from the columns of a solvable cover or from the pointwise tester,
     and every kind is counted by _count_block."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
@@ -423,7 +423,6 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
     m = cutoffs[-1][-1]
     cover = _tester_cover(thin, g)
     solvable = cover is not None and cover.column_solver() is not None
-    kernel = cover.column_kernel() if solvable else None
     plist = box_primes(wv, bounds[-1])
     sings, thins = [0] * len(bounds), [0] * len(bounds)
     prefixes = itertools.product(*clip_ranges(cutoffs[-1][:-1], x0_range))
@@ -434,8 +433,8 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
         if smooth_only:
             sing_ys, sing_keep = _padded(_singular_block(g, block, m))
             _count_block(X, sing_ys, sing_keep, j0, cutoffs, plist, sings)
-        if kernel is not None:
-            ys, keep = kernel.solve(block, m)
+        if solvable:
+            ys, keep = cover.solve_columns(block, m)
         elif cover is not None:  # per prefix, the cover's coefficients over the whole window
             window, found = np.array(range(-m, m + 1), dtype=object), []
             for x in block:
@@ -453,7 +452,7 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
     return sings, thins
 
 
-# Prefixes per block.  Fixed, so that the blocks (and the column kernel's
+# Prefixes per block.  Fixed, so that the blocks (and solve_columns'
 # dtype choices) do not depend on the worker count.
 _BLOCK_ROWS = 128
 

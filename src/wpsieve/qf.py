@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from mpmath import mp
 
@@ -188,20 +188,15 @@ def log_embed(x: QuadInt) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Fundamental-domain data: the field, the weights acted on, and the unit
-    log-vector u₁ = (log σ₁ε, log σ₂ε)."""
+    """Fundamental-domain data: the field (whose unit log-vector
+    u₁ = (log σ₁ε, log σ₂ε) the reduction uses) and the weights acted on."""
 
     field: QuadField
     weights: WeightVector
-    u1: Optional[tuple] = None
 
     def __post_init__(self):
         if not isinstance(self.weights, WeightVector):
             object.__setattr__(self, "weights", WeightVector(tuple(self.weights)))
-        if self.u1 is None:
-            object.__setattr__(self, "u1", log_embed(self.field.epsilon))
-        if abs(self.u1[0] + self.u1[1]) > 1e-12:
-            raise ValueError(f"unit log-vector {self.u1} does not sum to 0")
 
 
 def _check_tuple(x, field: QuadField, weights: WeightVector) -> tuple:

@@ -44,10 +44,11 @@ class Omega:
 
     Given either as an explicit set of residue tuples or (for bound
     evaluation only) as a bare density.  With explicit residues the stored
-    density is the exact fraction #Omega / p^{m * width}.
+    density is the exact fraction #Omega / p^{m * width}; width is the
+    length of the tuples, None when there are none.
     """
 
-    __slots__ = ("p", "m", "residues", "density")
+    __slots__ = ("p", "m", "residues", "width", "density")
 
     def __init__(self, p, m, residues=None, density=None):
         if not arith.is_prime(p):
@@ -66,16 +67,13 @@ class Omega:
                 if any(not (0 <= c < q) for c in r):
                     raise ValueError(f"residue {r} out of range for modulus {q}")
             self.residues = res
-            if res:
-                width = widths.pop()
-                d = Fraction(len(res), q**width)
-            else:
-                d = Fraction(0)
+            self.width = widths.pop() if res else None
+            d = Fraction(len(res), q**self.width) if res else Fraction(0)
             if density is not None and Fraction(density) != d:
                 raise ValueError("declared density disagrees with explicit set")
             self.density = d
         else:
-            self.residues = None
+            self.residues = self.width = None
             if density is None:
                 raise ValueError("Omega needs residues or an exact density")
             self.density = Fraction(density)
@@ -83,10 +81,17 @@ class Omega:
             raise ValueError(f"density must lie in [0, 1), got {self.density}")
 
     def contains(self, residue_tuple) -> bool:
-        return tuple(residue_tuple) in self.explicit_residues(len(residue_tuple))
+        """Is the tuple excluded?  A tuple of another width than the
+        explicit ones raises ValueError."""
+        t = tuple(residue_tuple)
+        res = self.explicit_residues()
+        if self.width not in (None, len(t)):
+            raise ValueError(f"residue {t} has width {len(t)}, Omega at "
+                             f"p={self.p} has tuples of width {self.width}")
+        return t in res
 
-    def explicit_residues(self, width: int) -> frozenset:
-        """The excluded set, as tuples of the given width."""
+    def explicit_residues(self) -> frozenset:
+        """The excluded set of residue tuples."""
         if self.residues is None:
             raise ValueError(
                 f"Omega at p={self.p} has only a density; cannot materialize"
@@ -176,7 +181,7 @@ def _check_widths(params: SieveParams, rs: ResidueSystem) -> None:
     """Explicit residues at p <= Q must have one coordinate per weight: a
     tuple of another width would count in G(Q) but exclude nothing."""
     for p, om in sorted(rs.entries.items()):
-        w = len(next(iter(om.residues))) if p <= params.Q and om.residues else None
+        w = om.width if p <= params.Q else None
         if w not in (None, len(params.weights)):
             raise ValueError(f"Omega at p={p} has residue tuples of width {w}, "
                              f"the weights have {len(params.weights)} coordinates")
@@ -232,7 +237,7 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
         q = p**rs.m
         radix = [q ** (width - 2 - i) for i in range(width - 1)]
         by_key: dict[int, list[int]] = {}
-        for r in om.explicit_residues(width):
+        for r in om.explicit_residues():
             by_key.setdefault(sum(c * w for c, w in zip(r, radix)), []).append(r[-1])
         keys = sorted(by_key)
         rows = np.full((len(keys) + 1, (nbits + 7) // 8), 0xFF, dtype=np.uint8)

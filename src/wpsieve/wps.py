@@ -8,9 +8,10 @@ bounded-height enumeration walks the box |x_i| <= B^{a_i} directly.
 
 Counts are computed, not walked: d divides the weighted gcd exactly when
 d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
-points, and the enumeration stays as its oracle.  Code that does walk a box
-(the sieve's survivors, the census) partitions the first coordinate with
-map_chunks and clip_ranges.
+points (the plain gcd likewise, with d | x_i), summed over the blocks of d
+with equal quotients, and the enumeration stays as its oracle.  Code that
+does walk a box (the sieve's survivors, the census) partitions the first
+coordinate with map_chunks and clip_ranges.
 """
 
 from __future__ import annotations
@@ -277,51 +278,42 @@ def enumerate_integral(
 # --- counting ----------------------------------------------------------------
 
 
-def _count(weights: WeightVector, bound, integral: bool) -> int:
-    # Moebius inversion over d | gcd: the nonzero tuples with d^{a_i} | x_i
-    # (d | x_i for the plain gcd) number prod_i (2 floor(M_i / d^{a_i}) + 1) - 1.
-    # Negation fixes the tuples whose odd-weight coordinates are all 0 and
-    # pairs off the rest, so the sign-canonical count is (N_all + N_fixed) / 2.
+def _count(weights: WeightVector, bound, exponents: Sequence[int]) -> int:
+    # Moebius inversion over d: the nonzero tuples with d^{e_i} | x_i (e_i = a_i
+    # for the weighted gcd, 1 for the plain gcd) number
+    # prod_i (2 floor(M_i / d^{e_i}) + 1) - 1.  The quotients are constant on
+    # blocks of d, so mu is summed per block from the Mertens function.  With
+    # some e_i > 1 the blocks are single d up to about n^{e_i / (e_i + 1)}, so
+    # the Mertens table then covers all of 1..n.  Negation fixes the tuples
+    # whose odd-weight coordinates are all 0 and pairs off the rest, so the
+    # sign-canonical count is (N_all + N_fixed) / 2.
     Ms = box_cutoffs(weights, bound)
     even = [i for i, a in enumerate(weights) if a % 2 == 0]
-    if integral:
-        terms = _quotient_blocks(Ms)
-    else:
-        b = as_bound(bound)
-        terms = enumerate(arith.moebius_table(b.numerator // b.denominator))
+    n = max(arith.iroot(m, e) for m, e in zip(Ms, exponents))
+    mertens = arith.mertens(n, dense=max(exponents) > 1)
     n_all = n_fixed = 0
-    for d, mu in terms:
-        if mu == 0:
-            continue
-        sides = [
-            2 * (m // (d if integral else d**a)) + 1 for m, a in zip(Ms, weights)
-        ]
-        n_all += mu * (math.prod(sides) - 1)
-        n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
-    return (n_all + n_fixed) // 2
-
-
-def _quotient_blocks(Ms: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(d, sum of mu over d..e) for the maximal blocks d..e of 1..max M_i on
-    which every floor(M_i / d) is constant: O(sqrt M_i) blocks per cutoff,
-    their mu sums taken from the Mertens function."""
-    n = max(Ms)
-    mertens = arith.mertens(n)
     d, before = 1, 0
     while d <= n:
-        e = min(m // (m // d) for m in Ms if m >= d)
-        upto = mertens(e)
-        yield d, upto - before
-        d, before = e + 1, upto
+        qs = [m // d**e for m, e in zip(Ms, exponents)]
+        # the block ends at the last d' with d'^{e_i} <= M_i // q_i wherever q_i > 0
+        end = min(arith.iroot(m // q, e) for m, q, e in zip(Ms, qs, exponents) if q)
+        upto = mertens(end)
+        if mu := upto - before:
+            sides = [2 * q + 1 for q in qs]
+            n_all += mu * (math.prod(sides) - 1)
+            n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
+        d, before = end + 1, upto
+    return (n_all + n_fixed) // 2
 
 
 def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
     """Number of points of height <= B (weighted gcd 1, canonical sign).
 
-    Computed by the Moebius sum over d <= B, not by walking the box; the
+    Computed by the Moebius sum over d <= B, taken over the blocks of d with
+    equal quotients floor(M_i / d^{a_i}), not by walking the box; the
     budget still refuses a box of more than `budget` tuples."""
     check_budget(box_volume(weights, bound), budget)
-    return _count(weights, bound, False)
+    return _count(weights, bound, tuple(weights))
 
 
 def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
@@ -329,7 +321,7 @@ def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> in
     d <= max floor(B^{a_i}), taken over the blocks of d with equal
     quotients floor(B^{a_i} / d))."""
     check_budget(box_volume(weights, bound), budget)
-    return _count(weights, bound, True)
+    return _count(weights, bound, (1,) * len(weights))
 
 
 # --- partitioning ------------------------------------------------------------

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpsieve import arith
 
@@ -84,6 +85,28 @@ def test_mertens_matches_moebius_prefix_sums():
         M = arith.mertens(n)
         xs = {n // k for k in range(1, n + 1)} | {rng.randint(0, n) for _ in range(20)}
         assert all(M(x) == sums[x] for x in xs), n
+        M = arith.mertens(n, dense=True)
+        assert all(M(x) == sums[x] for x in range(n + 1)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=st.integers(0, 2**200 - 1) | st.integers(0, 2**12),
+       k=st.integers(1, 7), shift=st.sampled_from((0, 1, -1)))
+def test_iroot_is_floor_of_kth_root(v, k, shift):
+    # v itself, and a perfect k-th power near v or one off it
+    for w in (v, max(0, round(v ** (1 / k)) ** k + shift)):
+        r = arith.iroot(w, k)
+        assert r**k <= w < (r + 1) ** k, (w, k)
+
+
+def test_iroot_past_float_range_and_negative():
+    # radicands a float cannot hold, on and next to perfect powers
+    for k in (2, 3, 7):
+        for r in (2**400 + 12345, 3**700):
+            for w in (r**k - 1, r**k, r**k + 1):
+                assert arith.iroot(w, k) == (r - 1 if w < r**k else r)
+    with pytest.raises(ValueError):
+        arith.iroot(-1, 3)
 
 
 def test_factorize_large_spot_checks():

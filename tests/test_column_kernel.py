@@ -1,10 +1,11 @@
-"""Property tests of the block column kernel (covers.ColumnKernel) and of the
-census's block counter, against brute force and the scalar t-scan."""
+"""Property tests of the block column solver (covers.Cover.solve_columns) and
+of the census's block counter, against brute force and the scalar t-scan."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpsieve import covers, hyperelliptic as hyp
+from wpsieve import arith, covers, hyperelliptic as hyp
 from wpsieve.wps import box_cutoffs, box_primes
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -26,10 +27,10 @@ def scalar_column_members(cover, prefix, bound):
     s = cover.column_solver()
     coords0 = tuple(prefix) + (0,)
     cj = [form.evaluate(coords0) if form else 0 for form in cover.coeffs[1:]]
-    tmax = covers._iroot(bound, cover.degree) + 1
+    tmax = arith.iroot(bound, cover.degree) + 1
     for j, c in enumerate(cj, start=1):
         if c:
-            tmax = max(tmax, covers._iroot(abs(c), cover.degree - j) + 1)
+            tmax = max(tmax, arith.iroot(abs(c), cover.degree - j) + 1)
     tmax = 2 * tmax + 1
     ys = set()
     for t in range(-tmax, tmax + 1):
@@ -57,7 +58,7 @@ def _blocks(cmaxes, pas):
 
 
 def _check_block(cover, block, bound, reference):
-    ys, keep = cover.column_kernel().solve(block, bound)
+    ys, keep = cover.solve_columns(block, bound)
     for i, prefix in enumerate(block):
         assert ys[i, keep[i]].tolist() == reference(cover, prefix, bound), prefix
     assert ys.shape[1] <= cover.column_width(
@@ -91,9 +92,18 @@ def test_block_matches_brute_force_cover_file(tmp_path_factory, block, bound):
 def test_block_past_int64_matches_scalar_scan(block, bound):
     # T^5 alone passes 2^63 here, so the kernel must run on Python ints
     cover = covers.two_torsion_cover(2)
-    ys, _ = cover.column_kernel().solve(block, bound)
+    ys, _ = cover.solve_columns(block, bound)
     assert ys.dtype == object
     _check_block(cover, block, bound, scalar_column_members)
+
+
+def test_solve_columns_needs_a_separated_constant_term():
+    cover = covers.disc_square_cover_g1()  # constant term -D(x), two terms
+    assert cover.column_solver() is None
+    with pytest.raises(ValueError):
+        cover.solve_columns([(1,)], 10)
+    with pytest.raises(ValueError):
+        cover.column_members((1,), 10)
 
 
 def test_column_members_is_the_one_row_kernel():
@@ -137,7 +147,7 @@ def test_count_block_matches_member_loop(data, g, smooth):
     X, j0 = np.array(block, dtype=object), np.array(j0s)
     got_sing, got_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     hyp._count_block(X, *hyp._padded(sings), j0, cutoffs, plist, got_sing)
-    ys, keep = cover.column_kernel().solve(block, Ms[last])
+    ys, keep = cover.solve_columns(block, Ms[last])
     for i, sing in enumerate(sings):
         for y in sing:
             keep[i] &= ys[i] != y

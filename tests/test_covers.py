@@ -87,17 +87,28 @@ def test_image_density_against_slow_oracle():
             assert covers.image_density_mod_p(cov, p) == _density_oracle(cov, p)
 
 
+def test_image_budget_counts_every_pass():
+    # p Horner passes over the p cells of Z/p: 10007 cells, 10007^2 updates
+    sq = covers.square_coord_cover()
+    with pytest.raises(wps.BudgetExceededError) as exc:
+        covers.image_density_mod_p(sq, 10007, budget=10**7)
+    assert exc.value.volume == 10007**2
+    assert covers.image_density_mod_p(sq, 97, budget=97**2) == Fraction(49, 97)
+    with pytest.raises(wps.BudgetExceededError):
+        covers.omega_from_cover(sq, 97, budget=97**2 - 1)
+
+
 def test_omega_from_cover_examples():
     sq = covers.square_coord_cover()
     om = covers.omega_from_cover(sq, 3)
-    assert om.explicit_residues(1) == frozenset({(2,)})
+    assert om.explicit_residues() == frozenset({(2,)})
     assert om.density == Fraction(1, 3)
     om = covers.omega_from_cover(covers.two_torsion_cover(1), 2)
-    assert om.explicit_residues(2) == frozenset({(1, 1)})
+    assert om.explicit_residues() == frozenset({(1, 1)})
     assert om.density == Fraction(1, 4)
     # full image: empty exclusion set
     om = covers.omega_from_cover(sq, 2)
-    assert om.explicit_residues(1) == frozenset()
+    assert om.explicit_residues() == frozenset()
     assert om.density == 0
 
 
@@ -119,7 +130,7 @@ def test_members_survive_reduction_mod_p():
     # integer root reduces to a root mod p: member points never land in Omega_p
     rng = random.Random(31)
     cov = covers.two_torsion_cover(1)
-    omegas = {p: covers.omega_from_cover(cov, p).explicit_residues(2)
+    omegas = {p: covers.omega_from_cover(cov, p).explicit_residues()
               for p in (2, 3, 5, 7)}
     seen = 0
     while seen < 10_000:

@@ -89,9 +89,6 @@ def test_log_embed_examples():
 def test_domain_spec():
     spec = DomainSpec(QuadField.get(3), (1, 2))
     assert isinstance(spec.weights, WeightVector)
-    assert abs(spec.u1[0] + spec.u1[1]) <= 1e-12
-    with pytest.raises(ValueError):
-        DomainSpec(QuadField.get(3), (1,), u1=(1.0, 0.5))
 
 
 def test_in_domain_examples():

@@ -114,7 +114,7 @@ def _survivor_oracle(params, rs):
     for tup in _canonical_box(params.weights, params.bound):
         ok = True
         for p, om in rs.entries.items():
-            if tuple(c % mod[p] for c in tup) in om.explicit_residues(len(tup)):
+            if tuple(c % mod[p] for c in tup) in om.explicit_residues():
                 ok = False
                 break
         if ok:
@@ -160,7 +160,7 @@ def _isin_walk(params, rs):
             continue
         q = p**rs.m
         by_prefix = {}
-        for r in om.explicit_residues(width):
+        for r in om.explicit_residues():
             by_prefix.setdefault(r[:-1], []).append(r[-1])
         arr_map = {k: np.array(sorted(v), dtype=np.int64) for k, v in by_prefix.items()}
         y_mods.append((q, y % q, arr_map))
@@ -368,6 +368,20 @@ def test_omega_validation():
     assert not om.contains((1, 1))
 
 
+def test_omega_width_is_checked():
+    om = Omega(2, 1, residues=[(0, 0)])
+    assert om.width == 2
+    assert om.contains((0, 0))
+    with pytest.raises(ValueError):
+        om.contains((0, 0, 0))
+    with pytest.raises(ValueError):
+        om.contains((0,))
+    empty = Omega(2, 1, residues=[])
+    assert empty.width is None
+    assert not empty.contains((0, 0, 0))
+    assert Omega(2, 1, density=Fraction(1, 4)).width is None
+
+
 def test_residue_system_density_units():
     rs = ResidueSystem.from_omegas([OMEGA_00])
     assert rs.density(2) == Fraction(1, 4)
@@ -384,7 +398,7 @@ def test_file_round_trip(tmp_path):
     sieve.dump_residue_system(rs, path)
     rs2 = sieve.load_residue_system(path)
     assert rs2.m == 1
-    assert rs2.entries[2].explicit_residues(2) == om2.explicit_residues(2)
+    assert rs2.entries[2].explicit_residues() == om2.explicit_residues()
     assert rs2.density(3) == Fraction(2, 9)
 
 

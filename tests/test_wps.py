@@ -208,6 +208,21 @@ def test_count_integral_sieves_moebius(monkeypatch):
     assert wps.count_integral(W12, 300, budget=None) == 32853027
 
 
+def test_count_shares_the_quotient_block_sum(monkeypatch):
+    # B = 10^6: a mu table up to B (the walk over every d) is refused; the
+    # quotient blocks need one up to about B^(2/3).  With weights (1, 1) the
+    # weighted and the plain gcd agree, so both counts must match.
+    table = arith.moebius_table
+
+    def small_table(n):
+        assert n <= 10**4 + 1, f"mu table up to {n}"
+        return table(n)
+
+    monkeypatch.setattr(arith, "moebius_table", small_table)
+    got = wps.count(W11, 10**6, budget=None)
+    assert got == wps.count_integral(W11, 10**6, budget=None) == 1215854209568
+
+
 def test_count_integral_quotient_blocks_frozen():
     # max M_i = 9 * 10^6: a sum over every d took 15.9 s and 119 MB; the
     # quotient blocks need O(M^(2/3)) steps and a table of about M^(2/3)
