@@ -3,10 +3,9 @@ into a fundamental domain, and ideal-norm enumeration.
 
 Only class-number-1 fields with D ≡ 2, 3 (mod 4) are supported, so the ring
 of integers is Z[√D] and every construction here stays in exact integer
-pairs (a, b) ↦ a + b√D.  Logarithmic embeddings use 96-bit floating
-arithmetic; decompositions that land within 1e-9 of a unit-translate
-boundary are either resolved exactly in Z[√D] (when the point sits on the
-boundary precisely) or rejected with BoundaryAmbiguityError.
+pairs (a, b) ↦ a + b√D.  Domain membership (both walls and the height cap)
+is decided exactly in Z[√D]; floats serve only to guess the reducing unit
+exponent and for the values `log_embed` and `height_infty_k` return.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-from mpmath import mp
+from typing import Sequence
 
 from . import arith
 from .arith import INFINITE
@@ -24,19 +21,14 @@ from .wps import WeightVector
 
 VETTED_D = (2, 3, 6, 7, 11, 19)
 
-_PREC_BITS = 96
-_BOUNDARY_TOL = "1e-9"
-
 
 class BoundaryAmbiguityError(ValueError):
-    """The decomposition coordinate is too close to an integer to trust the
-    floating computation, and the point is not exactly on the boundary."""
+    """The side of a domain wall at decomposition coordinate s could not be
+    decided.  Kept for callers that catch it: the reduction decides every
+    wall exactly in Z[√D] and never raises it."""
 
     def __init__(self, s: float):
-        super().__init__(
-            f"decomposition coordinate s = {s!r} is within {_BOUNDARY_TOL} of an "
-            "integer and the point is not exactly on a domain boundary"
-        )
+        super().__init__(f"cannot decide the domain side at s = {s!r}")
         self.s = s
 
 
@@ -141,10 +133,8 @@ class QuadField:
         u, v = _pell_min_unit(D)
         self.epsilon = QuadInt(u, v, D)
         assert self.epsilon.norm() in (1, -1)
-        # √D and ε's log embedding at _PREC_BITS, for every decomposition
-        with mp.workprec(_PREC_BITS):
-            self._sqrt_D = mp.sqrt(D)
-            self._unit_logs = _log_pair(self.epsilon, self._sqrt_D)
+        # ε's log embedding, for every guess of the reducing exponent
+        self._unit_logs = _log_pair(self.epsilon)
 
     @classmethod
     def get(cls, D: int) -> "QuadField":
@@ -167,29 +157,33 @@ def fundamental_unit(D: int) -> QuadInt:
 # --- logarithmic embedding and the fundamental domain ----------------------
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
+def _log_pair(x: QuadInt) -> tuple[float, float]:
+    """(log|σ₁x|, log|σ₂x|) for nonzero x, without cancellation.
 
-
-def _log_pair(x: QuadInt, sqrtD):
-    return mp.log(abs(x.a + x.b * sqrtD)), mp.log(abs(x.a - x.b * sqrtD))
+    In one embedding a and b√D have the same sign, so |σx| = |a| + |b|√D;
+    its log is the log of the larger term plus log1p of the ratio (≤ 1) of
+    the two, which stays finite for integers past the float range.  The
+    other embedding's log is log|N(x)| minus it (N(x) ≠ 0, D no square)."""
+    a, b, D = abs(x.a), abs(x.b), x.D
+    if a * a >= D * b * b:
+        big = math.log(a) + math.log1p(b / a * math.sqrt(D))
+    else:
+        big = math.log(b) + 0.5 * math.log(D) + math.log1p(a / b / math.sqrt(D))
+    small = math.log(abs(x.norm())) - big
+    return (big, small) if x.a * x.b >= 0 else (small, big)
 
 
 def log_embed(x: QuadInt) -> tuple[float, float]:
     """(log|σ₁x|, log|σ₂x|) for the two real embeddings σ₁,₂: √D ↦ ±√D."""
     if x.is_zero():
         raise ValueError("log embedding of zero")
-    with mp.workprec(_PREC_BITS):
-        l1, l2 = _log_pair(x, mp.sqrt(x.D))
-        return float(l1), float(l2)
+    return _log_pair(x)
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Fundamental-domain data: the field (whose unit log-vector
-    u₁ = (log σ₁ε, log σ₂ε) the reduction uses) and the weights acted on."""
+    """Fundamental-domain data: the field (whose unit ε the reduction
+    applies) and the weights acted on."""
 
     field: QuadField
     weights: WeightVector
@@ -211,53 +205,35 @@ def _check_tuple(x, field: QuadField, weights: WeightVector) -> tuple:
     return x
 
 
-def _log_maxes(x, weights: WeightVector, sqrtD):
+def _log_maxes(x, weights: WeightVector) -> tuple[float, float]:
     """(log M₁, log M₂) with Mⱼ = max_i |σⱼxᵢ|^{1/aᵢ}; zero coords ignored."""
-    m1 = m2 = None
-    for xi, ai in zip(x, weights):
-        if xi.is_zero():
-            continue
-        l1, l2 = _log_pair(xi, sqrtD)
-        l1, l2 = l1 / ai, l2 / ai
-        m1 = l1 if m1 is None or l1 > m1 else m1
-        m2 = l2 if m2 is None or l2 > m2 else m2
-    return m1, m2
-
-
-def _decompose(x, spec: DomainSpec):
-    """s, log M₁, log M₂ with (log M₁, log M₂) = s·u₁ + t·(1,1); requires an
-    active mp.workprec context."""
-    u11, u12 = spec.field._unit_logs
-    m1, m2 = _log_maxes(x, spec.weights, spec.field._sqrt_D)
-    s = (m1 - m2) / (u11 - u12)
-    return s, m1, m2
+    pairs = [(_log_pair(xi), ai) for xi, ai in zip(x, weights) if not xi.is_zero()]
+    return (max(l1 / ai for (l1, _), ai in pairs),
+            max(l2 / ai for (_, l2), ai in pairs))
 
 
 def in_domain(x: Sequence[QuadInt], spec: DomainSpec, T) -> bool:
     """Membership in S_{F,a}(T): decomposition coordinate s ∈ [0,1) and, for
-    finite T, M₁M₂ ≤ T².
+    finite T, M₁M₂ ≤ T², both decided exactly in Z[√D].
 
-    The interval is half-open, so points whose orbit touches a boundary
-    exactly must not be double-counted; when s floats within 1e-9 of 0 or 1
-    the side is decided exactly in Z[√D]."""
+    The interval is half-open, so a point whose orbit touches a wall is
+    counted once (see `_wall_step`).  With L = lcm(a) and bestⱼ the
+    maximising elements xᵢ^{L/aᵢ} of `_maxima`, (M₁M₂)^L = |σ₁(best₁·best₂)|
+    is compared with T^{2L}."""
     x = _check_tuple(x, spec.field, spec.weights)
     finite = not (T == INFINITE or (isinstance(T, float) and math.isinf(T)))
     if finite and T <= 0:
         raise ValueError(f"height cap must be positive, got {T!r}")
-    with mp.workprec(_PREC_BITS):
-        s, m1, m2 = _decompose(x, spec)
-        tol = mp.mpf(_BOUNDARY_TOL)
-        if abs(s) < tol:
-            ok = _exact_side(x, spec) >= 0
-        elif abs(s - 1) < tol:
-            ok = _exact_side(_unit_translate(x, spec, -1), spec) < 0
-        else:
-            ok = 0 <= s < 1
-        if not ok:
-            return False
-        if not finite:
-            return True
-        return m1 + m2 <= 2 * mp.log(_to_mpf(T))
+    if _wall_step(x, spec):
+        return False
+    if not finite:
+        return True
+    t = Fraction(T) ** (2 * spec.weights.lcm)
+    best1, best2 = _maxima(x, spec)
+    z = best1 * best2
+    if _sign_quad(z.a, z.b, z.D) < 0:
+        z = -z
+    return _sign_quad(t.denominator * z.a - t.numerator, t.denominator * z.b, z.D) <= 0
 
 
 def _unit_translate(x, spec: DomainSpec, k: int):
@@ -283,8 +259,9 @@ def _cmp_abs_emb1(u: QuadInt, v: QuadInt) -> int:
     return _sign_quad(d.a, d.b, u.D)
 
 
-def _exact_side(y, spec: DomainSpec) -> int:
-    """Exact sign of log M₁(y) − log M₂(y), i.e. of the decomposition s."""
+def _maxima(y, spec: DomainSpec) -> tuple[QuadInt, QuadInt]:
+    """(best₁, best₂) among wᵢ = yᵢ^{L/aᵢ}, L = lcm(a): |σ₁best₁| = M₁(y)^L
+    and best₂ = the conjugate w̄ᵢ with |σ₁best₂| = M₂(y)^L."""
     L = spec.weights.lcm
     best1 = best2 = None
     for yi, ai in zip(y, spec.weights):
@@ -296,33 +273,41 @@ def _exact_side(y, spec: DomainSpec) -> int:
         wc = w.conj()
         if best2 is None or _cmp_abs_emb1(wc, best2) > 0:
             best2 = wc
-    return _cmp_abs_emb1(best1, best2)
+    return best1, best2
+
+
+def _exact_side(y, spec: DomainSpec) -> int:
+    """Exact sign of log M₁(y) − log M₂(y), i.e. of the decomposition s."""
+    return _cmp_abs_emb1(*_maxima(y, spec))
+
+
+def _wall_step(y, spec: DomainSpec) -> int:
+    """0 when s(y) ∈ [0, 1), else the unit exponent moving s towards it:
+    1 when s < 0, −1 when s − 1 = s(ε⁻¹y) ≥ 0."""
+    if _exact_side(y, spec) < 0:
+        return 1
+    return -1 if _exact_side(_unit_translate(y, spec, -1), spec) >= 0 else 0
 
 
 def reduce_to_domain(x: Sequence[QuadInt], spec: DomainSpec):
     """The unit translate of x lying in S_{F,a}(∞) and the exponent applied.
 
-    ε^k acts by xᵢ ↦ ε^{k aᵢ} xᵢ; k = −⌊s⌋.  When s is within 1e-9 of an
-    integer the side is decided exactly in Z[√D]: points exactly on the s = 0
-    boundary reduce cleanly (the half-open domain contains them), anything
-    else raises BoundaryAmbiguityError.
-    """
+    ε^k acts by xᵢ ↦ ε^{k aᵢ} xᵢ and moves the decomposition coordinate s
+    to s + k.  Float logs guess k = −⌊s⌋; the exact walls of `_wall_step`
+    then move k by ±1 until the translate lies in the domain."""
     x = _check_tuple(x, spec.field, spec.weights)
-    with mp.workprec(_PREC_BITS):
-        s, _, _ = _decompose(x, spec)
-        if abs(s - mp.nint(s)) < mp.mpf(_BOUNDARY_TOL):
-            m = int(mp.nint(s))
-            y = _unit_translate(x, spec, -m)
-            if _exact_side(y, spec) == 0:
-                return y, -m
-            raise BoundaryAmbiguityError(float(s))
-        k = -int(mp.floor(s))
+    u11, u12 = spec.field._unit_logs
+    m1, m2 = _log_maxes(x, spec.weights)
+    k = -math.floor((m1 - m2) / (u11 - u12))
     y = _unit_translate(x, spec, k)
+    while step := _wall_step(y, spec):
+        y, k = _unit_translate(y, spec, step), k + step
     return y, k
 
 
 def height_infty_k(x: Sequence[QuadInt], weights) -> float:
-    """M₁·M₂, the product over the two real places of max_i |σⱼxᵢ|^{1/aᵢ}."""
+    """M₁·M₂, the product over the two real places of max_i |σⱼxᵢ|^{1/aᵢ};
+    inf past the float range."""
     if not isinstance(weights, WeightVector):
         weights = WeightVector(tuple(weights))
     x = tuple(x)
@@ -330,9 +315,11 @@ def height_infty_k(x: Sequence[QuadInt], weights) -> float:
         raise ValueError("empty tuple")
     field = QuadField.get(x[0].D)
     x = _check_tuple(x, field, weights)
-    with mp.workprec(_PREC_BITS):
-        m1, m2 = _log_maxes(x, weights, mp.sqrt(field.D))
-        return float(mp.exp(m1 + m2))
+    m1, m2 = _log_maxes(x, weights)
+    try:
+        return math.exp(m1 + m2)
+    except OverflowError:
+        return math.inf
 
 
 # --- prime ideals and sieve mass over k ------------------------------------

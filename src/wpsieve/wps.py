@@ -164,12 +164,11 @@ def normalize(coords, weights: WeightVector) -> WpsPoint:
         raise ValueError("coordinate/weight length mismatch")
     if all(x == 0 for x in xs):
         raise ValueError("cannot normalize the all-zero tuple")
-    support: set[int] = set()
-    for x in xs:
-        if x == 0:
-            continue
-        support.update(p for p, _ in arith.factorize(abs(x.numerator)).factors)
-        support.update(p for p, _ in arith.factorize(x.denominator).factors)
+    # A prime dividing neither the gcd of the nonzero numerators nor the lcm
+    # of the denominators has minimum valuation 0, so it never scales.
+    num = math.gcd(*(x.numerator for x in xs if x))
+    den = math.lcm(*(x.denominator for x in xs))
+    support = {p for n in (num, den) for p, _ in arith.factorize(n).factors}
     ws = tuple(weights)
     for p in sorted(support):
         vmin = None

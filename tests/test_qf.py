@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wpsieve import qf
+from wpsieve import cli, qf
 from wpsieve.arith import INFINITE, primes_up_to
 from wpsieve.qf import (
     VETTED_D,
@@ -103,6 +107,8 @@ def test_in_domain_examples():
     assert not in_domain((eps.inverse(),), spec, INFINITE)
     two = (F.element(2),)
     assert in_domain(two, spec, 2)  # M1*M2 = 4 = T^2
+    # T² = 4 − 4·10⁻⁴⁰ + 10⁻⁸⁰ lies just below M1*M2 = 4
+    assert not in_domain(two, spec, Fraction(2) - Fraction(1, 10**40))
     assert not in_domain(two, spec, Fraction(19, 10))
     assert in_domain(two, spec, float("inf"))
     with pytest.raises(ValueError):
@@ -173,6 +179,81 @@ def test_reduction_unique_translate():
                 h1 = height_infty_k(y, weights)
                 assert abs(h0 - h1) <= 1e-9 * max(1.0, h0)
                 done += 1
+
+
+def _s_oracle(y, weights, D):
+    """The decomposition coordinate s of y, from 120-digit decimal logs."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        r = Decimal(D).sqrt()
+
+        def logs(v):
+            return abs(v.a + v.b * r).ln(), abs(v.a - v.b * r).ln()
+
+        pairs = [(logs(v), a) for v, a in zip(y, weights) if not v.is_zero()]
+        m1 = max(l1 / a for (l1, _), a in pairs)
+        m2 = max(l2 / a for (_, l2), a in pairs)
+        e1, e2 = logs(fundamental_unit(D))
+        return (m1 - m2) / (e1 - e2)
+
+
+# Large coordinates on which fixed-precision logs cancel: the D = 19 tuple
+# once reduced with k = 6 to a point outside the domain; in the D = 7 tuple
+# one σ₂ cancelled to 0 and the reduction crashed on log 0 = −inf.
+LARGE_D19 = (19, (1,), ((1947448710086743427205, -446775374999829125002),))
+LARGE_D7 = (7, (2, 3), (
+    (10620044093846930, -4013999369265611),
+    (80984046172328467560643, -30609092333679054619239),
+))
+
+
+@pytest.mark.parametrize("D, weights, pairs, k", [LARGE_D19 + (7,), LARGE_D7 + (7,)])
+def test_qf_reduce_large_coordinates(D, weights, pairs, k, capsys):
+    coords = ",".join(f"{a}:{b}" for a, b in pairs)
+    argv = ["qf-reduce", "--D", str(D), "--weights", ",".join(map(str, weights)),
+            "--coords", coords]
+    assert cli.main(argv) == 0
+    row = [int(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+    assert row[0] == k
+    F = QuadField.get(D)
+    spec = DomainSpec(F, weights)
+    y = tuple(F.element(a, b) for a, b in zip(row[1::2], row[2::2]))
+    assert y == qf._unit_translate(tuple(F.element(a, b) for a, b in pairs), spec, k)
+    assert 0 <= _s_oracle(y, weights, D) < 1
+    assert in_domain(y, spec, INFINITE)
+
+
+def test_large_coordinate_logs_and_height():
+    D, weights, pairs = LARGE_D7
+    F = QuadField.get(D)
+    x = tuple(F.element(a, b) for a, b in pairs)
+    l1, l2 = log_embed(x[0])
+    assert math.isfinite(l1) and math.isfinite(l2)
+    assert l1 + l2 == pytest.approx(math.log(abs(x[0].norm())), abs=1e-9)
+    y, _ = reduce_to_domain(x, DomainSpec(F, weights))
+    h = height_infty_k(x, weights)
+    assert h == pytest.approx(height_infty_k(y, weights), rel=1e-9)
+    assert h == pytest.approx(40.657, rel=1e-4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    D=st.sampled_from(VETTED_D),
+    weights=st.sampled_from([(1,), (1, 2), (2, 3)]),
+    pairs=st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)),
+                   min_size=2, max_size=2),
+    j=st.integers(-40, 40),
+)
+def test_reduction_exact_under_unit_translates(D, weights, pairs, j):
+    F = QuadField.get(D)
+    spec = DomainSpec(F, weights)
+    x = tuple(F.element(a, b) for a, b in pairs[: len(weights)])
+    assume(not all(xi.is_zero() for xi in x))
+    y, k = reduce_to_domain(x, spec)
+    assert reduce_to_domain(qf._unit_translate(x, spec, j), spec) == (y, k - j)
+    assert in_domain(y, spec, INFINITE)
+    assert not in_domain(qf._unit_translate(y, spec, 1), spec, INFINITE)
+    assert not in_domain(qf._unit_translate(y, spec, -1), spec, INFINITE)
 
 
 def test_height_examples():
