@@ -1,12 +1,12 @@
 """Exact integer arithmetic shared by the other modules.
 
-Everything here is deterministic and exact: a growable prime table, trial
-division factorization, p-adic valuations, integer k-th roots and the
-Moebius function (also as one sieved table for a whole range, and summed as
-the Mertens function).  Inputs are desk-scale (well under 64 bits), so
-nothing fancier than a sieve plus trial division is warranted, except that
-a primality test past the table uses deterministic Miller-Rabin rather than
-growing the table to sqrt(n).
+Everything here is deterministic and exact: a growable prime table,
+factorization, p-adic valuations, integer k-th roots and the Moebius
+function (also as one sieved table for a whole range, and summed as the
+Mertens function).  Past the table, primality is deterministic Miller-Rabin,
+and factorization trial-divides by the primes up to _TRIAL_TO only, then
+splits what is left by Pollard's rho, so a number's cost follows the size of
+its second-largest prime factor, not its square root.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def is_prime(n: int) -> bool:
         return i > 0 and _primes[i - 1] == n
     if n >= _MR_LIMIT:
         raise ValueError(f"primality of {n} is out of range (n >= {_MR_LIMIT})")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base of _MR_BASES, for n > 1.  False proves n
+    composite; True proves n prime below _MR_LIMIT."""
     if any(n % p == 0 for p in _MR_BASES):
         return n in _MR_BASES
     d, s = n - 1, 0
@@ -88,21 +94,20 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
 
 
+_TRIAL_TO = 1000  # trial division by the primes up to here, then rho
+
+
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division against the prime table."""
+    """Factor n >= 1: trial division by the primes up to _TRIAL_TO, then
+    Pollard's rho on composite cofactors, each prime factor certified by
+    Miller-Rabin (ValueError for one past its range, 3.3e24)."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"factorize needs an integer >= 1, got {n!r}")
+    _grow_primes(_TRIAL_TO)
     rem = n
     out: list[tuple[int, int]] = []
-    i = 0
-    while rem > 1:
-        if i >= len(_primes):
-            if _limit >= math.isqrt(rem):
-                break  # no prime <= sqrt(rem) divides it: rem is prime
-            _grow_primes(2 * _limit)
-            continue
-        p = _primes[i]
-        if p * p > rem:
+    for p in _primes:
+        if p * p > rem or p > _TRIAL_TO:
             break
         if rem % p == 0:
             e = 0
@@ -110,10 +115,37 @@ def factorize(n: int) -> Factorization:
                 rem //= p
                 e += 1
             out.append((p, e))
-        i += 1
-    if rem > 1:
-        out.append((rem, 1))
-    return Factorization(n, tuple(out))
+    # rem is 1, a prime, or free of prime factors up to _TRIAL_TO
+    if rem < _TRIAL_TO**2:
+        return Factorization(n, (*out, (rem, 1)) if rem > 1 else tuple(out))
+    big, pieces = [], [rem]
+    while pieces:
+        m = pieces.pop()
+        if _strong_probable_prime(m):
+            if m >= _MR_LIMIT:
+                raise ValueError(f"primality of the factor {m} is out of range (>= {_MR_LIMIT})")
+            big.append(m)
+        else:
+            d = _rho(m)
+            pieces += [d, m // d]
+    return Factorization(n, (*out, *((p, big.count(p)) for p in sorted(set(big)))))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n free of primes up to _TRIAL_TO: Pollard's
+    rho on x -> x^2 + c, Floyd's cycle search, the next c when it yields n."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+        c += 1
 
 
 def valuation(n: int, p: int):

@@ -140,7 +140,7 @@ class Cover:
         value y makes (prefix, y) a member exactly when y = -s * f(t) for an
         integer t, where f(t) = t^deg + sum_j c_j(prefix) t^j.  Every such t
         with |y| <= bound lies in |t| <= T, T the Fujiwara-style bound of
-        _column_tmax.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
+        root_bound.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
         |t| <= T, sorted; keep[i] marks its distinct values with |y| <= bound,
         which are the members of the column over prefixes[i].  T is the
         largest row bound in the block: a wider window than a row needs is
@@ -159,7 +159,7 @@ class Cover:
             if form:
                 c[:, j] = form.evaluate(cols)
         cmax = np.abs(c).max(axis=0).tolist()
-        tmax = _column_tmax(deg, bound, cmax)
+        tmax = root_bound(deg, bound, cmax)
         reach = tmax**deg + sum(m * tmax**j for j, m in enumerate(cmax, start=1))
         dtype = np.int64 if reach < 2**63 else object
         c = c.astype(dtype)
@@ -191,11 +191,11 @@ class Cover:
             if form else 0
             for form in self.coeffs[1:]
         ]
-        return 2 * _column_tmax(self.degree, bound, cmax) + 1
+        return 2 * root_bound(self.degree, bound, cmax) + 1
 
 
-def _column_tmax(degree: int, bound: int, cmax: Sequence[int]) -> int:
-    """Any integer root t of t^deg + sum_{0<j<deg} c_j t^j + c_0 with
+def root_bound(degree: int, bound: int, cmax: Sequence[int]) -> int:
+    """Every complex root t of t^deg + sum_{0<j<deg} c_j t^j + c_0 with
     |c_j| <= cmax[j-1] and |c_0| <= bound obeys |t| <= the returned T
     (Fujiwara: |t| <= 2 max |c_j|^{1/(deg-j)})."""
     tmax = arith.iroot(bound, degree) + 1

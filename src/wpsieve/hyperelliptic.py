@@ -10,28 +10,21 @@ right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
 The census totals are wps.count at each cutoff (the Moebius closed form),
-less the singular tuples with --smooth-only.  Thin members and singular
-tuples are found in one loop over blocks of _BLOCK_ROWS prefixes (all
-coordinates but the last); with neither a thin tester nor --smooth-only no
-prefix is visited.  A block's candidate values y of the last coordinate come
-from one of three sources.  A cover whose constant term is +-y, such as
-two-torsion, is solved a block at a time by Cover.solve_columns:
-one rows x (2T+1) matrix of y = -s * f(t), T the Fujiwara root bound, int64
-when its exact value bound stays below 2^63 and Python ints otherwise, so
-any height is exact.  Other covers are evaluated once per prefix over the
-whole window (object arrays) and tested at every y.  With --smooth-only the singular
-values are the integer roots of Res_t(f, f') as a polynomial in y, which is
-(2g+1)^{2g+1} times a characteristic polynomial: it is built mod a few
-primes for the whole block (Faddeev-LeVerrier on int64 matrices), filtered
-by a rows x p matrix of its values mod each prime and CRT, and each
-candidate is checked with one exact resultant; they are counted and also
-masked out of the thin members.  One counter, _count_block, drops the
-candidates that are not points (the zero tuple, weighted gcd > 1) and
-counts the rest at every cutoff from the row's smallest one.  The budget
-counts this work: prefixes times 2T+1 with a thin cover, prefixes alone
-without one, the box for testers solve_columns cannot take, and with
---smooth-only prefixes times the sum of the filter primes.  Every route is
-checked against brute-force oracles in the tests.
+less the singular tuples with --smooth-only.  Thin members are found in one
+loop over blocks of _BLOCK_ROWS prefixes (all coordinates but the last).  A
+cover whose constant term is +-y (the last coordinate), such as two-torsion,
+is solved a block at a time by Cover.solve_columns, exactly at any height;
+other covers are tested at every y of the window.  One counter, _count_block,
+drops the candidates that are not points (the zero tuple, weighted gcd > 1)
+and counts the rest at every cutoff from the row's smallest one.
+
+With --smooth-only the singular tuples are listed, not searched for, as
+f = q^2 h (_singular_tuples), at a cost near their number, not the number
+of prefixes; they come off the totals, and off the thin counts when the
+tester accepts them.  The budget counts the work: prefixes times 2T+1 with
+a thin cover, prefixes alone without one, the box for testers solve_columns
+cannot take, and with --smooth-only the bound _singular_work.  Every route
+is checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import arith, covers
+from . import covers
 from .wps import (
     DEFAULT_BUDGET,
     WeightVector,
@@ -58,6 +51,7 @@ from .wps import (
     clip_ranges,
     count,
     map_chunks,
+    wgcd_one_in_box,
 )
 
 
@@ -190,90 +184,76 @@ def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
     return covers.root_cover_member(covers.two_torsion_cover(h.genus), h.point)
 
 
-# --- singular values along a column ---------------------------------------
+# --- the singular locus ------------------------------------------------------
 
 
-def _filter_primes(bound: int, above: int = 0) -> list[int]:
-    """Primes over max(100, above), ascending, until their product passes
-    2 * bound, so that CRT tells apart every |y| <= bound.  Primes up to
-    10^4 + 2 (bit length of bound + above) suffice, as theta(x) > 0.89 x there."""
-    out = []
-    for p in arith.primes_up_to(10_000 + 2 * (bound.bit_length() + above))[25:]:
-        if p > above:
-            out.append(p)
-            if math.prod(out) > 2 * bound:
-                return out
-    raise AssertionError("prime pool exhausted while filtering roots")
-
-
-def _integer_roots_block(rows_mod, bound: int, is_root, above: int = 0) -> list[list[int]]:
-    """Per row of a block of integer polynomials in y, the sorted integer
-    roots y with |y| <= bound.
-
-    rows_mod(p) gives the rows' ascending coefficients mod p, int64 with no
-    row zero, for each of the _filter_primes(bound, above); is_root(i, y)
-    decides exactly whether y is a root of row i.  The window is filtered by
-    the roots mod each prime (one rows x p matrix of values: the rows times
-    the powers of 0..p-1), and the CRT candidates in it go to is_root.
-    Every integer root is a root mod every prime, so the filter is complete."""
-    primes = _filter_primes(bound, above)
-    hits = []
-    for p in primes:
-        Rp = rows_mod(p)
-        if not Rp.any(axis=1).all():
-            raise AssertionError("a row of the root finder vanishes mod p")
-        V = np.ones((Rp.shape[1], p), dtype=np.int64)  # V[j, r] = r^j mod p
-        for j in range(1, len(V)):
-            V[j] = V[j - 1] * np.arange(p) % p
-        hits.append(Rp @ V % p == 0)
-    mod = math.prod(primes)
-    crt = [mod // p * pow(mod // p, -1, p) for p in primes]  # 1 mod p, 0 mod the rest
-    alive = np.logical_and.reduce([h.any(axis=1) for h in hits])
-    out: list[list[int]] = [[] for _ in alive]
-    for i in np.flatnonzero(alive).tolist():
-        combos = itertools.product(*(np.flatnonzero(h[i]).tolist() for h in hits))
-        ys = [(sum(r * e for r, e in zip(combo, crt)) + bound) % mod - bound for combo in combos]
-        out[i] = sorted(y for y in ys if y <= bound and is_root(i, y))
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two polynomials, both given by coefficients in the same order."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _res_poly_mod(g: int, X: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients in y of Res_t(f_0 + y, f') mod a prime p > 2g+1,
-    per prefix row (x_0, ..., x_{2g-2}) of X: int64, shape (rows, 2g+1).
+def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None) -> set[tuple[int, ...]]:
+    """Every tuple of the box |x_i| <= Ms[i] (x_0 cut down to x0_range as by
+    wps.clip_ranges) whose curve polynomial f has a repeated root.
 
-    With n = 2g+1 and c_j the coefficient of t^j in f_0, n f_0 - t f' is
-    sum_j (n-j) c_j t^j, so r = f_0 mod f' has coefficients (n-j) c_j / n, and
-    Res_t(f_0 + y, f') = n^n prod_{f'(tau)=0} (y + r(tau)) = n^n det(yI + M_r),
-    M_r the multiplication by r on F_p[t]/(f'/n).  Faddeev-LeVerrier gives
-    det(yI - A) for A = -M_r, dividing only by k <= 2g < p."""
-    n, d = 2 * g + 1, 2 * g
-    c = (X[:, ::-1] % p).astype(np.int64) * pow(n, -1, p) % p  # c_j / n, j = 1..2g-1
-    j, zero = np.arange(1, d), np.zeros((len(X), 1), dtype=np.int64)
-    h = np.concatenate([c * j % p, zero], axis=1)  # f'/n - t^{2g}, ascending
-    v = np.concatenate([zero, c * (n - j) % p], axis=1)  # t^k r mod f'/n, from k = 0
-    A = np.empty((len(X), d, d), dtype=np.int64)
-    for k in range(d):
-        A[:, :, k] = -v % p
-        v = (np.concatenate([zero, v[:, :-1]], axis=1) - v[:, -1:] * h) % p
-    coef = np.zeros((len(X), d + 1), dtype=np.int64)
-    coef[:, d] = 1
-    M, diag = np.zeros_like(A), np.arange(d)
-    for k in range(1, d + 1):  # M_k = A M_{k-1} + c_{d-k+1} I, then M = A M_k
-        M[:, diag, diag] += coef[:, d - k + 1, None]
-        M = A @ M % p
-        coef[:, d - k] = -M[:, diag, diag].sum(axis=1) * pow(k, -1, p) % p
-    return coef * pow(n, n, p) % p
+    Then f = q^2 h, q and h monic in Z[t], k = deg q in 1..g (Gauss's lemma).
+    With coefficients from the top, c_s of t^{n-s} (n = 2g+1), c_1 = 0 gives
+    h_1 = -2 q_1 and c_s = x_{s-2} must lie in its window.  For k < g, q comes
+    from the root box |q_j| <= C(k, j) R^j (R = covers.root_bound), each h_s
+    enters c_s with slope 1 and h's constant term enters c_s, s >= deg h,
+    with slope P_{s - deg h} (P = q^2): one interval.  For k = g only q_1
+    comes from the box, and q_s enters c_s with slope 2.  An f with several
+    repeated factors is found once per q, and kept once."""
+    n = 2 * g + 1
+    x0 = clip_ranges(Ms[:1], x0_range)[0]
+    lo, hi = [0, 0, x0.start, *(-m for m in Ms[1:])], [0, 0, x0.stop - 1, *Ms[1:]]  # c_s's window
+    found: set[tuple[int, ...]] = set()
+
+    def walk(k, q, h, cs):
+        m, s = n - 2 * k, len(cs) + 2
+        P = _mul(q, q)
+        c = _mul(P, h + [0] * n)  # c_j over the known coefficients
+        a = 2 if len(q) == s <= k else 1 if len(h) == s < m else 0  # q_s or h_s enters c_s
+        if a:
+            for v in range(-((c[s] - lo[s]) // a), (hi[s] - c[s]) // a + 1):
+                walk(k, [*q, v] if a == 2 else q, h if a == 2 else [*h, v], [*cs, c[s] + a * v])
+        elif len(h) == s == m:  # h_m = v: c_j = P_{j-m} v + c[j] for j = m..n
+            vlo, vhi = lo[m] - c[m], hi[m] - c[m]  # P_0 = 1
+            for p, K, l, u in zip(P[1:], c[m + 1:], lo[m + 1:], hi[m + 1:]):
+                if p:
+                    e1, e2 = (l - K, u - K) if p > 0 else (u - K, l - K)
+                    vlo, vhi = max(vlo, -(-e1 // p)), min(vhi, e2 // p)
+                elif not l <= K <= u:
+                    return
+            for v in range(vlo, vhi + 1):
+                found.add((*cs, *(p * v + K for p, K in zip(P, c[m:n + 1]))))
+        elif s > n:
+            found.add(tuple(cs))
+        elif lo[s] <= c[s] <= hi[s]:
+            walk(k, q, h, [*cs, c[s]])
+
+    R = covers.root_bound(n, Ms[-1], [*reversed(Ms[:-1]), 0])  # x_i of t^{2g-1-i}
+    for k in range(1, g + 1):
+        caps = [math.comb(k, j) * R**j for j in range(1, (k if k < g else 1) + 1)]
+        for head in itertools.product(*(range(-c, c + 1) for c in caps)):
+            walk(k, [1, *head], [1, -2 * head[0]], [])
+    return found
 
 
-def _singular_block(g: int, prefixes: Sequence[Sequence[int]], bound: int) -> list[list[int]]:
-    """Per prefix of a nonempty block, the y with |y| <= bound where the
-    column's curve polynomial has a repeated root: the integer roots of
-    Res_t(f_y, f'), of degree 2g in y with leading coefficient (2g+1)^{2g+1}
-    (no row vanishes mod a filter prime), each checked by one _disc_poly."""
-    X = np.array(prefixes, dtype=object).reshape(len(prefixes), 2 * g - 1)
-    return _integer_roots_block(
-        lambda p: _res_poly_mod(g, X, p), bound,
-        lambda i, y: _disc_poly(_poly_from_coords(g, (*prefixes[i], y))) == 0, above=2 * g + 1)
+def _singular_work(g: int, Ms: Sequence[int]) -> int:
+    """A bound, known before the run, on the leaves of _singular_tuples'
+    search, mirroring it: per k, the q from its root box times the window
+    widths after it (2M+1 at slope 1, M+1 at slope 2)."""
+    R, work = covers.root_bound(2 * g + 1, Ms[-1], [*reversed(Ms[:-1]), 0]), 0
+    for k in range(1, g + 1):
+        qs = math.prod(2 * math.comb(k, j) * R**j + 1 for j in range(1, (k if k < g else 1) + 1))
+        windows = [2 * m + 1 for m in Ms[: 2 * (g - k)]] if k < g else [m + 1 for m in Ms[: g - 1]]
+        work += qs * math.prod(windows)
+    return work
 
 
 # --- census ----------------------------------------------------------------
@@ -359,9 +339,10 @@ def census(
     """Point totals and thin counts for every height cutoff in the grid.
 
     The totals come from wps.count.  One pass over coordinate prefixes
-    finds the thin (and, with smooth_only, the singular) tuples of the whole
-    grid: each prefix is bucketed by the smallest cutoff whose box contains
-    it and its last coordinate is counted per cutoff.
+    finds the thin tuples of the whole grid, each prefix bucketed by the
+    smallest cutoff whose box holds it.  With smooth_only the singular tuples,
+    listed as f = q^2 h, come off the totals and, when thin, off the thin
+    counts; no prefix is visited for them.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -371,9 +352,7 @@ def census(
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("census heights must increase strictly")
     cover = _tester_cover(thin, g)  # validate the name before any work
-    if budget is not None:
-        work = _census_work(wv, bounds[-1], cover, smooth_only)
-        check_budget(work, budget, "census needs {} steps")
+    check_budget(_census_work(wv, bounds[-1], cover, smooth_only), budget, "census needs {} steps")
     sings, thins = [0] * len(bounds), [0] * len(bounds)
     if cover is not None or smooth_only:
         m0 = box_cutoffs(wv, bounds[-1])[0]
@@ -397,11 +376,10 @@ def census(
 def _census_work(wv, bound, cover, smooth_only) -> int:
     """Steps the census takes up to its top height: the box for the pointwise
     path; for the column path the prefixes, times the row width 2T+1 of the
-    solved columns with a thin cover; with smooth_only plus prefixes x sum p,
-    the singular finder's value cells."""
+    solved columns with a thin cover; with smooth_only plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
     prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
-    work = prefixes * sum(_filter_primes(Ms[-1], len(wv) + 1)) if smooth_only else 0  # 2g+1
+    work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
     if cover is None:
         return work + prefixes
     if cover.column_solver() is None:
@@ -410,44 +388,42 @@ def _census_work(wv, bound, cover, smooth_only) -> int:
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
-    """(singular, thin) counts per cutoff over the prefixes of one x0 range.
-
-    One loop over blocks of _BLOCK_ROWS prefixes.  The candidate last
-    coordinates of a block come from the singular finder (with smooth_only),
-    from the columns of a solvable cover or from the pointwise tester,
-    and every kind is counted by _count_block."""
+    """(singular, thin) counts per cutoff over one x0 range: each singular
+    point from the first cutoff whose box holds it, less the thin tester's
+    hits among them; then the thin members, from one loop over blocks of
+    _BLOCK_ROWS prefixes (solved columns or the pointwise tester)."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in bounds]
-    prefix_cut = np.array([c[:-1] for c in cutoffs], dtype=object)
-    m = cutoffs[-1][-1]
     cover = _tester_cover(thin, g)
-    solvable = cover is not None and cover.column_solver() is not None
     plist = box_primes(wv, bounds[-1])
     sings, thins = [0] * len(bounds), [0] * len(bounds)
+    if smooth_only:
+        for x in _singular_tuples(g, cutoffs[-1], x0_range):
+            if not any(x) or not wgcd_one_in_box(x, plist):
+                continue
+            j0 = next(j for j, c in enumerate(cutoffs) if all(abs(v) <= m for v, m in zip(x, c)))
+            member = cover is not None and covers.has_integer_root(cover.poly_at(x))
+            for j in range(j0, len(bounds)):
+                sings[j] += 1
+                thins[j] -= member
+    if cover is None:
+        return sings, thins
+    prefix_cut = np.array([c[:-1] for c in cutoffs], dtype=object)
+    m = cutoffs[-1][-1]
+    solvable = cover.column_solver() is not None
     prefixes = itertools.product(*clip_ranges(cutoffs[-1][:-1], x0_range))
     while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
         X = np.array(block, dtype=object)
         # first cutoff whose box holds the prefix; the boxes are nested
         j0 = len(bounds) - (abs(X)[:, None, :] <= prefix_cut).all(axis=2).sum(axis=1)
-        if smooth_only:
-            sing_ys, sing_keep = _padded(_singular_block(g, block, m))
-            _count_block(X, sing_ys, sing_keep, j0, cutoffs, plist, sings)
         if solvable:
             ys, keep = cover.solve_columns(block, m)
-        elif cover is not None:  # per prefix, the cover's coefficients over the whole window
-            window, found = np.array(range(-m, m + 1), dtype=object), []
-            for x in block:
-                C = [np.broadcast_to(c, window.shape).tolist()
-                     for c in cover.poly_at([*x, window])]
-                found.append([k - m for k, c in enumerate(zip(*C)) if covers.has_integer_root(c)])
-            ys, keep = _padded(found)
-        else:
-            continue
-        if smooth_only:  # disc = +-Res(f, f'): the singular members are not thin
-            sing_ys = sing_ys.astype(ys.dtype)  # |y| <= m fits any dtype ys has
-            for k in range(sing_ys.shape[1]):
-                keep &= ~(sing_keep[:, k, None] & (ys == sing_ys[:, k, None]))
+        else:  # per prefix, the cover's coefficients over the whole window
+            ys = np.tile(np.array(range(-m, m + 1), dtype=object), (len(block), 1))
+            keep = np.array([[covers.has_integer_root(c) for c in zip(*(
+                np.broadcast_to(c, ys.shape[1:]).tolist() for c in cover.poly_at([*x, ys[0]])))]
+                for x in block])
         _count_block(X, ys, keep, j0, cutoffs, plist, thins)
     return sings, thins
 
@@ -455,16 +431,6 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
 # Prefixes per block.  Fixed, so that the blocks (and solve_columns'
 # dtype choices) do not depend on the worker count.
 _BLOCK_ROWS = 128
-
-
-def _padded(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(ys, keep) for ragged per-row lists of values: an object array padded
-    with zeros, and the mask of the entries that are values."""
-    lengths = np.array([len(r) for r in rows])
-    ys = np.zeros((len(rows), lengths.max()), dtype=object)
-    for i, r in enumerate(rows):
-        ys[i, : len(r)] = r
-    return ys, np.arange(ys.shape[1]) < lengths[:, None]
 
 
 def _count_block(X, ys, keep, j0, cutoffs, plist, counts) -> None:

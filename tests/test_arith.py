@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,42 @@ def test_factorize_large_spot_checks():
     # a prime square beyond the initial table
     p = 104729
     assert arith.factorize(p * p).factors == ((p, 2),)
+
+
+def test_factorize_semiprime_near_1e30_is_quick():
+    # trial division alone would need the primes up to 10^9 (and, for the
+    # cofactor, up to 3 * 10^10); rho finds 10^9 + 7 in about 10^5 steps
+    p, q = 10**9 + 7, 10**21 + 117
+    t0 = time.perf_counter()
+    assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
+    assert arith.factorize(100000007 * 100000037).factors == ((100000007, 1), (100000037, 1))
+    assert time.perf_counter() - t0 < 5
+    # a cofactor that passes Miller-Rabin past 3.3e24 cannot be certified prime
+    with pytest.raises(ValueError):
+        arith.factorize(3 * (2**127 - 1))
+
+
+def _trial_division(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out + [(n, 1)] if n > 1 else out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(
+    st.integers(1, 10**6),
+    # products of factors past the trial-division primes, squares included
+    st.lists(st.integers(2, 3000), min_size=1, max_size=3).map(math.prod),
+    st.integers(1001, 3000).map(lambda k: k * k),
+))
+def test_factorize_matches_trial_division(n):
+    assert arith.factorize(n).factors == _trial_division(n)
 
 
 def test_factorize_rejects_nonpositive():

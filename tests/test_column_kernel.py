@@ -126,6 +126,7 @@ def test_count_block_matches_member_loop(data, g, smooth):
     Ms = cutoffs[-1]
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
     cover = covers.two_torsion_cover(g)
+    singular = hyp._singular_tuples(g, Ms) if smooth else set()
     j0s, sings = [], []
     want_sing, want_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     for prefix in block:
@@ -133,7 +134,7 @@ def test_count_block_matches_member_loop(data, g, smooth):
                   if all(abs(x) <= cm for x, cm in zip(prefix, c)))
         P = [pas[last] for _, pas in plist
              if all(x % q == 0 for x, q in zip(prefix, pas))]
-        sing = hyp._singular_block(g, [prefix], Ms[last])[0] if smooth else []
+        sing = sorted(x[last] for x in singular if x[:last] == prefix)
         members = [y for y in cover.column_members(prefix, Ms[last]) if y not in sing]
         j0s.append(j0)
         sings.append(sing)
@@ -146,7 +147,11 @@ def test_count_block_matches_member_loop(data, g, smooth):
                         want[j] += 1
     X, j0 = np.array(block, dtype=object), np.array(j0s)
     got_sing, got_thin = [0] * len(cutoffs), [0] * len(cutoffs)
-    hyp._count_block(X, *hyp._padded(sings), j0, cutoffs, plist, got_sing)
+    S = np.zeros((len(sings), max(1, *map(len, sings))), dtype=object)
+    for i, sing in enumerate(sings):
+        S[i, : len(sing)] = sing
+    in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
+    hyp._count_block(X, S, in_row, j0, cutoffs, plist, got_sing)
     ys, keep = cover.solve_columns(block, Ms[last])
     for i, sing in enumerate(sings):
         for y in sing:

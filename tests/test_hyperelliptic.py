@@ -3,7 +3,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from wpsieve import covers, hyperelliptic as hyp, wps
@@ -136,56 +135,36 @@ def test_two_torsion_examples():
     assert not has_rational_two_torsion(_curve(2, (0, 0, 1, 1)))
 
 
+def _column(g, prefix, S):
+    return sorted(x[-1] for x in S if x[:-1] == prefix)
+
+
 def test_singular_column_finder_matches_scan():
     for g, prefixes, bound in (
         (1, [(a,) for a in range(-6, 7)], 40),
         (2, [(0, 0, 0), (1, -2, 3), (-4, 0, 2)], 30),
     ):
+        box = (*(max(abs(p[i]) for p in prefixes) for i in range(2 * g - 1)), bound)
+        S = hyp._singular_tuples(g, box)
         for prefix in prefixes:
-            got = hyp._singular_block(g, [prefix], bound)[0]
             want = [
                 y
                 for y in range(-bound, bound + 1)
                 if hyp._disc_poly(hyp._poly_from_coords(g, prefix + (y,))) == 0
             ]
-            assert got == want, (g, prefix)
+            assert _column(g, prefix, S) == want, (g, prefix)
 
 
 def test_singular_column_finder_large_window():
-    # a window of 1001 values needs two filter primes (101 * 103 > 1001)
-    for prefix in ((0,), (3,), (-6,)):
-        got = hyp._singular_block(1, [prefix], 500)[0]
+    # the cusp family (-3m^2, +-2m^3) at m = 2: y = +-16 at a = -12
+    S = hyp._singular_tuples(1, (12, 500))
+    for prefix in ((0,), (3,), (-6,), (-12,)):
         want = [
             y
             for y in range(-500, 501)
             if hyp._disc_poly(hyp._poly_from_coords(1, prefix + (y,))) == 0
         ]
-        assert got == want, prefix
-
-
-def _integer_roots(R, bound):
-    # the root filter on an object array of exact integer rows
-    return hyp._integer_roots_block(
-        lambda p: (R % p).astype(np.int64),
-        bound,
-        lambda i, y: covers.poly_eval(R[i].tolist(), y) == 0,
-    )
-
-
-def test_integer_roots_within():
-    # (y-100)(y+3)*7, with content 7
-    R = [-2100, -679, 7]
-    for bound, want in ((500, [-3, 100]), (50, [-3])):
-        assert _integer_roots(np.array([R], dtype=object), bound) == [want]
-    with pytest.raises(AssertionError):  # the zero polynomial has every root
-        _integer_roots(np.array([R, [0, 0, 0]], dtype=object), 10)
-
-
-def test_integer_roots_block_leaves_input_unchanged():
-    # the filter reads the caller's rows and never writes to them
-    a = np.array([[-2100, -679, 7], [6, 0, 0]], dtype=object)
-    assert _integer_roots(a, 500) == [[-3, 100], []]
-    assert a.tolist() == [[-2100, -679, 7], [6, 0, 0]]
+        assert _column(1, prefix, S) == want, prefix
 
 
 def _census_oracle(g, grid, thin, smooth_only):
@@ -245,6 +224,27 @@ def test_census_workers_agree(thin, smooth_only):
     assert multi.metadata["workers"] == 2
 
 
+def test_census_workers_agree_genus2_smooth_two_torsion():
+    # the singular finder's x0 windows and the thin blocks split alike
+    grid = [1, Fraction(5, 4)]
+    base = census(2, grid, smooth_only=True, workers=1)
+    assert base.rows == census(2, grid, smooth_only=True, workers=2).rows
+    assert [(r.total, r.thin) for r in base.rows] == [(70, 32), (7244, 1018)]
+
+
+@pytest.mark.parametrize("g, grid, want", [
+    (1, [2, 4, 8, 12], [4, 12, 46, 104]),
+    (2, [1, Fraction(5, 4), Fraction(3, 2), 2], [10, 70, 756, 22140]),
+    (3, [1, Fraction(9, 8)], [94, 822]),
+])
+def test_singular_counts_frozen(g, grid, want):
+    # frozen: the counts the resultant root filter gave before the q^2 h finder
+    wv = moduli_weights(g)
+    table = census(g, grid, thin="none", smooth_only=True)
+    got = [wps.count(wv, r.bound, budget=None) - r.total for r in table.rows]
+    assert got == want
+
+
 def test_census_monotone_and_bounded():
     table = census(1, [1, 2, 3])
     totals = table.column("total")
@@ -276,9 +276,10 @@ def test_census_budget_counts_work_done():
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
-    # smooth-only adds the singular finder's value cells: 33 prefixes times
-    # 101 + 103, the filter primes for the window |y| <= 64
-    work = 33 + 33 * (101 + 103)
+    # smooth-only adds the bound on the singular finder's search: at genus 1
+    # q = t + q_1 with |q_1| <= R = 2 * (4 + 1) + 1 (covers.root_bound of the
+    # box (16, 64)), 23 leaves and no window
+    work = 33 + 23
     census(1, [1, 2], thin="none", smooth_only=True, budget=work)
     with pytest.raises(BudgetExceededError):
         census(1, [1, 2], thin="none", smooth_only=True, budget=work - 1)

@@ -1,108 +1,40 @@
-"""The smooth-only census path: the block singular finder, its polynomial
-in y mod p and its root finder against brute force and exact resultants,
-the quadratic isqrt test against divisor enumeration, and the genus-1 smooth
-totals against the closed form of the singular locus at heights no
-enumeration reaches."""
+"""The smooth-only census path: the singular finder against a per-tuple
+discriminant scan of the box, the quadratic isqrt test against divisor
+enumeration, and the genus-1 smooth totals against the closed form of the
+singular locus at heights no enumeration reaches."""
 
-import numpy as np
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import arith, covers, hyperelliptic as hyp, wps
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
-# (genus, prefix box): small boxes that contain the zero prefix and prefixes
-# divisible by 3, whose resultant polynomials have content > 1 (for g = 1,
-# Res = 27 y^2 + 4 a^3 has content 27 when 3 | a).
-_PREFIX_BOX = {1: (12,), 2: (3, 4, 6), 3: (1, 2, 2, 3, 3)}
+# Per genus, the largest box drawn: its cutoffs, one per coordinate.  The
+# scan costs one discriminant per tuple, so the boxes stay small.
+_MAX_BOX = {1: (30, 60), 2: (3, 4, 5, 8), 3: (1, 2, 2, 2, 3, 3)}
 
 
-@st.composite
-def _blocks(draw, g):
-    box = _PREFIX_BOX[g]
-    coord = [st.integers(-m, m) for m in box]
-    rows = draw(st.lists(st.tuples(*coord), min_size=1, max_size=5))
-    if draw(st.booleans()):
-        rows.append((0,) * len(box))
-    if draw(st.booleans()):
-        rows.append(tuple(3 * draw(st.integers(-(m // 3), m // 3)) for m in box))
-    return rows
-
-
-def _scan(g, prefix, bound):
-    return [
-        y
-        for y in range(-bound, bound + 1)
-        if hyp._disc_poly(hyp._poly_from_coords(g, (*prefix, y))) == 0
-    ]
+def _scan(g, Ms, x0_range):
+    lo, hi = x0_range
+    return {
+        x
+        for x in itertools.product(*(range(-m, m + 1) for m in Ms))
+        if lo <= x[0] <= hi and hyp._disc_poly(hyp._poly_from_coords(g, x)) == 0
+    }
 
 
 @SETTINGS
-@given(data=st.data(), g=st.sampled_from((1, 2, 3)), two_primes=st.booleans())
-def test_singular_block_matches_scan(data, g, two_primes):
-    block = data.draw(_blocks(g))
-    # windows of at most 101 values are filtered mod 101 alone, wider ones
-    # mod 101 and 103 with CRT
-    bound = data.draw(st.integers(51, 90) if two_primes else st.integers(0, 50))
-    got = hyp._singular_block(g, block, bound)
-    assert got == [_scan(g, prefix, bound) for prefix in block]
-
-
-def test_singular_block_hits_both_paths_with_content():
-    # a = -3: the cusp family (-3m^2, +-2m^3) at m = 1 has singular y = +-2;
-    # a = -12 (content 27) at m = 2 has y = +-16; a = 0 gives y = 0.  The
-    # window at bound 20 takes one filter prime, at bound 500 two.
-    block = [(-3,), (-12,), (0,), (1,)]
-    for bound in (20, 500):
-        assert hyp._singular_block(1, block, bound) == [[-2, 2], [-16, 16], [0], []]
-
-
-@SETTINGS
-@given(
-    roots=st.lists(st.integers(-400, 400), min_size=1, max_size=3),
-    scale=st.integers(1, 60),
-    shift=st.integers(-5, 5),
-    bound=st.integers(0, 300),
-)
-def test_integer_roots_block_with_content(roots, scale, shift, bound):
-    # rows scale * prod (y - r) (+ shift, to also test rows without roots)
-    rows, want = [], []
-    for k in range(1, len(roots) + 1):
-        R = [scale]
-        for r in roots[:k]:
-            R = [a - r * b for a, b in zip([0, *R], [*R, 0])]
-        R[0] += shift
-        rows.append(R + [0] * (len(roots) + 1 - len(R)))
-        want.append([y for y in range(-bound, bound + 1) if covers.poly_eval(R, y) == 0])
-    R = np.array(rows, dtype=object)
-    got = hyp._integer_roots_block(
-        lambda p: (R % p).astype(np.int64),
-        bound,
-        lambda i, y: covers.poly_eval(rows[i], y) == 0,
-    )
-    assert got == want
-
-
-@SETTINGS
-@given(
-    g=st.sampled_from((1, 2, 3)),
-    data=st.data(),
-    size=st.sampled_from((5, 10**4, 10**30)),
-)
-def test_res_poly_mod_matches_resultants(g, data, size):
-    # R mod p has degree 2g in y, so 2g + 1 values of y pin it down
-    coord = st.integers(-size, size)
-    block = data.draw(st.lists(st.tuples(*[coord] * (2 * g - 1)), min_size=1, max_size=4))
-    X = np.array(block, dtype=object)
-    for p in (101, 103):
-        R = hyp._res_poly_mod(g, X, p)
-        assert R.shape == (len(block), 2 * g + 1) and R.dtype == np.int64
-        for prefix, row in zip(block, R.tolist()):
-            base = hyp._poly_from_coords(g, (*prefix, 0))
-            dfdt = hyp._derivative(base)
-            for y in range(-g, g + 1):
-                want = hyp.resultant([y, *base[1:]], dfdt) % p
-                assert covers.poly_eval(row, y) % p == want, (prefix, y, p)
+@given(data=st.data(), g=st.sampled_from((1, 2, 3)))
+def test_singular_block_matches_scan(data, g):
+    # the finder on one block of x_0 values, as map_chunks hands it out, and
+    # on the whole box
+    Ms = tuple(data.draw(st.integers(0, m)) for m in _MAX_BOX[g])
+    lo = data.draw(st.integers(-Ms[0] - 1, Ms[0] + 1))
+    x0_range = (lo, data.draw(st.integers(lo - 1, Ms[0] + 1)))
+    assert hyp._singular_tuples(g, Ms, x0_range) == _scan(g, Ms, x0_range)
+    assert hyp._singular_tuples(g, Ms) == _scan(g, Ms, (-Ms[0], Ms[0]))
 
 
 def _divisor_oracle(poly):
