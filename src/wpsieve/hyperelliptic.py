@@ -20,11 +20,12 @@ and counts the rest at every cutoff from the row's smallest one.
 
 With --smooth-only the singular tuples are listed, not searched for, as
 f = q^2 h (_singular_tuples), at a cost near their number, not the number
-of prefixes; they come off the totals, and off the thin counts when the
-tester accepts them.  The budget counts the work: prefixes times 2T+1 with
-a thin cover, prefixes alone without one, the box for testers solve_columns
-cannot take, and with --smooth-only the bound _singular_work.  Every route
-is checked against brute-force oracles in the tests.
+of prefixes; as one block of the same counter they come off the totals,
+and those the tester accepts off the thin counts.  The budget counts the
+work: prefixes times 2T+1 with a thin cover, the box for testers
+solve_columns cannot take, and with --smooth-only the bound _singular_work,
+all that --thin none charges.  Every route is checked against brute-force
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .wps import (
     clip_ranges,
     count,
     map_chunks,
-    wgcd_one_in_box,
 )
 
 
@@ -375,56 +375,51 @@ def census(
 
 def _census_work(wv, bound, cover, smooth_only) -> int:
     """Steps the census takes up to its top height: the box for the pointwise
-    path; for the column path the prefixes, times the row width 2T+1 of the
-    solved columns with a thin cover; with smooth_only plus _singular_work."""
+    path, the prefixes times the row width 2T+1 of the solved columns for
+    the column path, none without a thin cover (it visits no prefix); with
+    smooth_only plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
     prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
     work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
     if cover is None:
-        return work + prefixes
+        return work
     if cover.column_solver() is None:
         return work + box_volume(wv, bound)
     return work + prefixes * cover.column_width(Ms[:-1], Ms[-1])
 
 
 def _census_chunk(args) -> tuple[list[int], list[int]]:
-    """(singular, thin) counts per cutoff over one x0 range: each singular
-    point from the first cutoff whose box holds it, less the thin tester's
-    hits among them; then the thin members, from one loop over blocks of
-    _BLOCK_ROWS prefixes (solved columns or the pointwise tester)."""
+    """(singular, thin) counts per cutoff over one x0 range: the singular
+    tuples as one block of rows (X, y), less the thin tester's hits among
+    them; then the thin members, from one loop over blocks of _BLOCK_ROWS
+    prefixes (solved columns or the pointwise tester)."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
-    cutoffs = [box_cutoffs(wv, b) for b in bounds]
+    cutoffs = np.array([box_cutoffs(wv, b) for b in bounds], dtype=object)
     cover = _tester_cover(thin, g)
     plist = box_primes(wv, bounds[-1])
     sings, thins = [0] * len(bounds), [0] * len(bounds)
     if smooth_only:
-        for x in _singular_tuples(g, cutoffs[-1], x0_range):
-            if not any(x) or not wgcd_one_in_box(x, plist):
-                continue
-            j0 = next(j for j, c in enumerate(cutoffs) if all(abs(v) <= m for v, m in zip(x, c)))
-            member = cover is not None and covers.has_integer_root(cover.poly_at(x))
-            for j in range(j0, len(bounds)):
-                sings[j] += 1
-                thins[j] -= member
+        S = np.array(list(_singular_tuples(g, cutoffs[-1].tolist(), x0_range)),
+                     dtype=object).reshape(-1, len(wv))
+        X, ys = S[:, :-1], S[:, -1:]
+        _count_block(X, ys, np.ones(ys.shape, dtype=bool), cutoffs, plist, sings)
+        if cover is not None:
+            _count_block(X, ys, _pointwise_keep(cover, X, ys), cutoffs, plist, thins)
+            thins = [-h for h in thins]
     if cover is None:
         return sings, thins
-    prefix_cut = np.array([c[:-1] for c in cutoffs], dtype=object)
-    m = cutoffs[-1][-1]
+    m = cutoffs[-1, -1]
     solvable = cover.column_solver() is not None
-    prefixes = itertools.product(*clip_ranges(cutoffs[-1][:-1], x0_range))
+    prefixes = itertools.product(*clip_ranges(cutoffs[-1, :-1].tolist(), x0_range))
     while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
         X = np.array(block, dtype=object)
-        # first cutoff whose box holds the prefix; the boxes are nested
-        j0 = len(bounds) - (abs(X)[:, None, :] <= prefix_cut).all(axis=2).sum(axis=1)
         if solvable:
             ys, keep = cover.solve_columns(block, m)
-        else:  # per prefix, the cover's coefficients over the whole window
-            ys = np.tile(np.array(range(-m, m + 1), dtype=object), (len(block), 1))
-            keep = np.array([[covers.has_integer_root(c) for c in zip(*(
-                np.broadcast_to(c, ys.shape[1:]).tolist() for c in cover.poly_at([*x, ys[0]])))]
-                for x in block])
-        _count_block(X, ys, keep, j0, cutoffs, plist, thins)
+        else:
+            ys = np.tile(np.arange(-m, m + 1).astype(object), (len(block), 1))
+            keep = _pointwise_keep(cover, X, ys)
+        _count_block(X, ys, keep, cutoffs, plist, thins)
     return sings, thins
 
 
@@ -433,21 +428,32 @@ def _census_chunk(args) -> tuple[list[int], list[int]]:
 _BLOCK_ROWS = 128
 
 
-def _count_block(X, ys, keep, j0, cutoffs, plist, counts) -> None:
+def _pointwise_keep(cover, X, ys):
+    """keep[i, c]: the tester accepts (X[i], ys[i, c]), by has_integer_root
+    on the cover's coefficients, evaluated once over object columns."""
+    coeffs = cover.poly_at([*X.T[:, :, None], ys])
+    polys = zip(*(np.broadcast_to(c, ys.shape).ravel().tolist() for c in coeffs))
+    return np.array([covers.has_integer_root(p) for p in polys], dtype=bool).reshape(ys.shape)
+
+
+def _count_block(X, ys, keep, cutoffs, plist, counts) -> None:
     """Add the points among a block's candidates to the counts of every cutoff.
 
     Row i of ys holds candidate last coordinates y over the prefix X[i],
     those marked in keep[i].  (X[i], y) is a point unless it is all zero or
     some prime p of plist has p^{a_k} dividing every coordinate (weighted
-    gcd > 1).  A point counts at cutoff j when j0[i] <= j and |y| <= M_j.
+    gcd > 1).  Row j of the object array cutoffs is the box (M_0, ..., M_k)
+    of cutoff j, and a point counts there when that box holds it; the boxes
+    are nested, so a row counts from the first box j0 holding its prefix.
     """
+    j0 = len(cutoffs) - (abs(X)[:, None, :] <= cutoffs[:, :-1]).all(axis=2).sum(axis=1)
     ok = keep & ((ys != 0) | (X != 0).any(axis=1)[:, None])
     for _, pas in plist:
         rows = (X % pas[:-1] == 0).all(axis=1)
         if rows.any():
             ok[rows] &= ys[rows] % pas[-1] != 0
-    for j, c in enumerate(cutoffs):
-        inside = ok & (ys >= -c[-1]) & (ys <= c[-1])
+    for j, c in enumerate(cutoffs[:, -1]):
+        inside = ok & (ys >= -c) & (ys <= c)
         counts[j] += int(np.count_nonzero(inside[j0 <= j]))
 
 

@@ -4,8 +4,8 @@ into a fundamental domain, and ideal-norm enumeration.
 Only class-number-1 fields with D ≡ 2, 3 (mod 4) are supported, so the ring
 of integers is Z[√D] and every construction here stays in exact integer
 pairs (a, b) ↦ a + b√D.  Domain membership (both walls and the height cap)
-is decided exactly in Z[√D]; floats serve only to guess the reducing unit
-exponent and for the values `log_embed` and `height_infty_k` return.
+is decided exactly in Z[√D] from one pair (`_maxima`); floats only guess
+the reducing unit exponent and give `log_embed` and `height_infty_k`.
 """
 
 from __future__ import annotations
@@ -205,31 +205,24 @@ def _check_tuple(x, field: QuadField, weights: WeightVector) -> tuple:
     return x
 
 
-def _log_maxes(x, weights: WeightVector) -> tuple[float, float]:
-    """(log M₁, log M₂) with Mⱼ = max_i |σⱼxᵢ|^{1/aᵢ}; zero coords ignored."""
-    pairs = [(_log_pair(xi), ai) for xi, ai in zip(x, weights) if not xi.is_zero()]
-    return (max(l1 / ai for (l1, _), ai in pairs),
-            max(l2 / ai for (_, l2), ai in pairs))
-
-
 def in_domain(x: Sequence[QuadInt], spec: DomainSpec, T) -> bool:
     """Membership in S_{F,a}(T): decomposition coordinate s ∈ [0,1) and, for
-    finite T, M₁M₂ ≤ T², both decided exactly in Z[√D].
+    finite T, M₁M₂ ≤ T², both decided exactly on the pair of `_maxima`.
 
     The interval is half-open, so a point whose orbit touches a wall is
-    counted once (see `_wall_step`).  With L = lcm(a) and bestⱼ the
-    maximising elements xᵢ^{L/aᵢ} of `_maxima`, (M₁M₂)^L = |σ₁(best₁·best₂)|
-    is compared with T^{2L}."""
+    counted once: s(x) ≥ 0 > s(ε⁻¹x), two comparisons on the pair.  With
+    L = lcm(a), (M₁M₂)^L = |σ₁(best₁·best₂)| is compared with T^{2L}."""
     x = _check_tuple(x, spec.field, spec.weights)
     finite = not (T == INFINITE or (isinstance(T, float) and math.isinf(T)))
     if finite and T <= 0:
         raise ValueError(f"height cap must be positive, got {T!r}")
-    if _wall_step(x, spec):
+    best1, best2 = _maxima(x, spec.weights)
+    down = spec.field.epsilon ** (-2 * spec.weights.lcm)
+    if _cmp_abs_emb1(best1, best2) < 0 or _cmp_abs_emb1(best1 * down, best2) >= 0:
         return False
     if not finite:
         return True
     t = Fraction(T) ** (2 * spec.weights.lcm)
-    best1, best2 = _maxima(x, spec)
     z = best1 * best2
     if _sign_quad(z.a, z.b, z.D) < 0:
         z = -z
@@ -259,12 +252,14 @@ def _cmp_abs_emb1(u: QuadInt, v: QuadInt) -> int:
     return _sign_quad(d.a, d.b, u.D)
 
 
-def _maxima(y, spec: DomainSpec) -> tuple[QuadInt, QuadInt]:
+def _maxima(y, weights: WeightVector) -> tuple[QuadInt, QuadInt]:
     """(best₁, best₂) among wᵢ = yᵢ^{L/aᵢ}, L = lcm(a): |σ₁best₁| = M₁(y)^L
-    and best₂ = the conjugate w̄ᵢ with |σ₁best₂| = M₂(y)^L."""
-    L = spec.weights.lcm
+    and best₂ = the conjugate w̄ᵢ with |σ₁best₂| = M₂(y)^L.  ε^j scales every
+    wᵢ by ε^{jL}, so the maximising indices do not depend on j, and as
+    |σ₁ε̄| = 1/|σ₁ε|, s(ε^j y) ≥ 0 exactly when |σ₁(ε^{2jL}best₁)| ≥ |σ₁best₂|."""
+    L = weights.lcm
     best1 = best2 = None
-    for yi, ai in zip(y, spec.weights):
+    for yi, ai in zip(y, weights):
         if yi.is_zero():
             continue
         w = yi ** (L // ai)
@@ -276,38 +271,30 @@ def _maxima(y, spec: DomainSpec) -> tuple[QuadInt, QuadInt]:
     return best1, best2
 
 
-def _exact_side(y, spec: DomainSpec) -> int:
-    """Exact sign of log M₁(y) − log M₂(y), i.e. of the decomposition s."""
-    return _cmp_abs_emb1(*_maxima(y, spec))
-
-
-def _wall_step(y, spec: DomainSpec) -> int:
-    """0 when s(y) ∈ [0, 1), else the unit exponent moving s towards it:
-    1 when s < 0, −1 when s − 1 = s(ε⁻¹y) ≥ 0."""
-    if _exact_side(y, spec) < 0:
-        return 1
-    return -1 if _exact_side(_unit_translate(y, spec, -1), spec) >= 0 else 0
-
-
 def reduce_to_domain(x: Sequence[QuadInt], spec: DomainSpec):
     """The unit translate of x lying in S_{F,a}(∞) and the exponent applied.
 
     ε^k acts by xᵢ ↦ ε^{k aᵢ} xᵢ and moves the decomposition coordinate s
-    to s + k.  Float logs guess k = −⌊s⌋; the exact walls of `_wall_step`
-    then move k by ±1 until the translate lies in the domain."""
+    to s + k.  Float logs guess k = −⌊s⌋; exact walls on the pair of
+    `_maxima` then move k by ±1, and x is translated once, by the final k."""
     x = _check_tuple(x, spec.field, spec.weights)
+    best1, best2 = _maxima(x, spec.weights)
+    L = spec.weights.lcm
     u11, u12 = spec.field._unit_logs
-    m1, m2 = _log_maxes(x, spec.weights)
-    k = -math.floor((m1 - m2) / (u11 - u12))
-    y = _unit_translate(x, spec, k)
-    while step := _wall_step(y, spec):
-        y, k = _unit_translate(y, spec, step), k + step
-    return y, k
+    k = -math.floor((_log_pair(best1)[0] - _log_pair(best2)[0]) / (L * (u11 - u12)))
+    up = spec.field.epsilon ** (2 * L)
+    down = up.inverse()
+    u = best1 * up**k  # s(ε^k x) ≥ 0 exactly when |σ₁u| ≥ |σ₁best₂|
+    while _cmp_abs_emb1(u, best2) < 0:
+        u, k = u * up, k + 1
+    while _cmp_abs_emb1(u * down, best2) >= 0:
+        u, k = u * down, k - 1
+    return _unit_translate(x, spec, k), k
 
 
 def height_infty_k(x: Sequence[QuadInt], weights) -> float:
-    """M₁·M₂, the product over the two real places of max_i |σⱼxᵢ|^{1/aᵢ};
-    inf past the float range."""
+    """M₁·M₂, the product over the two real places of max_i |σⱼxᵢ|^{1/aᵢ},
+    from (M₁M₂)^L = |σ₁(best₁·best₂)| (`_maxima`); inf past the float range."""
     if not isinstance(weights, WeightVector):
         weights = WeightVector(tuple(weights))
     x = tuple(x)
@@ -315,9 +302,9 @@ def height_infty_k(x: Sequence[QuadInt], weights) -> float:
         raise ValueError("empty tuple")
     field = QuadField.get(x[0].D)
     x = _check_tuple(x, field, weights)
-    m1, m2 = _log_maxes(x, weights)
+    best1, best2 = _maxima(x, weights)
     try:
-        return math.exp(m1 + m2)
+        return math.exp((_log_pair(best1)[0] + _log_pair(best2)[0]) / weights.lcm)
     except OverflowError:
         return math.inf
 

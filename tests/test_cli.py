@@ -336,6 +336,19 @@ def test_census_budget_counts_column_work(capsys):
     assert out.splitlines()[-1] == "12,247429284466,11725994,two-torsion"
 
 
+@pytest.mark.parametrize("argv, last", [
+    # the closed form alone: no prefix is visited, so nothing is charged
+    (["--heights", "300"], "300,23596131875558449228905598,0,none"),
+    # only the singular search (6,407 steps), not the 5.1e6 prefixes
+    (["--heights", "40", "--smooth-only", "--budget", "100000"],
+     "40,41901374021791626,0,none"),
+])
+def test_census_budget_without_thin_cover(argv, last, capsys):
+    code, out, _ = run_cli(["census", "--genus", "1", "--thin", "none", *argv], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
 def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
     code, out, _ = run_cli(["count", "--weights", "4,6", "--height-max", "1"], capsys)

@@ -127,7 +127,7 @@ def test_count_block_matches_member_loop(data, g, smooth):
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
     cover = covers.two_torsion_cover(g)
     singular = hyp._singular_tuples(g, Ms) if smooth else set()
-    j0s, sings = [], []
+    sings = []
     want_sing, want_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     for prefix in block:
         j0 = next(j for j, c in enumerate(cutoffs)
@@ -136,7 +136,6 @@ def test_count_block_matches_member_loop(data, g, smooth):
              if all(x % q == 0 for x, q in zip(prefix, pas))]
         sing = sorted(x[last] for x in singular if x[:last] == prefix)
         members = [y for y in cover.column_members(prefix, Ms[last]) if y not in sing]
-        j0s.append(j0)
         sings.append(sing)
         for ys, want in ((sing, want_sing), (members, want_thin)):
             for y in ys:
@@ -145,16 +144,16 @@ def test_count_block_matches_member_loop(data, g, smooth):
                 for j in range(j0, len(cutoffs)):
                     if abs(y) <= cutoffs[j][last]:
                         want[j] += 1
-    X, j0 = np.array(block, dtype=object), np.array(j0s)
+    X, cut = np.array(block, dtype=object), np.array(cutoffs, dtype=object)
     got_sing, got_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     S = np.zeros((len(sings), max(1, *map(len, sings))), dtype=object)
     for i, sing in enumerate(sings):
         S[i, : len(sing)] = sing
     in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
-    hyp._count_block(X, S, in_row, j0, cutoffs, plist, got_sing)
+    hyp._count_block(X, S, in_row, cut, plist, got_sing)
     ys, keep = cover.solve_columns(block, Ms[last])
     for i, sing in enumerate(sings):
         for y in sing:
             keep[i] &= ys[i] != y
-    hyp._count_block(X, ys, keep, j0, cutoffs, plist, got_thin)
+    hyp._count_block(X, ys, keep, cut, plist, got_thin)
     assert (got_sing, got_thin) == (want_sing, want_thin)

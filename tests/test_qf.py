@@ -182,7 +182,9 @@ def test_reduction_unique_translate():
 
 
 def _s_oracle(y, weights, D):
-    """The decomposition coordinate s of y, from 120-digit decimal logs."""
+    """The decomposition coordinate s of y, from 120-digit decimal logs,
+    rounded to 40 places so that a point on a wall (s an integer) reads as
+    that integer despite rounding in the logs.  Independent of `qf._maxima`."""
     with localcontext() as ctx:
         ctx.prec = 120
         r = Decimal(D).sqrt()
@@ -194,7 +196,7 @@ def _s_oracle(y, weights, D):
         m1 = max(l1 / a for (l1, _), a in pairs)
         m2 = max(l2 / a for (_, l2), a in pairs)
         e1, e2 = logs(fundamental_unit(D))
-        return (m1 - m2) / (e1 - e2)
+        return ((m1 - m2) / (e1 - e2)).quantize(Decimal("1e-40"))
 
 
 # Large coordinates on which fixed-precision logs cancel: the D = 19 tuple
@@ -251,9 +253,10 @@ def test_reduction_exact_under_unit_translates(D, weights, pairs, j):
     assume(not all(xi.is_zero() for xi in x))
     y, k = reduce_to_domain(x, spec)
     assert reduce_to_domain(qf._unit_translate(x, spec, j), spec) == (y, k - j)
+    assert 0 <= _s_oracle(y, weights, D) < 1
     assert in_domain(y, spec, INFINITE)
-    assert not in_domain(qf._unit_translate(y, spec, 1), spec, INFINITE)
-    assert not in_domain(qf._unit_translate(y, spec, -1), spec, INFINITE)
+    for step in (1, -1, 200, -200):  # far translates too: no search over k
+        assert not in_domain(qf._unit_translate(y, spec, step), spec, INFINITE)
 
 
 def test_height_examples():
