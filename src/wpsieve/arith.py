@@ -5,8 +5,8 @@ factorization, p-adic valuations, integer k-th roots and the Moebius
 function (also as one sieved table for a whole range, and summed as the
 Mertens function).  Past the table, primality is deterministic Miller-Rabin,
 and factorization trial-divides by the primes up to _TRIAL_TO only, then
-splits what is left by Pollard's rho, so a number's cost follows the size of
-its second-largest prime factor, not its square root.
+splits what is left by Pollard's rho (Brent's variant), so a number's cost
+follows the size of its second-largest prime factor, not its square root.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ class Factorization:
 
 
 _TRIAL_TO = 1000  # trial division by the primes up to here, then rho
+_RHO_BLOCK = 128  # rho steps per batched gcd
 
 
 def factorize(n: int) -> Factorization:
@@ -133,16 +134,28 @@ def factorize(n: int) -> Factorization:
 
 def _rho(n: int) -> int:
     """A proper factor of a composite n free of primes up to _TRIAL_TO: Pollard's
-    rho on x -> x^2 + c, Floyd's cycle search, the next c when it yields n."""
+    rho on x -> x^2 + c, Brent's cycle search with one gcd per _RHO_BLOCK
+    steps, the next c when a run yields n."""
     c = 1
     while True:
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
+            x = y  # y runs r steps ahead, then is compared with x for r more
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BLOCK):
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d == n:  # replay the last block one step at a time
+            ys = (ys * ys + c) % n
+            while (d := math.gcd(x - ys, n)) == 1:
+                ys = (ys * ys + c) % n
         if d != n:
             return d
         c += 1

@@ -2,10 +2,11 @@
 into a fundamental domain, and ideal-norm enumeration.
 
 Only class-number-1 fields with D ≡ 2, 3 (mod 4) are supported, so the ring
-of integers is Z[√D] and every construction here stays in exact integer
-pairs (a, b) ↦ a + b√D.  Domain membership (both walls and the height cap)
-is decided exactly in Z[√D] from one pair (`_maxima`); floats only guess
-the reducing unit exponent and give `log_embed` and `height_infty_k`.
+of integers is Z[√D].  `QuadInt` is the checked public type; the arithmetic
+runs on plain int pairs (a, b) ↦ a + b√D (`_mul`, `_pow`), and the reduction
+builds `QuadInt`s only for what it returns.  Domain membership (both walls
+and the height cap) is decided exactly from one pair (`_maxima`); floats only
+guess the reducing unit exponent and give `log_embed` and `height_infty_k`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ VETTED_D = (2, 3, 6, 7, 11, 19)
 
 class BoundaryAmbiguityError(ValueError):
     """The side of a domain wall at decomposition coordinate s could not be
-    decided.  Kept for callers that catch it: the reduction decides every
-    wall exactly in Z[√D] and never raises it."""
+    decided.  Kept for callers that catch it; the exact reduction never raises it."""
 
     def __init__(self, s: float):
         super().__init__(f"cannot decide the domain side at s = {s!r}")
@@ -62,11 +62,7 @@ class QuadInt:
 
     def __mul__(self, other):
         self._same(other)
-        return QuadInt(
-            self.a * other.a + self.D * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.D,
-        )
+        return QuadInt(*_mul((self.a, self.b), (other.a, other.b), self.D), self.D)
 
     def conj(self) -> "QuadInt":
         return QuadInt(self.a, -self.b, self.D)
@@ -81,29 +77,36 @@ class QuadInt:
         n = self.norm()
         if n not in (1, -1):
             raise ValueError(f"{self} is not a unit (norm {n})")
-        c = self.conj()
-        return c if n == 1 else -c
+        return QuadInt(n * self.a, -n * self.b, self.D)  # N(x)·x̄
 
     def __pow__(self, k: int) -> "QuadInt":
         if not isinstance(k, int):
             raise TypeError("exponent must be int")
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = QuadInt(1, 0, self.D)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return QuadInt(*_pow((base.a, base.b), abs(k), self.D), self.D)
 
     def __repr__(self):
         return f"({self.a}{self.b:+}√{self.D})"
 
 
+def _mul(u: tuple[int, int], v: tuple[int, int], D: int) -> tuple[int, int]:
+    """The pair of (u₀ + u₁√D)(v₀ + v₁√D)."""
+    return u[0] * v[0] + D * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _pow(u: tuple[int, int], k: int, D: int) -> tuple[int, int]:
+    """The pair of (u₀ + u₁√D)^k for k ≥ 0, by binary powering."""
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = _mul(out, u, D)
+        u = _mul(u, u, D)
+        k >>= 1
+    return out
+
+
 def _pell_min_unit(D: int) -> tuple[int, int]:
-    """Smallest (u, v) with u² − Dv² = ±1, v ≥ 1, via the continued fraction
-    of √D."""
+    """Smallest (u, v) with u² − Dv² = ±1, v ≥ 1, from the continued fraction of √D."""
     a0 = math.isqrt(D)
     m, d, a = 0, 1, a0
     p_prev, p = 1, a0
@@ -126,15 +129,15 @@ class QuadField:
         if D not in VETTED_D:
             raise ValueError(f"unsupported D = {D!r}; choose from {VETTED_D}")
         # defensive: the vetted list must satisfy the ring assumptions
-        assert D % 4 in (2, 3) and all(
-            e == 1 for _, e in arith.factorize(D).factors
-        )
+        assert D % 4 in (2, 3) and all(e == 1 for _, e in arith.factorize(D).factors)
         self.D = D
         u, v = _pell_min_unit(D)
         self.epsilon = QuadInt(u, v, D)
-        assert self.epsilon.norm() in (1, -1)
-        # ε's log embedding, for every guess of the reducing exponent
-        self._unit_logs = _log_pair(self.epsilon)
+        n = self.epsilon.norm()
+        assert n in (1, -1)
+        # ε and ε⁻¹ = N(ε)·ε̄ as pairs; ε's logs guess the reducing exponent
+        self._units = ((u, v), (n * u, -n * v))
+        self._unit_logs = _log_pair(u, v, D)
 
     @classmethod
     def get(cls, D: int) -> "QuadField":
@@ -144,6 +147,10 @@ class QuadField:
 
     def element(self, a: int, b: int = 0) -> QuadInt:
         return QuadInt(a, b, self.D)
+
+    def _unit_pow(self, k: int) -> tuple[int, int]:
+        """The pair of ε^k, for any integer k."""
+        return _pow(self._units[k < 0], abs(k), self.D)
 
     def __repr__(self):
         return f"QuadField(√{self.D})"
@@ -157,33 +164,32 @@ def fundamental_unit(D: int) -> QuadInt:
 # --- logarithmic embedding and the fundamental domain ----------------------
 
 
-def _log_pair(x: QuadInt) -> tuple[float, float]:
-    """(log|σ₁x|, log|σ₂x|) for nonzero x, without cancellation.
+def _log_pair(a: int, b: int, D: int) -> tuple[float, float]:
+    """(log|σ₁x|, log|σ₂x|) for nonzero x = a + b√D, without cancellation.
 
     In one embedding a and b√D have the same sign, so |σx| = |a| + |b|√D;
     its log is the log of the larger term plus log1p of the ratio (≤ 1) of
     the two, which stays finite for integers past the float range.  The
     other embedding's log is log|N(x)| minus it (N(x) ≠ 0, D no square)."""
-    a, b, D = abs(x.a), abs(x.b), x.D
-    if a * a >= D * b * b:
-        big = math.log(a) + math.log1p(b / a * math.sqrt(D))
+    A, B = abs(a), abs(b)
+    if A * A >= D * B * B:
+        big = math.log(A) + math.log1p(B / A * math.sqrt(D))
     else:
-        big = math.log(b) + 0.5 * math.log(D) + math.log1p(a / b / math.sqrt(D))
-    small = math.log(abs(x.norm())) - big
-    return (big, small) if x.a * x.b >= 0 else (small, big)
+        big = math.log(B) + 0.5 * math.log(D) + math.log1p(A / B / math.sqrt(D))
+    small = math.log(abs(A * A - D * B * B)) - big
+    return (big, small) if a * b >= 0 else (small, big)
 
 
 def log_embed(x: QuadInt) -> tuple[float, float]:
     """(log|σ₁x|, log|σ₂x|) for the two real embeddings σ₁,₂: √D ↦ ±√D."""
     if x.is_zero():
         raise ValueError("log embedding of zero")
-    return _log_pair(x)
+    return _log_pair(x.a, x.b, x.D)
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Fundamental-domain data: the field (whose unit ε the reduction
-    applies) and the weights acted on."""
+    """Fundamental-domain data: the field, whose unit ε acts, and the weights."""
 
     field: QuadField
     weights: WeightVector
@@ -211,27 +217,28 @@ def in_domain(x: Sequence[QuadInt], spec: DomainSpec, T) -> bool:
 
     The interval is half-open, so a point whose orbit touches a wall is
     counted once: s(x) ≥ 0 > s(ε⁻¹x), two comparisons on the pair.  With
-    L = lcm(a), (M₁M₂)^L = |σ₁(best₁·best₂)| is compared with T^{2L}."""
+    L = lcm(a), (M₁M₂)^L = σ₁(best₁·best₂) > 0 is compared with T^{2L}."""
     x = _check_tuple(x, spec.field, spec.weights)
-    finite = not (T == INFINITE or (isinstance(T, float) and math.isinf(T)))
+    finite = T != INFINITE
     if finite and T <= 0:
         raise ValueError(f"height cap must be positive, got {T!r}")
+    D, L = spec.field.D, spec.weights.lcm
     best1, best2 = _maxima(x, spec.weights)
-    down = spec.field.epsilon ** (-2 * spec.weights.lcm)
-    if _cmp_abs_emb1(best1, best2) < 0 or _cmp_abs_emb1(best1 * down, best2) >= 0:
+    low = _mul(best1, spec.field._unit_pow(-2 * L), D)
+    if _cmp1(best1, best2, D) < 0 or _cmp1(low, best2, D) >= 0:
         return False
     if not finite:
         return True
-    t = Fraction(T) ** (2 * spec.weights.lcm)
-    z = best1 * best2
-    if _sign_quad(z.a, z.b, z.D) < 0:
-        z = -z
-    return _sign_quad(t.denominator * z.a - t.numerator, t.denominator * z.b, z.D) <= 0
+    t = Fraction(T) ** (2 * L)
+    z = _mul(best1, best2, D)
+    return _sign_quad(t.denominator * z[0] - t.numerator, t.denominator * z[1], D) <= 0
 
 
-def _unit_translate(x, spec: DomainSpec, k: int):
-    eps = spec.field.epsilon
-    return tuple(xi * eps ** (k * ai) for xi, ai in zip(x, spec.weights))
+def _unit_translate(x, spec: DomainSpec, k: int) -> tuple[QuadInt, ...]:
+    """ε^k·x, that is xᵢ ↦ ε^{k aᵢ} xᵢ, as checked `QuadInt`s."""
+    D = spec.field.D
+    return tuple(QuadInt(*_mul((xi.a, xi.b), spec.field._unit_pow(k * ai), D), D)
+                 for xi, ai in zip(x, spec.weights))
 
 
 def _sign_quad(e: int, f: int, D: int) -> int:
@@ -240,34 +247,33 @@ def _sign_quad(e: int, f: int, D: int) -> int:
         return 1 if (e or f) else 0
     if e <= 0 and f <= 0:
         return -1
-    lhs, rhs = e * e, f * f * D  # squarefree D: equality forces e = f = 0
-    if e > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
+    # opposite signs: the larger square wins (squarefree D: never a tie)
+    return 1 if (e * e > f * f * D) == (e > 0) else -1
 
 
-def _cmp_abs_emb1(u: QuadInt, v: QuadInt) -> int:
-    """Exact sign of |σ₁u| − |σ₁v|."""
-    d = u * u - v * v
-    return _sign_quad(d.a, d.b, u.D)
+def _cmp1(u: tuple[int, int], v: tuple[int, int], D: int) -> int:
+    """Exact sign of σ₁u − σ₁v, which for σ₁u, σ₁v > 0 is that of |σ₁u| − |σ₁v|."""
+    return _sign_quad(u[0] - v[0], u[1] - v[1], D)
 
 
-def _maxima(y, weights: WeightVector) -> tuple[QuadInt, QuadInt]:
-    """(best₁, best₂) among wᵢ = yᵢ^{L/aᵢ}, L = lcm(a): |σ₁best₁| = M₁(y)^L
-    and best₂ = the conjugate w̄ᵢ with |σ₁best₂| = M₂(y)^L.  ε^j scales every
-    wᵢ by ε^{jL}, so the maximising indices do not depend on j, and as
-    |σ₁ε̄| = 1/|σ₁ε|, s(ε^j y) ≥ 0 exactly when |σ₁(ε^{2jL}best₁)| ≥ |σ₁best₂|."""
-    L = weights.lcm
+def _maxima(y, weights: WeightVector) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(best₁, best₂) among ±wᵢ, wᵢ = yᵢ^{L/aᵢ}, L = lcm(a), as pairs with
+    σ₁ > 0: σ₁best₁ = M₁(y)^L, and best₂ = ±w̄ᵢ with σ₁best₂ = M₂(y)^L.  ε^j
+    scales every wᵢ by ε^{jL}, so the maximising indices do not depend on j,
+    and as σ₁ε̄ = ±1/σ₁ε, s(ε^j y) ≥ 0 exactly when σ₁(ε^{2jL}best₁) ≥ σ₁best₂."""
+    L, D = weights.lcm, y[0].D
     best1 = best2 = None
     for yi, ai in zip(y, weights):
         if yi.is_zero():
             continue
-        w = yi ** (L // ai)
-        if best1 is None or _cmp_abs_emb1(w, best1) > 0:
-            best1 = w
-        wc = w.conj()
-        if best2 is None or _cmp_abs_emb1(wc, best2) > 0:
-            best2 = wc
+        a, b = _pow((yi.a, yi.b), L // ai, D)
+        if _sign_quad(a, b, D) < 0:
+            a, b = -a, -b
+        if best1 is None or _cmp1((a, b), best1, D) > 0:
+            best1 = (a, b)
+        c = (a, -b) if _sign_quad(a, -b, D) > 0 else (-a, b)  # ±w̄ᵢ, σ₁ > 0
+        if best2 is None or _cmp1(c, best2, D) > 0:
+            best2 = c
     return best1, best2
 
 
@@ -278,33 +284,32 @@ def reduce_to_domain(x: Sequence[QuadInt], spec: DomainSpec):
     to s + k.  Float logs guess k = −⌊s⌋; exact walls on the pair of
     `_maxima` then move k by ±1, and x is translated once, by the final k."""
     x = _check_tuple(x, spec.field, spec.weights)
+    D, L = spec.field.D, spec.weights.lcm
     best1, best2 = _maxima(x, spec.weights)
-    L = spec.weights.lcm
     u11, u12 = spec.field._unit_logs
-    k = -math.floor((_log_pair(best1)[0] - _log_pair(best2)[0]) / (L * (u11 - u12)))
-    up = spec.field.epsilon ** (2 * L)
-    down = up.inverse()
-    u = best1 * up**k  # s(ε^k x) ≥ 0 exactly when |σ₁u| ≥ |σ₁best₂|
-    while _cmp_abs_emb1(u, best2) < 0:
-        u, k = u * up, k + 1
-    while _cmp_abs_emb1(u * down, best2) >= 0:
-        u, k = u * down, k - 1
+    k = -math.floor((_log_pair(*best1, D)[0] - _log_pair(*best2, D)[0]) / (L * (u11 - u12)))
+    up, down = spec.field._unit_pow(2 * L), spec.field._unit_pow(-2 * L)
+    u = _mul(best1, spec.field._unit_pow(2 * L * k), D)  # s(ε^k x) ≥ 0 iff σ₁u ≥ σ₁best₂
+    while _cmp1(u, best2, D) < 0:
+        u, k = _mul(u, up, D), k + 1
+    while _cmp1(_mul(u, down, D), best2, D) >= 0:
+        u, k = _mul(u, down, D), k - 1
     return _unit_translate(x, spec, k), k
 
 
 def height_infty_k(x: Sequence[QuadInt], weights) -> float:
     """M₁·M₂, the product over the two real places of max_i |σⱼxᵢ|^{1/aᵢ},
-    from (M₁M₂)^L = |σ₁(best₁·best₂)| (`_maxima`); inf past the float range."""
+    from (M₁M₂)^L = σ₁(best₁·best₂) (`_maxima`); inf past the float range."""
     if not isinstance(weights, WeightVector):
         weights = WeightVector(tuple(weights))
     x = tuple(x)
     if not x:
         raise ValueError("empty tuple")
-    field = QuadField.get(x[0].D)
-    x = _check_tuple(x, field, weights)
-    best1, best2 = _maxima(x, weights)
+    field = QuadField.get(getattr(x[0], "D", None))
+    best1, best2 = _maxima(_check_tuple(x, field, weights), weights)
+    logs = _log_pair(*best1, field.D)[0] + _log_pair(*best2, field.D)[0]
     try:
-        return math.exp((_log_pair(best1)[0] + _log_pair(best2)[0]) / weights.lcm)
+        return math.exp(logs / weights.lcm)
     except OverflowError:
         return math.inf
 
@@ -312,23 +317,18 @@ def height_infty_k(x: Sequence[QuadInt], weights) -> float:
 # --- prime ideals and sieve mass over k ------------------------------------
 
 
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def prime_ideal_norms_up_to(field: QuadField, Q: int) -> list[tuple[int, int]]:
     """(norm, count) per batch of prime ideals of norm ≤ Q, sorted by norm.
 
-    p | 4D ramifies (one ideal, norm p); (D|p) = 1 splits (two ideals, norm
-    p); (D|p) = −1 stays inert (one ideal, norm p²)."""
+    p | 4D ramifies (one ideal, norm p); (D|p) ≡ D^{(p−1)/2} = 1 splits (two
+    ideals, norm p); (D|p) = −1 stays inert (one ideal, norm p²)."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q!r}")
     out = []
     for p in arith.primes_up_to(Q):
         if (4 * field.D) % p == 0:
             out.append((p, 1))
-        elif _legendre(field.D, p) == 1:
+        elif pow(field.D, (p - 1) // 2, p) == 1:
             out.append((p, 2))
         elif p * p <= Q:
             out.append((p * p, 1))

@@ -134,6 +134,12 @@ def test_factorize_semiprime_near_1e30_is_quick():
     assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
     assert arith.factorize(100000007 * 100000037).factors == ((100000007, 1), (100000037, 1))
     assert time.perf_counter() - t0 < 5
+    # a more balanced pair: rho needs about 10^6 steps for 10^12 + 39, which
+    # Brent's cycle search with batched gcds takes in about a second
+    p, q = 10**12 + 39, 10**18 + 3
+    t0 = time.perf_counter()
+    assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
+    assert time.perf_counter() - t0 < 5
     # a cofactor that passes Miller-Rabin past 3.3e24 cannot be certified prime
     with pytest.raises(ValueError):
         arith.factorize(3 * (2**127 - 1))

@@ -259,6 +259,77 @@ def test_reduction_exact_under_unit_translates(D, weights, pairs, j):
         assert not in_domain(qf._unit_translate(y, spec, step), spec, INFINITE)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(D=st.sampled_from(VETTED_D), k=st.integers(-60, 60))
+def test_unit_pow_pairs(D, k):
+    # oracle: |k| products by ε or by ε⁻¹ = N(ε)·ε̄, multiplied out by hand
+    F = QuadField.get(D)
+    n = F.epsilon.norm()
+    u, v = (F.epsilon.a, F.epsilon.b) if k >= 0 else (n * F.epsilon.a, -n * F.epsilon.b)
+    a, b = 1, 0
+    for _ in range(abs(k)):
+        a, b = a * u + D * b * v, a * v + b * u
+    eps_k = F.epsilon ** k
+    assert F._unit_pow(k) == (a, b) == (eps_k.a, eps_k.b)
+
+
+def _sigma1(v, D):
+    with localcontext() as ctx:
+        ctx.prec = 120
+        return v.a + v.b * Decimal(D).sqrt()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    D=st.sampled_from(VETTED_D),
+    weights=st.sampled_from([(1,), (1, 2), (2, 3)]),
+    pairs=st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                   min_size=2, max_size=2),
+)
+def test_maxima_pairs_against_quadint(D, weights, pairs):
+    # best₁ maximises |σ₁wᵢ| and best₂ maximises |σ₂wᵢ| = |σ₁w̄ᵢ| over
+    # wᵢ = yᵢ^{L/aᵢ} (public QuadInt powers), each signed so that σ₁ > 0
+    F = QuadField.get(D)
+    y = tuple(F.element(a, b) for a, b in pairs[: len(weights)])
+    assume(not all(yi.is_zero() for yi in y))
+    L = WeightVector(weights).lcm
+    ws = [yi ** (L // ai) for yi, ai in zip(y, weights) if not yi.is_zero()]
+
+    def top(cands):
+        v = max(cands, key=lambda c: abs(_sigma1(c, D)))
+        v = v if _sigma1(v, D) > 0 else -v
+        return (v.a, v.b)
+
+    best1, best2 = qf._maxima(y, WeightVector(weights))
+    assert best1 == top(ws)
+    assert best2 == top([w.conj() for w in ws])
+    assert _sigma1(F.element(*best1), D) > 0 and _sigma1(F.element(*best2), D) > 0
+
+
+def test_public_boundary_checks():
+    F2, F3 = QuadField.get(2), QuadField.get(3)
+    with pytest.raises(TypeError):
+        QuadInt(1.5, 0, 2)
+    spec = DomainSpec(F2, (1, 2))
+    others = ((F2.element(1), F3.element(1)), (1, F2.element(1)))  # not in Q(√2)
+    for bad in (*others, (F2.element(0), F2.element(0))):
+        with pytest.raises(ValueError):
+            reduce_to_domain(bad, spec)
+        with pytest.raises(ValueError):
+            in_domain(bad, spec, INFINITE)
+        with pytest.raises(ValueError):
+            height_infty_k(bad, (1, 2))
+    for cap in (0, -1, float("-inf")):
+        with pytest.raises(ValueError):
+            in_domain((F2.element(1), F2.element(1)), spec, cap)
+    for pair in ((7, 5), (0, 3), (-10**25, 3 * 10**24)):
+        y, k = reduce_to_domain((F2.element(*pair), F2.element(1, 1)), spec)
+        assert type(k) is int
+        for yi in y:
+            assert type(yi) is QuadInt and type(yi.a) is int and type(yi.b) is int
+            assert yi.D == 2
+
+
 def test_height_examples():
     F = QuadField.get(2)
     assert height_infty_k((F.element(1),), (1,)) == pytest.approx(1.0)
