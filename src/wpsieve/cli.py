@@ -10,12 +10,17 @@ the same configuration byte-reproduces the main output regardless of the
 worker count (timing lives only in the sidecar).  Exit codes: 0 success,
 2 validation error, 3 tuple budget exceeded, 4 internal invariant violation.
 Errors are reported as a single JSON line on stderr.
+
+The command line comes from two tables: `_FLAGS` maps each dest to its value
+parser and help (flag --x-y has dest and config key x_y, also spelled x-y),
+and `_COMMANDS` maps each command to its help line, its flags beyond the five
+common ones, and its runner.  `main` builds the parser of the invoked command
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -75,34 +80,35 @@ def _parse_bool(s: str) -> bool:
     raise CliError(f"expected a boolean, got {s!r}")
 
 
-def _parse_str(s: str) -> str:
-    return s
-
-
-_CONFIG_PARSERS = {
-    "weights": _parse_int_list,
-    "heights": _parse_fraction_list,
-    "height_max": _parse_fraction,
-    "Q": _parse_int,
-    "m": _parse_int,
-    "genus": _parse_int,
-    "thin": _parse_str,
-    "cover": _parse_str,
-    "residues": _parse_str,
-    "density": _parse_fraction,
-    "smooth_only": _parse_bool,
-    "integral": _parse_bool,
-    "workers": _parse_int,
-    "budget": _parse_int,
-    "force": _parse_bool,
-    "output": _parse_str,
-    "input": _parse_str,
-    "column": _parse_str,
-    "D": _parse_int,
-    "coords": _parse_str,
-    "p_max": _parse_int,
-    "primes": _parse_int_list,
+# dest -> (value parser, help).  Flag values arrive as strings and go through
+# the same parser as config values; a _parse_bool flag takes no value.
+_FLAGS = {
+    "config": (str, "key=value file; flags override it"),
+    "output": (str, "CSV/JSON file (default stdout)"),
+    "workers": (_parse_int, f"parallel workers (default ${WORKERS_ENV} or 1)"),
+    "budget": (_parse_int, f"tuple budget (default {DEFAULT_BUDGET})"),
+    "force": (_parse_bool, "ignore the tuple budget"),
+    "weights": (_parse_int_list, "comma list of weights"),
+    "heights": (_parse_fraction_list, "comma list of B values"),
+    "height_max": (_parse_fraction, "a single B"),
+    "integral": (_parse_bool, "gcd-1 integral tuples instead of stack points"),
+    "Q": (_parse_int, "sieve over the primes <= Q"),
+    "residues": (str, "residue-system file"),
+    "density": (_parse_fraction, "constant density per prime <= Q"),
+    "m": (_parse_int, "modulus exponent (cross-checked against the file)"),
+    "cover": (str, "built-in cover name or file path"),
+    "p_max": (_parse_int, "every prime <= P_MAX"),
+    "primes": (_parse_int_list, "comma list of primes"),
+    "genus": (_parse_int, "curve genus"),
+    "thin": (str, "thin tester: two-torsion, disc-square, or none"),
+    "smooth_only": (_parse_bool, "count smooth curves only"),
+    "input": (str, "census CSV file"),
+    "column": (str, "total or thin"),
+    "D": (_parse_int, "the field Q(sqrt(D))"),
+    "coords": (str, "a:b pairs, comma separated, for a+b*sqrt(D)"),
 }
+
+_COMMON = ("config", "output", "workers", "budget", "force")
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -116,83 +122,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _report_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="wpsieve", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value file; flags override it")
-        sp.add_argument("--output", help="CSV/JSON file (default stdout)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help=f"parallel workers (default ${WORKERS_ENV} or 1)")
-        sp.add_argument("--budget", type=int, default=None,
-                        help=f"tuple budget (default {DEFAULT_BUDGET})")
-        sp.add_argument("--force", action="store_const", const=True, default=None,
-                        help="ignore the tuple budget")
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        common(sp)
-        return sp
-
-    for name, integral in (("count", False), ("count-integral", True)):
-        sp = add(name, help="points of height <= B per grid entry")
-        sp.add_argument("--weights", default=None)
-        sp.add_argument("--heights", default=None, help="comma list of B values")
-        sp.add_argument("--height-max", dest="height_max", default=None)
-
-    sp = add("enumerate", help="list normalized points of height <= B")
-    sp.add_argument("--weights", default=None)
-    sp.add_argument("--height-max", dest="height_max", default=None)
-    sp.add_argument("--integral", action="store_const", const=True, default=None,
-                    help="gcd-1 integral tuples instead of stack points")
-
-    for name in ("sieve-bound", "survivors", "ls-check"):
-        sp = add(name, help={
-            "sieve-bound": "large-sieve upper bound and G(Q)",
-            "survivors": "count tuples surviving all residue exclusions",
-            "ls-check": "constant-free large-sieve inequality check",
-        }[name])
-        sp.add_argument("--weights", default=None)
-        sp.add_argument("--height-max", dest="height_max", default=None)
-        sp.add_argument("--Q", dest="Q", default=None)
-        sp.add_argument("--residues", default=None, help="residue-system file")
-        sp.add_argument("--density", default=None,
-                        help="constant density per prime <= Q (alternative to --residues)")
-        sp.add_argument("--m", dest="m", default=None,
-                        help="modulus exponent (cross-checked against the file)")
-
-    sp = add("image-density", help="image density of a cover mod p")
-    sp.add_argument("--cover", default=None, help="built-in cover name or file path")
-    sp.add_argument("--p-max", dest="p_max", default=None)
-    sp.add_argument("--primes", default=None, help="comma list of primes")
-
-    sp = add("census", help="totals and thin counts over a height grid")
-    sp.add_argument("--genus", default=None)
-    sp.add_argument("--heights", default=None)
-    sp.add_argument("--thin", default=None,
-                    help="thin tester: two-torsion, disc-square, or none")
-    sp.add_argument("--smooth-only", dest="smooth_only", action="store_const",
-                    const=True, default=None)
-
-    sp = add("fit", help="log-log slope of a census column")
-    sp.add_argument("--input", default=None, help="census CSV file")
-    sp.add_argument("--column", default=None, help="total or thin")
-
-    sp = add("qf-reduce", help="unit-reduce a tuple into the fundamental domain")
-    sp.add_argument("--D", dest="D", default=None)
-    sp.add_argument("--weights", default=None)
-    sp.add_argument("--coords", default=None,
-                    help="a:b pairs, comma separated, for a+b*sqrt(D)")
-
-    sp = add("qf-G", help="squarefree ideal sieve mass over Q(sqrt(D))")
-    sp.add_argument("--D", dest="D", default=None)
-    sp.add_argument("--Q", dest="Q", default=None)
-    sp.add_argument("--density", default=None)
-
-    return p
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -213,12 +142,11 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, parser_dests: set[str]) -> None:
+def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset (None) options from the config file; flags keep priority."""
     if not args.config:
         return
-    cfg = _load_config(args.config)
-    for key, sval in cfg.items():
+    for key, sval in _load_config(args.config).items():
         if key == "command":
             if sval != args.command:
                 raise CliError(
@@ -226,19 +154,17 @@ def _merge_config(args: argparse.Namespace, parser_dests: set[str]) -> None:
                 )
             continue
         dest = key.replace("-", "_")
-        if dest not in parser_dests or dest in ("config",):
+        if dest == "config" or not hasattr(args, dest):
             raise CliError(f"config key {key!r} is not valid for {args.command!r}")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, _CONFIG_PARSERS[dest](sval))
+        if getattr(args, dest) is None:
+            setattr(args, dest, _FLAGS[dest][0](sval))
 
 
 def _coerce_flags(args: argparse.Namespace) -> None:
     """Flag values arrive as raw strings; normalize through the same parsers
     the config file uses."""
-    for dest, parse in _CONFIG_PARSERS.items():
-        if not hasattr(args, dest):
-            continue
-        val = getattr(args, dest)
+    for dest, (parse, _) in _FLAGS.items():
+        val = getattr(args, dest, None)
         if isinstance(val, str):
             setattr(args, dest, parse(val))
 
@@ -246,21 +172,18 @@ def _coerce_flags(args: argparse.Namespace) -> None:
 def _resolve_workers(args) -> int:
     w = args.workers
     if w is None:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is not None:
-            try:
-                w = int(raw)
-            except ValueError:
-                raise CliError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
-    if w is None:
-        w = 1
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            w = int(raw)
+        except ValueError:
+            raise CliError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
     if w < 1:
         raise CliError(f"worker count must be >= 1, got {w}")
     return w
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "force", None):
+    if args.force:
         return _UNLIMITED
     if args.budget is not None:
         if args.budget < 1:
@@ -269,15 +192,15 @@ def _resolve_budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _need(args, dest: str, flag: str):
-    val = getattr(args, dest, None)
+def _need(args, dest: str):
+    val = getattr(args, dest)
     if val is None:
-        raise CliError(f"{args.command} requires {flag}")
+        raise CliError(f"{args.command} requires --{dest.replace('_', '-')}")
     return val
 
 
 def _need_weights(args) -> WeightVector:
-    return WeightVector(_need(args, "weights", "--weights"))
+    return WeightVector(_need(args, "weights"))
 
 
 def _resolve_grid(args) -> list[Fraction]:
@@ -321,32 +244,26 @@ def _resolve_cover(spec: str) -> covers.Cover:
 # --- command runners -------------------------------------------------------
 
 
-def _run_count(args, integral: bool):
+def _run_count(args):
     wv = _need_weights(args)
     grid = _resolve_grid(args)
-    fn = wps.count_integral if integral else wps.count
+    fn = wps.count_integral if args.command == "count-integral" else wps.count
     return ["B", "count"], [[b, fn(wv, b, budget=args.budget)] for b in grid]
 
 
 def _run_enumerate(args):
     wv = _need_weights(args)
-    grid = _resolve_grid(args)
-    if len(grid) != 1:
-        raise CliError("enumerate takes a single --height-max")
+    bound = _resolve_grid(args)[0]  # enumerate has no --heights
     fn = wps.enumerate_integral if args.integral else wps.enumerate_points
-    rows = [list(p.coords) for p in fn(wv, grid[0], budget=args.budget)]
+    rows = [list(p.coords) for p in fn(wv, bound, budget=args.budget)]
     return [f"x{i}" for i in range(len(wv))], rows
 
 
 def _sieve_params(args) -> tuple[sieve.SieveParams, sieve.ResidueSystem]:
     wv = _need_weights(args)
-    grid = _resolve_grid(args)
-    if len(grid) != 1:
-        raise CliError(f"{args.command} takes a single --height-max")
-    Q = _need(args, "Q", "--Q")
-    params = sieve.SieveParams(wv, grid[0], Q)
-    rs = _resolve_residues(args, Q)
-    return params, rs
+    bound = _resolve_grid(args)[0]  # the sieve commands have no --heights
+    Q = _need(args, "Q")
+    return sieve.SieveParams(wv, bound, Q), _resolve_residues(args, Q)
 
 
 def _run_sieve_bound(args):
@@ -378,11 +295,13 @@ def _run_ls_check(args):
 
 
 def _run_image_density(args):
-    cover = _resolve_cover(_need(args, "cover", "--cover"))
+    cover = _resolve_cover(_need(args, "cover"))
     if args.primes is not None:
-        ps = list(args.primes)
+        ps = args.primes
     elif args.p_max is not None:
-        ps = arith.primes_up_to(args.p_max)
+        # lazily: the density budget stops the walk long before a large
+        # --p-max could be sieved
+        ps = filter(arith.is_prime, range(2, args.p_max + 1))
     else:
         raise CliError("image-density requires --primes or --p-max")
     # the residue grid has its own, much smaller default cap; only an explicit
@@ -397,8 +316,8 @@ def _run_image_density(args):
 
 
 def _run_census(args):
-    g = _need(args, "genus", "--genus")
-    heights = _need(args, "heights", "--heights")
+    g = _need(args, "genus")
+    heights = _need(args, "heights")
     thin = args.thin if args.thin is not None else "two-torsion"
     table = hyperelliptic.census(
         g,
@@ -413,7 +332,7 @@ def _run_census(args):
 
 
 def _run_fit(args):
-    path = _need(args, "input", "--input")
+    path = _need(args, "input")
     column = args.column if args.column is not None else "total"
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -426,9 +345,9 @@ def _run_fit(args):
 
 
 def _run_qf_reduce(args):
-    D = _need(args, "D", "--D")
+    D = _need(args, "D")
     wv = _need_weights(args)
-    raw = _need(args, "coords", "--coords")
+    raw = _need(args, "coords")
     field = qf.QuadField.get(D)
     coords = []
     for part in raw.split(","):
@@ -447,26 +366,63 @@ def _run_qf_reduce(args):
 
 
 def _run_qf_G(args):
-    D = _need(args, "D", "--D")
-    Q = _need(args, "Q", "--Q")
-    density = _need(args, "density", "--density")
+    D = _need(args, "D")
+    Q = _need(args, "Q")
+    density = _need(args, "density")
     G = qf.compute_G_k(qf.QuadField.get(D), Q, density)
     return ["D", "Q", "density", "G"], [[D, Q, density, G]]
 
 
-_RUNNERS = {
-    "count": lambda a: _run_count(a, False),
-    "count-integral": lambda a: _run_count(a, True),
-    "enumerate": _run_enumerate,
-    "sieve-bound": _run_sieve_bound,
-    "survivors": _run_survivors,
-    "ls-check": _run_ls_check,
-    "image-density": _run_image_density,
-    "census": _run_census,
-    "fit": _run_fit,
-    "qf-reduce": _run_qf_reduce,
-    "qf-G": _run_qf_G,
+_SIEVE_FLAGS = ("weights", "height_max", "Q", "residues", "density", "m")
+
+# command -> (help line, flags beyond _COMMON, runner).  A runner returns a
+# CSV header and its rows, or None and a JSON payload.
+_COMMANDS = {
+    "count": ("points of height <= B per grid entry",
+              ("weights", "heights", "height_max"), _run_count),
+    "count-integral": ("gcd-1 integer tuples of height <= B per grid entry",
+                       ("weights", "heights", "height_max"), _run_count),
+    "enumerate": ("list normalized points of height <= B",
+                  ("weights", "height_max", "integral"), _run_enumerate),
+    "sieve-bound": ("large-sieve upper bound and G(Q)", _SIEVE_FLAGS, _run_sieve_bound),
+    "survivors": ("count tuples surviving all residue exclusions",
+                  _SIEVE_FLAGS, _run_survivors),
+    "ls-check": ("constant-free large-sieve inequality check", _SIEVE_FLAGS, _run_ls_check),
+    "image-density": ("image density of a cover mod p",
+                      ("cover", "p_max", "primes"), _run_image_density),
+    "census": ("totals and thin counts over a height grid",
+               ("genus", "heights", "thin", "smooth_only"), _run_census),
+    "fit": ("log-log slope of a census column", ("input", "column"), _run_fit),
+    "qf-reduce": ("unit-reduce a tuple into the fundamental domain",
+                  ("D", "weights", "coords"), _run_qf_reduce),
+    "qf-G": ("squarefree ideal sieve mass over Q(sqrt(D))", ("D", "Q", "density"), _run_qf_G),
 }
+
+
+def _top_parser() -> _Parser:
+    listing = "\n".join(f"  {name:<16}{line}" for name, (line, _, _) in _COMMANDS.items())
+    p = _Parser(
+        prog="wpsieve",
+        description=__doc__.splitlines()[0],
+        epilog=f"commands:\n{listing}\n\n`wpsieve <command> --help` lists its flags",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("command", choices=_COMMANDS, metavar="command",
+                   help="one of the commands below, then its flags")
+    return p
+
+
+def _command_parser(command: str) -> _Parser:
+    line, flags, _ = _COMMANDS[command]
+    p = _Parser(prog=f"wpsieve {command}", description=line)
+    for dest in _COMMON + flags:
+        parse, help_ = _FLAGS[dest]
+        flag = "--" + dest.replace("_", "-")
+        if parse is _parse_bool:
+            p.add_argument(flag, action="store_const", const=True, help=help_)
+        else:
+            p.add_argument(flag, help=help_)
+    return p
 
 
 # --- output ----------------------------------------------------------------
@@ -501,14 +457,10 @@ def _fmt_real(v: Fraction) -> str:
     return f"{'-' if v < 0 else ''}{mant}e+{e}"
 
 
-def _render(header, rows, payload) -> str:
+def _render(header, body) -> str:
     if header is None:  # JSON payload (fit)
-        return json.dumps(payload) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt_cell(v) for v in row) + "\n")
-    return buf.getvalue()
+        return json.dumps(body) + "\n"
+    return "".join(",".join(map(_fmt_cell, row)) + "\n" for row in [header, *body])
 
 
 def _config_echo(args) -> dict:
@@ -542,27 +494,23 @@ def _emit(args, text: str, wall: float) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # the command is the first word; only its own parser is built
+        command = _top_parser().parse_args(argv[:1]).command
+        args = _command_parser(command).parse_args(argv[1:])
     except SystemExit as e:  # argparse already reported via _Parser.error
         return int(e.code or 0)
+    args.command = command
     t0 = time.perf_counter()
     try:
-        dests = set(vars(args))
-        _merge_config(args, dests)
+        _merge_config(args)
         _coerce_flags(args)
         args.workers = _resolve_workers(args)
-        args.budget_explicit = args.budget is not None or bool(
-            getattr(args, "force", None)
-        )
+        args.budget_explicit = args.budget is not None or bool(args.force)
         args.budget = _resolve_budget(args)
-        out = _RUNNERS[args.command](args)
-        if out[0] is None:
-            text = _render(None, None, out[1])
-        else:
-            text = _render(out[0], out[1], None)
-        _emit(args, text, time.perf_counter() - t0)
+        header, body = _COMMANDS[command][2](args)
+        _emit(args, _render(header, body), time.perf_counter() - t0)
         return EXIT_OK
     except BudgetExceededError as e:
         _report_error("budget", str(e))

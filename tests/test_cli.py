@@ -1,7 +1,9 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +180,18 @@ def test_image_density_from_cover_file(tmp_path, capsys):
     assert out == "p,density\n5,0.6\n"
 
 
+def test_image_density_p_max_stops_at_the_budget(capsys):
+    # the candidates are walked lazily: the density budget turns away p = 173
+    # without a prime table up to 10^15 being built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        ["image-density", "--cover", "two-torsion-g1", "--p-max", str(10**15)], capsys
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "budget"
+    assert time.perf_counter() - t0 < 10
+
+
 def test_image_density_rejects_composite(capsys):
     code, _, err = run_cli(
         ["image-density", "--cover", "square-coord", "--primes", "6"], capsys
@@ -303,11 +317,60 @@ def test_validation_exit_codes(capsys):
         ["count", "--weights", "1,1", "--height-max", "1", "--workers", "0"],
         ["no-such-command"],
         ["enumerate", "--weights", "1,1", "--heights", "1,2"],  # unknown flag
+        ["count", "--weights", "1,1", "--height-max", "1", "--workers", "abc"],
+        ["count", "--weights", "1,1", "--height-max", "1", "--budget", "abc"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert json.loads(err.splitlines()[-1])["error"] == "validation", argv
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--workers", "--budget", "--force"}
+SIEVE_OPTIONS = {"--weights", "--height-max", "--Q", "--residues", "--density", "--m"}
+COMMAND_OPTIONS = {
+    "count": {"--weights", "--heights", "--height-max"},
+    "count-integral": {"--weights", "--heights", "--height-max"},
+    "enumerate": {"--weights", "--height-max", "--integral"},
+    "sieve-bound": SIEVE_OPTIONS,
+    "survivors": SIEVE_OPTIONS,
+    "ls-check": SIEVE_OPTIONS,
+    "image-density": {"--cover", "--p-max", "--primes"},
+    "census": {"--genus", "--heights", "--thin", "--smooth-only"},
+    "fit": {"--input", "--column"},
+    "qf-reduce": {"--D", "--weights", "--coords"},
+    "qf-G": {"--D", "--Q", "--density"},
+}
+
+
+def help_options(text):
+    """The option strings listed in an argparse help text."""
+    found = re.findall(r"^  (--?[\w-]+)(?: [A-Z_]+)?(?:, (--?[\w-]+))?", text, re.M)
+    return {opt for pair in found for opt in pair if opt}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_surface(command, tmp_path, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    assert help_options(out) == COMMON_OPTIONS | COMMAND_OPTIONS[command]
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0
+    assert re.search(rf"^ +{re.escape(command)} +\S", out, re.M)  # name, help line
+    # a config key that only another command takes is refused
+    foreign = "genus" if "--weights" in COMMAND_OPTIONS[command] else "weights"
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"{foreign}=1\n")
+    code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert json.loads(err)["message"] == f"config key {foreign!r} is not valid for {command!r}"
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # the path of the console script and of `python -m wpsieve.cli`
+    monkeypatch.setattr(sys, "argv", ["wpsieve", "count", "--weights", "4,6", "--height-max", "1"])
+    code = cli.main()
+    assert (code, capsys.readouterr().out) == (0, "B,count\n1,8\n")
 
 
 def test_budget_exit_and_force(capsys):
