@@ -1,20 +1,23 @@
 """Exact integer arithmetic shared by the other modules.
 
 Everything here is deterministic and exact: a growable prime table,
-factorization, p-adic valuations, integer k-th roots and the Moebius
-function (also as one sieved table for a whole range, and summed as the
-Mertens function).  Past the table, primality is deterministic Miller-Rabin,
-and factorization trial-divides by the primes up to _TRIAL_TO only, then
-splits what is left by Pollard's rho (Brent's variant), so a number's cost
-follows the size of its second-largest prime factor, not its square root.
+factorization, p-adic valuations, integer k-th roots, the Moebius function
+(also as one sieved table for a whole range, and summed as the Mertens
+function) and the squarefree mass that both sieves divide by.  Past the
+table, primality is deterministic Miller-Rabin, and factorization
+trial-divides by the primes up to _TRIAL_TO only, then splits what is left
+by Pollard's rho (Brent's variant), so a number's cost follows the size of
+its second-largest prime factor, not its square root.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -249,3 +252,32 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).factors:
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+def squarefree_mass(norms, ratios, Q: int) -> Fraction:
+    """Sum over index sets S with prod_{i in S} norms[i] <= Q of
+    prod_{i in S} ratios[i] (ints or Fractions).  norms ascend from 2;
+    equal norms are distinct indices.
+
+    The ratios share one denominator b; the integer numerators of the sets
+    of size k add up to T_k, and the mass is sum_k T_k / b^k, with no
+    Fraction per set.  A child whose norm N has N^2 > cap cannot grow:
+    those children are added at once, by a difference of prefix sums."""
+    if not isinstance(Q, int) or Q < 1:
+        raise ValueError(f"Q must be a positive integer, got {Q!r}")
+    if len(norms) != len(ratios) or min(norms, default=2) < 2 or any(
+            n > m for n, m in zip(norms, norms[1:])):
+        raise ValueError("need ascending norms >= 2 and one ratio per norm")
+    b = math.lcm(*{r.denominator for r in ratios})  # ints and Fractions alike
+    nums = [r.numerator * (b // r.denominator) for r in ratios]
+    prefix = list(itertools.accumulate(nums, initial=0))
+    tally = [1] + [0] * Q.bit_length()  # k norms >= 2 have a product >= 2^k
+
+    def walk(i: int, cap: int, t: int, k: int) -> None:
+        hi = bisect_right(norms, cap, i)
+        tally[k + 1] += t * (prefix[hi] - prefix[i])
+        for j in range(i, bisect_right(norms, math.isqrt(cap), i, hi)):  # N^2 <= cap
+            walk(j + 1, cap // norms[j], t * nums[j], k + 1)
+
+    walk(0, Q, 1, 0)
+    return sum((Fraction(T, b**k) for k, T in enumerate(tally) if T), Fraction(0))

@@ -21,6 +21,7 @@ alone.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -263,6 +264,7 @@ def _sieve_params(args) -> tuple[sieve.SieveParams, sieve.ResidueSystem]:
     wv = _need_weights(args)
     bound = _resolve_grid(args)[0]  # the sieve commands have no --heights
     Q = _need(args, "Q")
+    wps.check_budget(Q, args.budget, "sieving the primes up to Q = {}")
     return sieve.SieveParams(wv, bound, Q), _resolve_residues(args, Q)
 
 
@@ -369,6 +371,7 @@ def _run_qf_G(args):
     D = _need(args, "D")
     Q = _need(args, "Q")
     density = _need(args, "density")
+    wps.check_budget(Q, args.budget, "sieving the primes up to Q = {}")
     G = qf.compute_G_k(qf.QuadField.get(D), Q, density)
     return ["D", "Q", "density", "G"], [[D, Q, density, G]]
 
@@ -447,14 +450,9 @@ def _fmt_real(v: Fraction) -> str:
         return format(float(v), ".12g")
     except OverflowError:
         pass
-    a = abs(v)
-    e = len(str(a.numerator // a.denominator)) - 1
-    digits = round(a / 10 ** (e - 11))
-    if digits == 10**12:
-        digits, e = digits // 10, e + 1
-    mant = str(digits).rstrip("0")
-    mant = mant[0] + ("." + mant[1:] if len(mant) > 1 else "")
-    return f"{'-' if v < 0 else ''}{mant}e+{e}"
+    ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX)
+    q = ctx.divide(decimal.Decimal(v.numerator), decimal.Decimal(v.denominator))
+    return format(ctx.normalize(q), ".12g")
 
 
 def _render(header, body) -> str:

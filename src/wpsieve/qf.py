@@ -336,27 +336,11 @@ def prime_ideal_norms_up_to(field: QuadField, Q: int) -> list[tuple[int, int]]:
 
 
 def compute_G_k(field: QuadField, Q: int, density_per_ideal) -> Fraction:
-    """Σ over squarefree ideals 𝔮 with N𝔮 ≤ Q of ∏_{𝔭|𝔮} ν/(1−ν), ν constant.
-
-    With r = ν/(1−ν) this is Σ_k n_k·rᵏ, where n_k counts the squarefree
-    ideals of norm ≤ Q with k prime factors: sets of distinct prime ideals,
-    counted with integers over the sorted norm list."""
+    """Σ over squarefree ideals 𝔮 with N𝔮 ≤ Q of ∏_{𝔭|𝔮} ν/(1−ν), ν constant:
+    one `arith.squarefree_mass` walk over the prime-ideal norms, each norm
+    repeated once per ideal."""
     nu = Fraction(density_per_ideal)
     if not 0 <= nu < 1:
         raise ValueError(f"ideal density must lie in [0,1), got {nu}")
-    norms = []
-    for norm, mult in prime_ideal_norms_up_to(field, Q):
-        norms.extend([norm] * mult)
-    # each norm is >= 2, so a product of k of them <= Q has k < Q.bit_length()
-    n_k = [0] * Q.bit_length()
-
-    def rec(i: int, cap: int, k: int) -> None:
-        n_k[k] += 1
-        for j in range(i, len(norms)):
-            if norms[j] > cap:
-                break
-            rec(j + 1, cap // norms[j], k + 1)
-
-    rec(0, Q, 0)
-    ratio = nu / (1 - nu)
-    return sum(n * ratio**k for k, n in enumerate(n_k))
+    norms = [n for n, mult in prime_ideal_norms_up_to(field, Q) for _ in range(mult)]
+    return arith.squarefree_mass(norms, [nu / (1 - nu)] * len(norms), Q)

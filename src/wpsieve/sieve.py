@@ -147,34 +147,19 @@ class SieveParams:
 
 
 def compute_G(Q: int, rs: ResidueSystem) -> Fraction:
-    """Exact sieve mass: sum over squarefree q <= Q of prod nu/(1-nu).
-
-    Squarefree q are generated as increasing products of primes (never by
-    factoring), so Q up to 10^6 stays cheap.  Primes without an entry have
-    nu = 0 and contribute nothing; q = 1 contributes 1.
-    """
+    """Exact sieve mass: sum over squarefree q <= Q of prod nu/(1-nu), one
+    `arith.squarefree_mass` walk over the primes with nu > 0."""
     if not isinstance(Q, int) or Q < 1:
         raise ValueError(f"Q must be a positive integer, got {Q!r}")
-    ratios = []
-    for p in arith.primes_up_to(Q):
-        nu = rs.density(p)
-        if nu == 1:
+    primes, ratios = [], []
+    for p in sorted(p for p in rs.entries if p <= Q):
+        n, d = rs.density(p).as_integer_ratio()
+        if n == d:
             raise ValueError(f"density 1 at p={p} makes the mass diverge")
-        if nu > 0:
-            ratios.append((p, nu / (1 - nu)))
-    total = Fraction(0)
-
-    def rec(idx: int, cap: int, term: Fraction):
-        nonlocal total
-        total += term
-        for j in range(idx, len(ratios)):
-            p, r = ratios[j]
-            if p > cap:
-                break
-            rec(j + 1, cap // p, term * r)
-
-    rec(0, Q, Fraction(1))
-    return total
+        if n:
+            primes.append(p)
+            ratios.append(Fraction(n, d - n))  # nu / (1 - nu)
+    return arith.squarefree_mass(primes, ratios, Q)
 
 
 def _check_widths(params: SieveParams, rs: ResidueSystem) -> None:

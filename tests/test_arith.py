@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wpsieve import arith
 
@@ -193,3 +195,40 @@ def test_divisors():
         n = rng.randint(1, 5000)
         ds = arith.divisors(n)
         assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _subset_mass(norms, ratios, Q):
+    # every index set, its norm product checked directly
+    return sum(
+        (math.prod(ratios[i] for i in S)
+         for k in range(len(norms) + 1)
+         for S in itertools.combinations(range(len(norms)), k)
+         if math.prod(norms[i] for i in S) <= Q),
+        Fraction(0),
+    )
+
+
+_RATIO = st.builds(Fraction, st.integers(0, 9), st.integers(1, 12))  # zeros included
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(st.integers(2, 6) | st.integers(2, 40), _RATIO), max_size=9),
+       Q=st.integers(1, 3000) | st.integers(1, 40))
+@example(pairs=[], Q=1)
+@example(pairs=[], Q=50)
+@example(pairs=[(2, Fraction(1, 2))], Q=1)
+@example(pairs=[(2, Fraction(1, 2)), (2, Fraction(1, 3))], Q=4)
+@example(pairs=[(3, Fraction(2, 3)), (3, Fraction(5, 7)), (3, Fraction(1, 5)), (9, Fraction(0))], Q=27)
+def test_squarefree_mass_matches_subset_sums(pairs, Q):
+    # repeated norms are distinct indices; the ratios mix denominators up to 12
+    pairs.sort(key=lambda nr: nr[0])
+    norms = [n for n, _ in pairs]
+    ratios = [r for _, r in pairs]
+    assert arith.squarefree_mass(norms, ratios, Q) == _subset_mass(norms, ratios, Q)
+
+
+def test_squarefree_mass_rejects_bad_input():
+    for norms, ratios, Q in (([2], [1], 0), ([2], [1, 1], 5), ([3, 2], [1, 1], 5),
+                             ([1], [1], 5)):
+        with pytest.raises(ValueError):
+            arith.squarefree_mass(norms, ratios, Q)

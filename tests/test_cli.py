@@ -82,8 +82,9 @@ def test_sieve_bound_density_only(capsys):
 
 def test_sieve_bound_past_float_range(tmp_path, capsys):
     rs = write_rs(tmp_path, "2 1 1 2\n")
+    # the last bound has an integer part past Python's 4,300-digit str() limit
     for height, bound in (("1" + "0" * 41, "5e+409"), ("3" + "0" * 40, "2.95245e+404"),
-                          ("1" + "0" * 40 + "1", "5e+409")):
+                          ("1" + "0" * 40 + "1", "5e+409"), ("1" + "0" * 500, "5e+4999")):
         code, out, _ = run_cli(
             ["sieve-bound", "--weights", "4,6", "--height-max", height, "--Q", "5",
              "--residues", rs],
@@ -91,6 +92,19 @@ def test_sieve_bound_past_float_range(tmp_path, capsys):
         )
         assert code == 0
         assert out == f"B,Q,m,G,bound\n{height},5,1,2,{bound}\n"
+    # one weight and Q = 1 give bound = B + 1 exactly: two half-even ties
+    # (one rounds up, one down) and one that carries into the next power of 10
+    for top, bound in ((1000000000015, "1.00000000002e+402"),
+                       (1000000000025, "1.00000000002e+402"),
+                       (9999999999995, "1e+403")):
+        height = str(top * 10**390 - 1)
+        code, out, _ = run_cli(
+            ["sieve-bound", "--weights", "1", "--height-max", height, "--Q", "1",
+             "--density", "1/3"],
+            capsys,
+        )
+        assert code == 0
+        assert out == f"B,Q,m,G,bound\n{height},1,1,1,{bound}\n"
 
 
 def test_survivors_row(tmp_path, capsys):
@@ -381,6 +395,21 @@ def test_budget_exit_and_force(capsys):
     code, out, _ = run_cli(argv + ["--force"], capsys)
     assert code == 0
     assert out == "B,count\n3,16\n"
+
+
+def test_sieve_Q_counts_against_the_budget(capsys):
+    # every prime up to Q would be sieved: Q past the budget is refused first
+    sieve_argv = ["sieve-bound", "--weights", "1,1", "--height-max", "1", "--density", "1/3"]
+    for argv in (["qf-G", "--D", "2", "--Q", "10000000000", "--density", "1/3"],
+                 sieve_argv + ["--Q", "1001", "--budget", "1000"],
+                 ["survivors", *sieve_argv[1:], "--Q", "1001", "--budget", "1000"],
+                 ["ls-check", *sieve_argv[1:], "--Q", "1001", "--budget", "1000"]):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(argv, capsys)
+        assert (code, json.loads(err)["error"]) == (3, "budget"), argv
+        assert time.perf_counter() - t0 < 1, argv
+    code, out, _ = run_cli(sieve_argv + ["--Q", "300000"], capsys)
+    assert (code, out) == (0, "B,Q,m,G,bound\n1,300000,1,38933.96875,2.08044549791e+17\n")
 
 
 def test_census_budget_past_float_range(capsys):
