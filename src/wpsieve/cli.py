@@ -272,11 +272,8 @@ def _run_sieve_bound(args):
     params, rs = _sieve_params(args)
     G = sieve.compute_G(params.Q, rs)
     # 12 significant digits, also for an integral bound past the float range
-    bound = _fmt_real(Fraction(sieve.sieve_upper_bound(params, rs)))
-    return (
-        ["B", "Q", "m", "G", "bound"],
-        [[params.bound, params.Q, rs.m, G, bound]],
-    )
+    bound = _fmt_real(Fraction(sieve.sieve_upper_bound(params, rs, G)))
+    return ["B", "Q", "m", "G", "bound"], [[params.bound, params.Q, rs.m, G, bound]]
 
 
 def _run_survivors(args):

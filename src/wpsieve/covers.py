@@ -49,10 +49,10 @@ class WeightedForm:
                 )
 
     def evaluate(self, coords: Sequence[int]) -> int:
-        """Value at one point; given one object array of Python ints per
-        coordinate instead, the values at every row, exactly."""
+        """Value at one point; given one array per coordinate instead (Python
+        ints, or int64 where no term can reach 2^63), the values at every row."""
         return sum(
-            c * math.prod(x**k for x, k in zip(coords, e)) for c, e in self.terms
+            c * math.prod(x**k for x, k in zip(coords, e) if k) for c, e in self.terms
         )
 
     def _evaluate_mod_cols(self, cols, p: int):
@@ -105,9 +105,7 @@ class Cover:
 
     def poly_at(self, coords: Sequence[int]) -> list[int]:
         """Ascending integer coefficients of the monic specialization."""
-        out = [form.evaluate(coords) if form else 0 for form in self.coeffs]
-        out.append(1)
-        return out
+        return [*(form.evaluate(coords) if form else 0 for form in self.coeffs), 1]
 
     def column_solver(self) -> Optional[int]:
         """Sign s when the constant coefficient is s * (last coordinate) and no
@@ -121,47 +119,44 @@ class Cover:
         if c0 is None or len(c0.terms) != 1:
             return None
         s, e = c0.terms[0]
-        if s not in (1, -1):
+        if s not in (1, -1) or e[last] != 1 or any(e[:last]):
             return None
-        if e[last] != 1 or any(e[i] != 0 for i in range(last)):
+        if any(t_e[last] for form in self.coeffs[1:] if form for _, t_e in form.terms):
             return None
-        for form in self.coeffs[1:]:
-            if form is None:
-                continue
-            if any(t_e[last] != 0 for _, t_e in form.terms):
-                return None
         return s
 
-    def solve_columns(self, prefixes: Sequence[Sequence[int]], bound: int):
+    def solve_columns(self, prefixes: Sequence[Sequence[int]] | np.ndarray, bound: int):
         """Members of fixed-prefix columns, solved for a nonempty block of
-        prefixes at once; requires column_solver() to apply.
+        prefixes (a sequence, or an int64 array) at once; requires
+        column_solver() to apply.
 
         With constant term s * y (s = +-1) and c_1..c_{deg-1} free of y, the
         value y makes (prefix, y) a member exactly when y = -s * f(t) for an
-        integer t, where f(t) = t^deg + sum_j c_j(prefix) t^j.  Every such t
-        with |y| <= bound lies in |t| <= T, T the Fujiwara-style bound of
-        root_bound.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
+        integer t, f(t) = t^deg + sum_j c_j(prefix) t^j, and then
+        |t| <= T = root_window(deg, bound, cmax), cmax the block's largest
+        |c_j|.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
         |t| <= T, sorted; keep[i] marks its distinct values with |y| <= bound,
-        which are the members of the column over prefixes[i].  T is the
-        largest row bound in the block: a wider window than a row needs is
-        still exact, because every value is filtered by |y| <= bound.  The
-        dtype is int64 when no evaluation (nor any Horner intermediate) can
-        reach 2^63, and object (Python ints) otherwise.
+        the members over prefixes[i].  Arrays are int64 (the column int32)
+        while no bound, value or Horner intermediate reaches 2^63 (2^31), and
+        Python ints otherwise, exact at any height.
         """
         sign = self.column_solver()
         if sign is None:
             raise ValueError("cover constant term is not a separated coordinate")
         deg = self.degree
-        n = len(prefixes)
-        cols = (*np.array(prefixes, dtype=object).T, np.zeros(n, dtype=object))
-        c = np.zeros((n, deg - 1), dtype=object)  # exact c_1 .. c_{deg-1} per row
+        X = np.asarray(prefixes)
+        if X.dtype != np.int64 or max(self._coeff_bounds(np.abs(X).max(axis=0).tolist())) >> 63:
+            X = X.astype(object)
+        cols = (*X.T, np.zeros(len(X), dtype=X.dtype))
+        c = np.zeros((len(X), deg - 1), dtype=X.dtype)  # c_1 .. c_{deg-1} per row
         for j, form in enumerate(self.coeffs[1:]):
             if form:
                 c[:, j] = form.evaluate(cols)
         cmax = np.abs(c).max(axis=0).tolist()
-        tmax = root_bound(deg, bound, cmax)
+        tmax = root_window(deg, bound, cmax)
         reach = tmax**deg + sum(m * tmax**j for j, m in enumerate(cmax, start=1))
-        dtype = np.int64 if reach < 2**63 else object
+        top = max(reach, bound)
+        dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
         c = c.astype(dtype)
         t = np.arange(-tmax, tmax + 1).astype(dtype)
         ys = t + c[:, deg - 2, None]  # Horner on f(t) / t, then one more t
@@ -170,8 +165,7 @@ class Cover:
             ys += c[:, j - 1, None]
         ys *= -sign * t
         ys.sort(axis=1)
-        keep = ys >= -bound
-        keep &= ys <= bound
+        keep = abs(ys) <= bound
         keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
         return ys, keep
 
@@ -183,26 +177,37 @@ class Cover:
         return ys[0, keep[0]].tolist()
 
     def column_width(self, prefix_cutoffs: Sequence[int], bound: int) -> int:
-        """Row width 2T+1 of solve_columns for any block of prefixes
-        with |x_i| <= prefix_cutoffs[i]: an upper bound on its per-row work."""
-        box = (*prefix_cutoffs, 0)
-        cmax = [
-            sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
-            if form else 0
-            for form in self.coeffs[1:]
-        ]
-        return 2 * root_bound(self.degree, bound, cmax) + 1
+        """Row width 2T+1 of solve_columns for any block of prefixes with
+        |x_i| <= prefix_cutoffs[i]: root_window grows with cmax, so the
+        box's window bounds every such block's per-row work."""
+        return 2 * root_window(self.degree, bound, self._coeff_bounds(prefix_cutoffs)) + 1
+
+    def _coeff_bounds(self, prefix_box: Sequence[int]) -> list[int]:
+        """The largest |c_j|, j = 1..deg-1, that prefixes with
+        |x_i| <= prefix_box[i] can give."""
+        box = (*prefix_box, 0)
+        return [sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
+                if form else 0 for form in self.coeffs[1:]]
 
 
-def root_bound(degree: int, bound: int, cmax: Sequence[int]) -> int:
-    """Every complex root t of t^deg + sum_{0<j<deg} c_j t^j + c_0 with
-    |c_j| <= cmax[j-1] and |c_0| <= bound obeys |t| <= the returned T
-    (Fujiwara: |t| <= 2 max |c_j|^{1/(deg-j)})."""
-    tmax = arith.iroot(bound, degree) + 1
-    for j, c in enumerate(cmax, start=1):
-        if c:
-            tmax = max(tmax, arith.iroot(c, degree - j) + 1)
-    return 2 * tmax + 1
+def root_window(degree: int, bound: int, cmax: Sequence[int]) -> int:
+    """The largest T >= 0 with p(T) <= bound, p(t) = t^deg - sum_{0<j<deg} cmax[j-1] t^j.
+
+    Less bound, p changes sign once, so past its one positive root r
+    (Descartes) it stays positive.  For every t^deg + sum_{0<j<deg} c_j t^j + c_0
+    with |c_j| <= cmax[j-1] and |c_0| <= bound, then, each complex root has
+    |t| <= r < T + 1, and each integer |t| > T gives |t^deg + sum_j c_j t^j|
+    > bound.  Exact at any size: doubling, then integer bisection."""
+    def small(t):
+        return t**degree - sum(c * t**j for j, c in enumerate(cmax, start=1)) <= bound
+
+    lo, hi = 0, 1
+    while small(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        t = (lo + hi) // 2
+        lo, hi = (t, hi) if small(t) else (lo, t)
+    return lo
 
 
 def _check_point(weights: WeightVector, point: WpsPoint) -> None:

@@ -9,23 +9,18 @@ discriminant, computed exactly), rational 2-torsion (an integer root of the
 right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
-The census totals are wps.count at each cutoff (the Moebius closed form),
-less the singular tuples with --smooth-only.  Thin members are found in one
-loop over blocks of _BLOCK_ROWS prefixes (all coordinates but the last).  A
-cover whose constant term is +-y (the last coordinate), such as two-torsion,
-is solved a block at a time by Cover.solve_columns, exactly at any height;
-other covers are tested at every y of the window.  One counter, _count_block,
-drops the candidates that are not points (the zero tuple, weighted gcd > 1)
-and counts the rest at every cutoff from the row's smallest one.
-
-With --smooth-only the singular tuples are listed, not searched for, as
-f = q^2 h (_singular_tuples), at a cost near their number, not the number
-of prefixes; as one block of the same counter they come off the totals,
-and those the tester accepts off the thin counts.  The budget counts the
-work: prefixes times 2T+1 with a thin cover, the box for testers
-solve_columns cannot take, and with --smooth-only the bound _singular_work,
-all that --thin none charges.  Every route is checked against brute-force
-oracles in the tests.
+The census totals are wps.count at each cutoff, less the singular tuples
+with --smooth-only.  Thin members come from one loop over int64 blocks of
+_BLOCK_ROWS prefixes (all coordinates but the last).  A cover whose constant
+term is +-y, such as two-torsion, is solved a block at a time by
+Cover.solve_columns over the block's exact root window; other covers are
+tested at every y.  One counter, _count_block, drops the candidates that
+are not points and counts each of the rest once, at its level: the first
+cutoff whose box holds it.  With --smooth-only the singular tuples are
+listed as f = q^2 h (_singular_tuples); those with deg q = 1 or deg h = 1
+are two-torsion members without a test.  The budget counts the work:
+prefixes times the window 2T+1, the box for other testers, _singular_work.
+Every route is checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -196,14 +191,14 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None) -> set[tuple[int, ...]]:
+def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[tuple[int, ...]]:
     """Every tuple of the box |x_i| <= Ms[i] (x_0 cut down to x0_range as by
     wps.clip_ranges) whose curve polynomial f has a repeated root.
 
-    Then f = q^2 h, q and h monic in Z[t], k = deg q in 1..g (Gauss's lemma).
+    Then f = q^2 h, q and h monic in Z[t] (Gauss's lemma); k = deg q in ks (1..g).
     With coefficients from the top, c_s of t^{n-s} (n = 2g+1), c_1 = 0 gives
     h_1 = -2 q_1 and c_s = x_{s-2} must lie in its window.  For k < g, q comes
-    from the root box |q_j| <= C(k, j) R^j (R = covers.root_bound), each h_s
+    from the root box |q_j| <= C(k, j) R^j (R = covers.root_window + 1), each h_s
     enters c_s with slope 1 and h's constant term enters c_s, s >= deg h,
     with slope P_{s - deg h} (P = q^2): one interval.  For k = g only q_1
     comes from the box, and q_s enters c_s with slope 2.  An f with several
@@ -236,8 +231,8 @@ def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None) -> set[tuple[int,
         elif lo[s] <= c[s] <= hi[s]:
             walk(k, q, h, [*cs, c[s]])
 
-    R = covers.root_bound(n, Ms[-1], [*reversed(Ms[:-1]), 0])  # x_i of t^{2g-1-i}
-    for k in range(1, g + 1):
+    R = covers.root_window(n, Ms[-1], [*reversed(Ms[:-1]), 0]) + 1  # x_i of t^{2g-1-i}
+    for k in range(1, g + 1) if ks is None else ks:
         caps = [math.comb(k, j) * R**j for j in range(1, (k if k < g else 1) + 1)]
         for head in itertools.product(*(range(-c, c + 1) for c in caps)):
             walk(k, [1, *head], [1, -2 * head[0]], [])
@@ -248,7 +243,7 @@ def _singular_work(g: int, Ms: Sequence[int]) -> int:
     """A bound, known before the run, on the leaves of _singular_tuples'
     search, mirroring it: per k, the q from its root box times the window
     widths after it (2M+1 at slope 1, M+1 at slope 2)."""
-    R, work = covers.root_bound(2 * g + 1, Ms[-1], [*reversed(Ms[:-1]), 0]), 0
+    R, work = covers.root_window(2 * g + 1, Ms[-1], [*reversed(Ms[:-1]), 0]) + 1, 0
     for k in range(1, g + 1):
         qs = math.prod(2 * math.comb(k, j) * R**j + 1 for j in range(1, (k if k < g else 1) + 1))
         windows = [2 * m + 1 for m in Ms[: 2 * (g - k)]] if k < g else [m + 1 for m in Ms[: g - 1]]
@@ -338,11 +333,10 @@ def census(
 ) -> CensusTable:
     """Point totals and thin counts for every height cutoff in the grid.
 
-    The totals come from wps.count.  One pass over coordinate prefixes
-    finds the thin tuples of the whole grid, each prefix bucketed by the
-    smallest cutoff whose box holds it.  With smooth_only the singular tuples,
-    listed as f = q^2 h, come off the totals and, when thin, off the thin
-    counts; no prefix is visited for them.
+    The totals come from wps.count.  One pass over coordinate prefixes finds
+    the thin points of the whole grid, each counted once at the first cutoff
+    whose box holds it.  With smooth_only the singular tuples, listed as
+    f = q^2 h, come off the totals and, when thin, off the thin counts.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -353,31 +347,23 @@ def census(
         raise ValueError("census heights must increase strictly")
     cover = _tester_cover(thin, g)  # validate the name before any work
     check_budget(_census_work(wv, bounds[-1], cover, smooth_only), budget, "census needs {} steps")
-    sings, thins = [0] * len(bounds), [0] * len(bounds)
+    sings = thins = [0] * len(bounds)
     if cover is not None or smooth_only:
         m0 = box_cutoffs(wv, bounds[-1])[0]
         parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), m0, workers)
-        sings = [sum(col) for col in zip(*(p[0] for p in parts))]
-        thins = [sum(col) for col in zip(*(p[1] for p in parts))]
-    rows = [
-        CensusRow(b, count(wv, b, budget=None) - sing, th, thin)
-        for b, sing, th in zip(bounds, sings, thins)
-    ]
-    meta = {
-        "genus": g,
-        "thin": thin,
-        "smooth_only": smooth_only,
-        "workers": workers,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+        sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
+    rows = [CensusRow(b, count(wv, b, budget=None) - sing, th, thin)
+            for b, sing, th in zip(bounds, sings, thins)]
+    meta = dict(genus=g, thin=thin, smooth_only=smooth_only, workers=workers,
+                wall_time_s=time.perf_counter() - t0)
     return CensusTable(rows, meta)
 
 
 def _census_work(wv, bound, cover, smooth_only) -> int:
     """Steps the census takes up to its top height: the box for the pointwise
-    path, the prefixes times the row width 2T+1 of the solved columns for
-    the column path, none without a thin cover (it visits no prefix); with
-    smooth_only plus _singular_work."""
+    path, the prefixes times the exact window 2T+1 of the box for the column
+    path, none without a thin cover (it visits no prefix); with smooth_only
+    plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
     prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
     work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
@@ -388,73 +374,85 @@ def _census_work(wv, bound, cover, smooth_only) -> int:
     return work + prefixes * cover.column_width(Ms[:-1], Ms[-1])
 
 
-def _census_chunk(args) -> tuple[list[int], list[int]]:
-    """(singular, thin) counts per cutoff over one x0 range: the singular
+def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """(singular, thin) counts by level over one x0 range: the singular
     tuples as one block of rows (X, y), less the thin tester's hits among
-    them; then the thin members, from one loop over blocks of _BLOCK_ROWS
-    prefixes (solved columns or the pointwise tester)."""
+    them; then the thin members, from one loop over int64 blocks of
+    _BLOCK_ROWS prefixes (solved columns or the pointwise tester)."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
     cutoffs = np.array([box_cutoffs(wv, b) for b in bounds], dtype=object)
+    cutoffs = cutoffs.astype(np.int64 if cutoffs.max() < 2**63 else object)
     cover = _tester_cover(thin, g)
     plist = box_primes(wv, bounds[-1])
-    sings, thins = [0] * len(bounds), [0] * len(bounds)
+    sings = thins = np.zeros(len(bounds), dtype=np.int64)  # counts by level
     if smooth_only:
-        S = np.array(list(_singular_tuples(g, cutoffs[-1].tolist(), x0_range)),
-                     dtype=object).reshape(-1, len(wv))
-        X, ys = S[:, :-1], S[:, -1:]
-        _count_block(X, ys, np.ones(ys.shape, dtype=bool), cutoffs, plist, sings)
+        # f = q^2 h with deg q = 1 or deg h = 1 (k = 1 or g) has an integer root
+        Ms, sure_k = cutoffs[-1].tolist(), thin == "two-torsion"
+        sure = _singular_tuples(g, Ms, x0_range, {1, g}) if sure_k else set()
+        rest = _singular_tuples(g, Ms, x0_range, range(2, g) if sure_k else None) - sure
+        S = np.array([*sure, *rest], dtype=cutoffs.dtype).reshape(-1, len(wv))
+        X, ys, keep = S[:, :-1], S[:, -1:], np.ones((len(S), 1), dtype=bool)
+        sings = _count_block(X, ys, keep, cutoffs, plist)
         if cover is not None:
-            _count_block(X, ys, _pointwise_keep(cover, X, ys), cutoffs, plist, thins)
-            thins = [-h for h in thins]
-    if cover is None:
-        return sings, thins
-    m = cutoffs[-1, -1]
-    solvable = cover.column_solver() is not None
-    prefixes = itertools.product(*clip_ranges(cutoffs[-1, :-1].tolist(), x0_range))
-    while block := list(itertools.islice(prefixes, _BLOCK_ROWS)):
-        X = np.array(block, dtype=object)
-        if solvable:
-            ys, keep = cover.solve_columns(block, m)
-        else:
-            ys = np.tile(np.arange(-m, m + 1).astype(object), (len(block), 1))
-            keep = _pointwise_keep(cover, X, ys)
-        _count_block(X, ys, keep, cutoffs, plist, thins)
+            keep[len(sure):] = _pointwise_keep(cover, X[len(sure):], ys[len(sure):])
+            thins = -_count_block(X, ys, keep, cutoffs, plist)
+    if cover is not None:
+        m, solvable = int(cutoffs[-1, -1]), cover.column_solver() is not None
+        ranges = clip_ranges(cutoffs[-1, :-1].tolist(), x0_range)
+        shape, size = [len(r) for r in ranges], math.prod(len(r) for r in ranges)
+        for start in range(0, size, _BLOCK_ROWS):
+            idx = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, size)), shape)
+            X = np.column_stack([i + r.start for i, r in zip(idx, ranges)]).astype(np.int64)
+            if solvable:
+                ys, keep = cover.solve_columns(X, m)
+            else:
+                ys = np.broadcast_to(np.arange(-m, m + 1), (len(X), 2 * m + 1))
+                keep = _pointwise_keep(cover, X, ys)
+            thins = thins + _count_block(X, ys, keep, cutoffs, plist)
     return sings, thins
 
 
-# Prefixes per block.  Fixed, so that the blocks (and solve_columns'
-# dtype choices) do not depend on the worker count.
+# Prefixes per block: fixed, so that the blocks (and solve_columns' dtype
+# choices) do not depend on the worker count, and small, to bound its memory.
 _BLOCK_ROWS = 128
 
 
 def _pointwise_keep(cover, X, ys):
     """keep[i, c]: the tester accepts (X[i], ys[i, c]), by has_integer_root
-    on the cover's coefficients, evaluated once over object columns."""
-    coeffs = cover.poly_at([*X.T[:, :, None], ys])
+    on the cover's coefficients, evaluated once over Python-int columns."""
+    coeffs = cover.poly_at([*X.T.astype(object)[:, :, None], ys.astype(object)])
     polys = zip(*(np.broadcast_to(c, ys.shape).ravel().tolist() for c in coeffs))
     return np.array([covers.has_integer_root(p) for p in polys], dtype=bool).reshape(ys.shape)
 
 
-def _count_block(X, ys, keep, cutoffs, plist, counts) -> None:
-    """Add the points among a block's candidates to the counts of every cutoff.
+def _count_block(X, ys, keep, cutoffs, plist) -> np.ndarray:
+    """Entry j: the points among a block's candidates whose level is j.
 
     Row i of ys holds candidate last coordinates y over the prefix X[i],
-    those marked in keep[i].  (X[i], y) is a point unless it is all zero or
-    some prime p of plist has p^{a_k} dividing every coordinate (weighted
-    gcd > 1).  Row j of the object array cutoffs is the box (M_0, ..., M_k)
-    of cutoff j, and a point counts there when that box holds it; the boxes
-    are nested, so a row counts from the first box j0 holding its prefix.
+    those marked in keep[i]; (X[i], y) is a point unless it is all zero or
+    some p of plist has p^{a_k} dividing every coordinate.  Row j of cutoffs
+    is the box of cutoff j.  The boxes are nested, so a point's level (its
+    first box) is the larger of its row's and its y's: lo, the lowest row
+    level, plus the cutoffs past lo that |y| exceeds.  One bincount counts
+    each point once, and its cumulative sum at every cutoff.  Arrays are
+    int64 (ys also int32) only when every cutoff fits in int64.
     """
-    j0 = len(cutoffs) - (abs(X)[:, None, :] <= cutoffs[:, :-1]).all(axis=2).sum(axis=1)
-    ok = keep & ((ys != 0) | (X != 0).any(axis=1)[:, None])
-    for _, pas in plist:
-        rows = (X % pas[:-1] == 0).all(axis=1)
+    n = len(cutoffs)
+    pas = np.array([pas for _, pas in plist], dtype=cutoffs.dtype).reshape(-1, cutoffs.shape[1])
+    ok = keep.copy()
+    div = (X[:, None, :] % pas[:, :-1] == 0).all(axis=2)  # div[i, p]: p^{a_k} | X[i]
+    for rows, q in ((~X.any(axis=1), 0), *zip(div.T, pas[:, -1].tolist())):
         if rows.any():
-            ok[rows] &= ys[rows] % pas[-1] != 0
-    for j, c in enumerate(cutoffs[:, -1]):
-        inside = ok & (ys >= -c) & (ys <= c)
-        counts[j] += int(np.count_nonzero(inside[j0 <= j]))
+            ok[rows] &= ys[rows] % q != 0 if q else ys[rows] != 0
+    row_level = (abs(X)[:, None, :] > cutoffs[:, :-1]).sum(axis=1).max(axis=1)
+    lo, a = int(row_level.min(initial=n)), abs(ys)
+    levels = np.full(ys.shape, lo + 1, dtype=np.min_scalar_type(n + 1))  # level + 1
+    for c in cutoffs[lo:, -1].tolist():
+        levels += a > c
+    np.maximum(levels, (row_level + 1).astype(levels.dtype)[:, None], out=levels)
+    levels *= ok  # 0: not a point
+    return np.bincount(levels.ravel(), minlength=n + 2)[1: n + 1]
 
 
 # --- exponent fits ---------------------------------------------------------

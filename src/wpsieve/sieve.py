@@ -172,11 +172,11 @@ def _check_widths(params: SieveParams, rs: ResidueSystem) -> None:
                              f"the weights have {len(params.weights)} coordinates")
 
 
-def sieve_upper_bound(params: SieveParams, rs: ResidueSystem) -> float | Fraction:
-    """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), as a float; a value past
-    the float range comes back as the exact Fraction."""
+def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float | Fraction:
+    """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), G = compute_G unless given,
+    as a float; a value past the float range comes back as the exact Fraction."""
     _check_widths(params, rs)
-    G = compute_G(params.Q, rs)
+    G = compute_G(params.Q, rs) if G is None else G
     if G <= 0:
         raise ValueError("sieve mass must be positive")
     shift = Fraction(params.Q) ** (2 * rs.m)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from wpsieve import cli, wps
+from wpsieve import cli, sieve, wps
 from wpsieve.wps import WeightVector
 
 
@@ -78,6 +78,20 @@ def test_sieve_bound_density_only(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "1,2,1,1.33333333333,18.75"
+
+
+def test_sieve_bound_computes_G_once(monkeypatch, capsys):
+    # the bound takes the G(Q) the row reports instead of walking again
+    calls = []
+    compute_G = sieve.compute_G
+    monkeypatch.setattr(sieve, "compute_G", lambda *a: calls.append(a) or compute_G(*a))
+    code, out, _ = run_cli(
+        ["sieve-bound", "--weights", "1,1", "--height-max", "1", "--Q", "300",
+         "--density", "1/3"],
+        capsys,
+    )
+    assert (code, len(calls)) == (0, 1)
+    assert out == "B,Q,m,G,bound\n1,300,1,57.8125,140111221.639\n"
 
 
 def test_sieve_bound_past_float_range(tmp_path, capsys):
@@ -422,7 +436,7 @@ def test_census_budget_past_float_range(capsys):
 
 
 def test_census_budget_counts_column_work(capsys):
-    # the box at B = 12 holds 2.5e11 tuples; the column census needs ~2.4e7 steps
+    # the box at B = 12 holds 2.5e11 tuples; the column census needs ~1.6e7 steps
     code, out, _ = run_cli(["census", "--genus", "1", "--heights", "2,4,8,12"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "12,247429284466,11725994,two-torsion"

@@ -1,5 +1,8 @@
-"""Property tests of the block column solver (covers.Cover.solve_columns) and
-of the census's block counter, against brute force and the scalar t-scan."""
+"""Property tests of the block column solver (covers.Cover.solve_columns),
+its exact root window and the census's level counter, against brute force,
+the scalar Fujiwara-width t-scan and a loop over members and cutoffs."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ COVER_FILE = (
 
 
 def scalar_column_members(cover, prefix, bound):
-    """The scalar scan the block kernel replaced: every t with |t| <= T of
-    the row's own Fujiwara bound, one t at a time."""
+    """A scalar scan over the row's own Fujiwara window: every t with
+    |t| <= T, one t at a time."""
     s = cover.column_solver()
     coords0 = tuple(prefix) + (0,)
     cj = [form.evaluate(coords0) if form else 0 for form in cover.coeffs[1:]]
@@ -58,9 +61,13 @@ def _blocks(cmaxes, pas):
 
 
 def _check_block(cover, block, bound, reference):
+    # the exact window loses no member: the block kernel equals the
+    # reference and the scan over each row's Fujiwara window
     ys, keep = cover.solve_columns(block, bound)
     for i, prefix in enumerate(block):
-        assert ys[i, keep[i]].tolist() == reference(cover, prefix, bound), prefix
+        got = ys[i, keep[i]].tolist()
+        assert got == reference(cover, prefix, bound), prefix
+        assert got == scalar_column_members(cover, prefix, bound), prefix
     assert ys.shape[1] <= cover.column_width(
         [max(abs(p[k]) for p in block) for k in range(len(block[0]))], bound)
 
@@ -97,6 +104,39 @@ def test_block_past_int64_matches_scalar_scan(block, bound):
     _check_block(cover, block, bound, scalar_column_members)
 
 
+@pytest.mark.parametrize("bound, dtype", [
+    (1000, np.int32), (2**31 - 2**27, np.int32), (2**31, np.int64), (2**40, np.int64)])
+def test_block_dtype_ladder_matches_scalar_scan(bound, dtype):
+    # int32 while the bound and every value stay below 2^31, then int64
+    cover, block = covers.two_torsion_cover(2), [(0, 0, 0), (-3, 5, 7), (3, -4, 1)]
+    ys, _ = cover.solve_columns(block, bound)
+    assert ys.dtype == dtype
+    _check_block(cover, block, bound, scalar_column_members)
+
+
+@SETTINGS
+@given(deg=st.integers(2, 7), bound=st.integers(0, 3000),
+       cmax=st.lists(st.integers(0, 300), min_size=6, max_size=6),
+       signs=st.lists(st.sampled_from((-1, 1)), min_size=7, max_size=7))
+def test_root_window_is_the_largest_small_t(deg, bound, cmax, signs):
+    # up to the Cauchy bound 1 + max |coefficient|, t^deg - sum cmax_j t^j
+    # <= bound holds exactly for t <= T, and every complex root of a
+    # polynomial with those coefficient bounds lies within T + 1
+    cmax = cmax[: deg - 1]
+    tmax = covers.root_window(deg, bound, cmax)
+    small = [t**deg - sum(c * t**j for j, c in enumerate(cmax, start=1)) <= bound
+             for t in range(max(bound, *cmax, 0) + 2)]
+    assert small == [t <= tmax for t in range(len(small))]
+    coeffs = [1, *(s * c for s, c in zip(signs, reversed(cmax))), signs[-1] * bound]
+    assert max(abs(np.roots(coeffs)), default=0) <= (tmax + 1) * (1 + 1e-9)
+
+
+def test_root_window_past_float_range():
+    # t^3 - t <= 10^60 + 5 up to t = 10^20 exactly
+    assert covers.root_window(3, 10**60 + 5, [1, 0]) == 10**20
+    assert covers.root_window(3, 10**60 - 1, [0, 0]) == 10**20 - 1
+
+
 def test_solve_columns_needs_a_separated_constant_term():
     cover = covers.disc_square_cover_g1()  # constant term -D(x), two terms
     assert cover.column_solver() is None
@@ -115,12 +155,14 @@ def test_column_members_is_the_one_row_kernel():
 
 
 @SETTINGS
-@given(data=st.data(), g=st.sampled_from((1, 2)), smooth=st.booleans())
-def test_count_block_matches_member_loop(data, g, smooth):
-    # the census's one counter, on a block's singular values and on its
-    # column members, against a loop over members and cutoffs
+@given(data=st.data(), g=st.sampled_from((1, 2)), smooth=st.booleans(),
+       dtype=st.sampled_from((np.int64, object)))
+def test_count_block_matches_member_loop(data, g, smooth, dtype):
+    # the census's level counter, on a block's singular values and on its
+    # column members, int64 or Python ints, against a loop over members and
+    # cutoffs
     wv = hyp.moduli_weights(g)
-    cutoffs = [box_cutoffs(wv, b) for b in (1, 2)]
+    cutoffs = [box_cutoffs(wv, b) for b in (1, Fraction(3, 2), 2)]
     last = len(wv) - 1
     plist = box_primes(wv, 2)
     Ms = cutoffs[-1]
@@ -144,16 +186,41 @@ def test_count_block_matches_member_loop(data, g, smooth):
                 for j in range(j0, len(cutoffs)):
                     if abs(y) <= cutoffs[j][last]:
                         want[j] += 1
-    X, cut = np.array(block, dtype=object), np.array(cutoffs, dtype=object)
-    got_sing, got_thin = [0] * len(cutoffs), [0] * len(cutoffs)
-    S = np.zeros((len(sings), max(1, *map(len, sings))), dtype=object)
+    X, cut = np.array(block, dtype=dtype), np.array(cutoffs, dtype=dtype)
+    S = np.zeros((len(sings), max(1, *map(len, sings))), dtype=dtype)
     for i, sing in enumerate(sings):
         S[i, : len(sing)] = sing
     in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
-    hyp._count_block(X, S, in_row, cut, plist, got_sing)
-    ys, keep = cover.solve_columns(block, Ms[last])
+    got_sing = hyp._count_block(X, S, in_row, cut, plist).cumsum().tolist()
+    ys, keep = cover.solve_columns(X, Ms[last])
+    ys = ys.astype(dtype)
     for i, sing in enumerate(sings):
         for y in sing:
             keep[i] &= ys[i] != y
-    hyp._count_block(X, ys, keep, cut, plist, got_thin)
+    got_thin = hyp._count_block(X, ys, keep, cut, plist).cumsum().tolist()
     assert (got_sing, got_thin) == (want_sing, want_thin)
+
+
+@pytest.mark.parametrize("g, grid", [(1, [2, 3]), (2, [1, Fraction(5, 4)])])
+def test_census_charges_the_elements_built(monkeypatch, g, grid):
+    # the budget's prefixes x (2T+1) is at least what solve_columns builds
+    built = []
+    solve = covers.Cover.solve_columns
+
+    def spy(self, prefixes, bound):
+        ys, keep = solve(self, prefixes, bound)
+        built.append(ys.size)
+        return ys, keep
+
+    monkeypatch.setattr(covers.Cover, "solve_columns", spy)
+    hyp.census(g, grid)
+    cover = covers.two_torsion_cover(g)
+    charged = hyp._census_work(hyp.moduli_weights(g), grid[-1], cover, False)
+    assert 0 < sum(built) <= charged
+
+
+def test_census_workers_agree_genus2_thin():
+    grid = [1, Fraction(9, 8), Fraction(5, 4), Fraction(3, 2)]
+    base = hyp.census(2, grid, workers=1)
+    assert base.rows == hyp.census(2, grid, workers=2).rows
+    assert (base.rows[-1].total, base.rows[-1].thin) == (1483844, 55214)

@@ -270,17 +270,18 @@ def test_census_validation():
 
 
 def test_census_budget_counts_work_done():
-    # column path: 33 prefixes at B = 2, times the kernel row width 23;
-    # pointwise path: the 33 * 129 box; without a thin cover no prefix is
-    # visited and nothing is charged
-    for thin, work in (("two-torsion", 33 * 23), ("none", 0), ("disc-square", 33 * 129)):
+    # column path: 33 prefixes at B = 2, times the kernel row width 2T+1 = 11
+    # (T = 5, the largest t with t^3 - 16 t <= 64); pointwise path: the
+    # 33 * 129 box; without a thin cover no prefix is visited and nothing is
+    # charged
+    for thin, work in (("two-torsion", 33 * 11), ("none", 0), ("disc-square", 33 * 129)):
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
     # smooth-only adds the bound on the singular finder's search: at genus 1
-    # q = t + q_1 with |q_1| <= R = 2 * (4 + 1) + 1 (covers.root_bound of the
-    # box (16, 64)), 23 leaves and no window
-    work = 23
+    # q = t + q_1 with |q_1| <= R = T + 1 = 6 (covers.root_window of the box
+    # (16, 64) is T = 5), 13 leaves and no window
+    work = 13
     census(1, [1, 2], thin="none", smooth_only=True, budget=work)
     with pytest.raises(BudgetExceededError):
         census(1, [1, 2], thin="none", smooth_only=True, budget=work - 1)

@@ -4,6 +4,7 @@ enumeration, and the genus-1 smooth totals against the closed form of the
 singular locus at heights no enumeration reaches."""
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -95,3 +96,29 @@ def test_g1_smooth_census_matches_singular_locus():
     totals = dict(zip(grid, table.column("total")))
     assert totals[7] == 1129015132
     assert totals[12] == 247429284362
+
+
+def test_sure_singular_members_have_an_integer_root():
+    # f = q^2 h with deg q = 1 or deg h = 1 (k = 1 or g) has an integer root,
+    # so the two-torsion census tests only k = 2..g-1; at genus 3 some of
+    # those have none, such as (t^2 + 1)^2 (t^3 - t + 1)
+    Ms = wps.box_cutoffs(hyp.moduli_weights(3), Fraction(9, 8))
+    sure = hyp._singular_tuples(3, Ms, ks={1, 3})
+    rest = hyp._singular_tuples(3, Ms, ks={2}) - sure
+    assert sure | rest == hyp._singular_tuples(3, Ms)
+    assert all(covers.has_integer_root(hyp._poly_from_coords(3, x)) for x in sure)
+    assert (1, 1, -1, 2, -1, 1) in rest
+    assert not covers.has_integer_root(hyp._poly_from_coords(3, (1, 1, -1, 2, -1, 1)))
+
+
+def test_genus3_smooth_thin_drops_the_singular_members():
+    wv, grid = hyp.moduli_weights(3), [1, Fraction(9, 8)]
+    full, smooth = hyp.census(3, grid), hyp.census(3, grid, smooth_only=True)
+    singular = hyp._singular_tuples(3, wps.box_cutoffs(wv, grid[-1]))
+    for row, smooth_row in zip(full.rows, smooth.rows):
+        Ms = wps.box_cutoffs(wv, row.bound)
+        members = [x for x in singular
+                   if any(x) and all(abs(v) <= m for v, m in zip(x, Ms))
+                   and wps.wgcd(x, wv) == 1
+                   and covers.has_integer_root(hyp._poly_from_coords(3, x))]
+        assert smooth_row.thin == row.thin - len(members)
