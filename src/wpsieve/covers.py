@@ -4,8 +4,10 @@ Two flavors: vanishing of a weighted-homogeneous form, and root-covers
 given by a monic polynomial in an auxiliary variable t of weight w whose
 coefficient of t^j is weighted-homogeneous of degree (deg - j) * w.  The
 latter makes the family invariant under the weighted scaling action, so
-membership is well defined on orbits.  Mod-p image densities of a cover are
-computed exactly by exhausting (Z/p)^{n+1}.
+membership is well defined on orbits.  With constant term +-(last
+coordinate), a column's members are written down, one per t of root_window
+(Cover.column_members).  Mod-p image densities of a cover are computed
+exactly by exhausting (Z/p)^{n+1}.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class Cover:
         other coefficient involves that coordinate; None otherwise.
 
         In that shape the members of a fixed-prefix column can be written
-        down directly instead of tested one by one.
+        down directly instead of tested one by one (column_members).
         """
         last = len(self.weights) - 1
         c0 = self.coeffs[0]
@@ -125,69 +127,22 @@ class Cover:
             return None
         return s
 
-    def solve_columns(self, prefixes: Sequence[Sequence[int]] | np.ndarray, bound: int):
-        """Members of fixed-prefix columns, solved for a nonempty block of
-        prefixes (a sequence, or an int64 array) at once; requires
-        column_solver() to apply.
+    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
+        """All values y of the last coordinate with |y| <= bound making
+        (prefix, y) a member, sorted; requires column_solver() to apply.
 
-        With constant term s * y (s = +-1) and c_1..c_{deg-1} free of y, the
-        value y makes (prefix, y) a member exactly when y = -s * f(t) for an
-        integer t, f(t) = t^deg + sum_j c_j(prefix) t^j, and then
-        |t| <= T = root_window(deg, bound, cmax), cmax the block's largest
-        |c_j|.  Returns (ys, keep): row i of ys holds -s * f_i(t) for
-        |t| <= T, sorted; keep[i] marks its distinct values with |y| <= bound,
-        the members over prefixes[i].  Arrays are int64 (the column int32)
-        while no bound, value or Horner intermediate reaches 2^63 (2^31), and
-        Python ints otherwise, exact at any height.
+        With constant term s * y and c_1..c_{deg-1} free of y, (prefix, y) is
+        a member exactly when y = -s * f(t) for an integer t, with
+        f(t) = t^deg + sum_{j>0} c_j(prefix) t^j, and |y| <= bound needs
+        |t| <= root_window(deg, bound, |c_j|): a scan of those t.
         """
         sign = self.column_solver()
         if sign is None:
             raise ValueError("cover constant term is not a separated coordinate")
-        deg = self.degree
-        X = np.asarray(prefixes)
-        if X.dtype != np.int64 or max(self._coeff_bounds(np.abs(X).max(axis=0).tolist())) >> 63:
-            X = X.astype(object)
-        cols = (*X.T, np.zeros(len(X), dtype=X.dtype))
-        c = np.zeros((len(X), deg - 1), dtype=X.dtype)  # c_1 .. c_{deg-1} per row
-        for j, form in enumerate(self.coeffs[1:]):
-            if form:
-                c[:, j] = form.evaluate(cols)
-        cmax = np.abs(c).max(axis=0).tolist()
-        tmax = root_window(deg, bound, cmax)
-        reach = tmax**deg + sum(m * tmax**j for j, m in enumerate(cmax, start=1))
-        top = max(reach, bound)
-        dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
-        c = c.astype(dtype)
-        t = np.arange(-tmax, tmax + 1).astype(dtype)
-        ys = t + c[:, deg - 2, None]  # Horner on f(t) / t, then one more t
-        for j in range(deg - 2, 0, -1):
-            ys *= t
-            ys += c[:, j - 1, None]
-        ys *= -sign * t
-        ys.sort(axis=1)
-        keep = abs(ys) <= bound
-        keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
-        return ys, keep
-
-    def column_members(self, prefix: Sequence[int], bound: int) -> list[int]:
-        """All values y of the last coordinate with |y| <= bound making
-        (prefix, y) a member; requires column_solver() to apply.  This is
-        the one-row case of solve_columns."""
-        ys, keep = self.solve_columns([prefix], bound)
-        return ys[0, keep[0]].tolist()
-
-    def column_width(self, prefix_cutoffs: Sequence[int], bound: int) -> int:
-        """Row width 2T+1 of solve_columns for any block of prefixes with
-        |x_i| <= prefix_cutoffs[i]: root_window grows with cmax, so the
-        box's window bounds every such block's per-row work."""
-        return 2 * root_window(self.degree, bound, self._coeff_bounds(prefix_cutoffs)) + 1
-
-    def _coeff_bounds(self, prefix_box: Sequence[int]) -> list[int]:
-        """The largest |c_j|, j = 1..deg-1, that prefixes with
-        |x_i| <= prefix_box[i] can give."""
-        box = (*prefix_box, 0)
-        return [sum(abs(c) * math.prod(m**k for m, k in zip(box, e)) for c, e in form.terms)
-                if form else 0 for form in self.coeffs[1:]]
+        f = self.poly_at((*prefix, 0))
+        tmax = root_window(self.degree, bound, [abs(c) for c in f[1:-1]])
+        ys = {-sign * poly_eval(f, t) for t in range(-tmax, tmax + 1)}
+        return sorted(y for y in ys if abs(y) <= bound)
 
 
 def root_window(degree: int, bound: int, cmax: Sequence[int]) -> int:
@@ -377,13 +332,17 @@ def load_cover_file(path) -> Cover:
                 continue
             parts = line.split()
             key = parts[0]
+            if key not in ("weights", "aux-weight", "degree", "c"):
+                raise ValueError(f"{path}:{lineno}: unknown directive {key!r}")
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: {key!r} needs a value")
             if key == "weights":
                 weights = WeightVector(tuple(int(w) for w in parts[1].split(",")))
             elif key == "aux-weight":
                 aux = int(parts[1])
             elif key == "degree":
                 degree = int(parts[1])
-            elif key == "c":
+            else:
                 j = int(parts[1])
                 terms = []
                 for mono in parts[2:]:
@@ -392,8 +351,6 @@ def load_cover_file(path) -> Cover:
                 if j in rows:
                     raise ValueError(f"{path}:{lineno}: duplicate coefficient c_{j}")
                 rows[j] = terms
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown directive {key!r}")
     if weights is None or aux is None or degree is None:
         raise ValueError(f"{path}: needs weights, aux-weight and degree lines")
     coeffs: list[Optional[WeightedForm]] = [None] * degree

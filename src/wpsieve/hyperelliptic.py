@@ -11,15 +11,17 @@ and log-log exponent fits of the census columns.
 
 The census totals are wps.count at each cutoff, less the singular tuples
 with --smooth-only.  Thin members come from one loop over int64 blocks of
-_BLOCK_ROWS prefixes (all coordinates but the last).  A cover whose constant
-term is +-y, such as two-torsion, is solved a block at a time by
-Cover.solve_columns over the block's exact root window; other covers are
-tested at every y.  One counter, _count_block, drops the candidates that
-are not points and counts each of the rest once, at its level: the first
-cutoff whose box holds it.  With --smooth-only the singular tuples are
-listed as f = q^2 h (_singular_tuples); those with deg q = 1 or deg h = 1
-are two-torsion members without a test.  The budget counts the work:
-prefixes times the window 2T+1, the box for other testers, _singular_work.
+_BLOCK_ROWS prefixes (all coordinates but the last).  The coordinates are
+the coefficients of f, so _two_torsion_columns writes down the two-torsion
+members y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the
+prefix, t in the block's exact root window; a pointwise tester is run at
+every y.  One counter, _count_block, drops the candidates that are not
+points and counts each of the rest once, at its level: the first cutoff
+whose box holds it.  With --smooth-only the singular tuples are listed as
+f = q^2 h (_singular_tuples); those with deg q = 1 or deg h = 1 are
+two-torsion members without a test.  The budget counts the work: prefixes
+times the window 2T+1, the box for a pointwise tester, _singular_work.
+Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
 """
 
@@ -94,68 +96,31 @@ def _derivative(poly: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(poly)][1:]
 
 
-def _prem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(B)^{degA-degB+1} * A mod B, exact over Z."""
-    dA, dB = len(A) - 1, len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    for k in range(dA, dB - 1, -1):
-        c = R[k]
-        R = [lb * r for r in R]
-        if c:
-            for j in range(dB + 1):
-                R[j + k - dB] -= c * B[j]
-    return R[:dB]
-
-
 def resultant(A: Sequence[int], B: Sequence[int]) -> int:
     """Res(A, B) for integer polynomials (ascending coefficients).
 
-    Subresultant PRS: all intermediate divisions are exact in Z, so the
-    value is computed without rationals.
+    The determinant of the Sylvester matrix by Bareiss elimination: every
+    division is exact in Z, and each row swap flips the sign.
     """
-    A = _trim(A)
-    B = _trim(B)
+    A, B = _trim(A)[::-1], _trim(B)[::-1]
     if not A or not B:
         return 0
-    degA, degB = len(A) - 1, len(B) - 1
-    if degA == 0 and degB == 0:
-        return 1
-    s = 1
-    if degA < degB:
-        if degA % 2 == 1 and degB % 2 == 1:
-            s = -s
-        A, B, degA, degB = B, A, degB, degA
-    if degB == 0:
-        return s * B[0] ** degA
-    ca, cb = math.gcd(*A), math.gcd(*B)
-    A = [c // ca for c in A]
-    B = [c // cb for c in B]
-    t = ca**degB * cb**degA
-    g = h = 1
-    while True:
-        degA, degB = len(A) - 1, len(B) - 1
-        delta = degA - degB
-        if degA % 2 == 1 and degB % 2 == 1:
-            s = -s
-        R = _trim(_prem(A, B))
-        if not R:
-            return 0  # nonconstant common factor
-        den = g * h**delta
-        if any(c % den for c in R):
-            raise AssertionError("subresultant division was not exact")
-        R = [c // den for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta > 0:
-            h = g**delta // h ** (delta - 1)
-        if len(B) == 1:
-            degA = len(A) - 1
-            num = B[0] ** degA
-            den = h ** (degA - 1)
-            if num % den:
-                raise AssertionError("final subresultant division was not exact")
-            return s * t * (num // den)
+    m, n = len(A) - 1, len(B) - 1
+    M = [[0] * i + A + [0] * (n - 1 - i) for i in range(n)]
+    M += [[0] * i + B + [0] * (m - 1 - i) for i in range(m)]
+    sign, prev = 1, 1
+    for k in range(m + n):
+        piv = next((r for r in range(k, m + n) if M[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv], sign = M[piv], M[k], -sign
+        p, row = M[k][k], M[k]
+        for r in M[k + 1:]:
+            if r[k] or p != prev:  # r[k] = 0 and p = prev leave the row as it is
+                r[k + 1:] = [(p * x - r[k] * y) // prev for x, y in zip(r[k + 1:], row[k + 1:])]
+        prev = p
+    return sign * prev
 
 
 def _disc_poly(poly: Sequence[int]) -> int:
@@ -191,6 +156,14 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _root_window(Ms: Sequence[int]) -> int:
+    """covers.root_window of the curve polynomials with |x_i| <= Ms[i]:
+    x_i is the coefficient of t^{2g-1-i}, there is no t^{2g} term, and the
+    last coordinate is the constant term.  Every root of such an f lies
+    within T + 1, and every integer |t| > T gives |f(t) - x_{2g-1}| > Ms[-1]."""
+    return covers.root_window(len(Ms) + 1, Ms[-1], [*reversed(Ms[:-1]), 0])
+
+
 def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[tuple[int, ...]]:
     """Every tuple of the box |x_i| <= Ms[i] (x_0 cut down to x0_range as by
     wps.clip_ranges) whose curve polynomial f has a repeated root.
@@ -198,7 +171,7 @@ def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[t
     Then f = q^2 h, q and h monic in Z[t] (Gauss's lemma); k = deg q in ks (1..g).
     With coefficients from the top, c_s of t^{n-s} (n = 2g+1), c_1 = 0 gives
     h_1 = -2 q_1 and c_s = x_{s-2} must lie in its window.  For k < g, q comes
-    from the root box |q_j| <= C(k, j) R^j (R = covers.root_window + 1), each h_s
+    from the root box |q_j| <= C(k, j) R^j (R = _root_window + 1), each h_s
     enters c_s with slope 1 and h's constant term enters c_s, s >= deg h,
     with slope P_{s - deg h} (P = q^2): one interval.  For k = g only q_1
     comes from the box, and q_s enters c_s with slope 2.  An f with several
@@ -231,7 +204,7 @@ def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[t
         elif lo[s] <= c[s] <= hi[s]:
             walk(k, q, h, [*cs, c[s]])
 
-    R = covers.root_window(n, Ms[-1], [*reversed(Ms[:-1]), 0]) + 1  # x_i of t^{2g-1-i}
+    R = _root_window(Ms) + 1
     for k in range(1, g + 1) if ks is None else ks:
         caps = [math.comb(k, j) * R**j for j in range(1, (k if k < g else 1) + 1)]
         for head in itertools.product(*(range(-c, c + 1) for c in caps)):
@@ -243,7 +216,7 @@ def _singular_work(g: int, Ms: Sequence[int]) -> int:
     """A bound, known before the run, on the leaves of _singular_tuples'
     search, mirroring it: per k, the q from its root box times the window
     widths after it (2M+1 at slope 1, M+1 at slope 2)."""
-    R, work = covers.root_window(2 * g + 1, Ms[-1], [*reversed(Ms[:-1]), 0]) + 1, 0
+    R, work = _root_window(Ms) + 1, 0
     for k in range(1, g + 1):
         qs = math.prod(2 * math.comb(k, j) * R**j + 1 for j in range(1, (k if k < g else 1) + 1))
         windows = [2 * m + 1 for m in Ms[: 2 * (g - k)]] if k < g else [m + 1 for m in Ms[: g - 1]]
@@ -345,10 +318,10 @@ def census(
         raise ValueError("census needs a nonempty height grid")
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("census heights must increase strictly")
-    cover = _tester_cover(thin, g)  # validate the name before any work
-    check_budget(_census_work(wv, bounds[-1], cover, smooth_only), budget, "census needs {} steps")
+    _tester_cover(thin, g)  # validate the name before any work
+    check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, "census needs {} steps")
     sings = thins = [0] * len(bounds)
-    if cover is not None or smooth_only:
+    if thin != "none" or smooth_only:
         m0 = box_cutoffs(wv, bounds[-1])[0]
         parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), m0, workers)
         sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
@@ -359,26 +332,25 @@ def census(
     return CensusTable(rows, meta)
 
 
-def _census_work(wv, bound, cover, smooth_only) -> int:
-    """Steps the census takes up to its top height: the box for the pointwise
-    path, the prefixes times the exact window 2T+1 of the box for the column
-    path, none without a thin cover (it visits no prefix); with smooth_only
-    plus _singular_work."""
+def _census_work(wv, bound, thin, smooth_only) -> int:
+    """Steps the census takes up to its top height: the prefixes times the
+    box's root window 2T+1 (at least every block's) for two-torsion, the box
+    for a pointwise tester, none for "none" (it visits no prefix); with
+    smooth_only plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
-    prefixes = math.prod(2 * m + 1 for m in Ms[:-1])
     work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
-    if cover is None:
+    if thin == "none":
         return work
-    if cover.column_solver() is None:
+    if thin != "two-torsion":
         return work + box_volume(wv, bound)
-    return work + prefixes * cover.column_width(Ms[:-1], Ms[-1])
+    return work + math.prod(2 * m + 1 for m in Ms[:-1]) * (2 * _root_window(Ms) + 1)
 
 
 def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """(singular, thin) counts by level over one x0 range: the singular
     tuples as one block of rows (X, y), less the thin tester's hits among
     them; then the thin members, from one loop over int64 blocks of
-    _BLOCK_ROWS prefixes (solved columns or the pointwise tester)."""
+    _BLOCK_ROWS prefixes (two-torsion columns or the pointwise tester)."""
     g, bounds, thin, smooth_only, x0_range = args
     wv = moduli_weights(g)
     cutoffs = np.array([box_cutoffs(wv, b) for b in bounds], dtype=object)
@@ -398,14 +370,14 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             keep[len(sure):] = _pointwise_keep(cover, X[len(sure):], ys[len(sure):])
             thins = -_count_block(X, ys, keep, cutoffs, plist)
     if cover is not None:
-        m, solvable = int(cutoffs[-1, -1]), cover.column_solver() is not None
+        m = int(cutoffs[-1, -1])
         ranges = clip_ranges(cutoffs[-1, :-1].tolist(), x0_range)
         shape, size = [len(r) for r in ranges], math.prod(len(r) for r in ranges)
         for start in range(0, size, _BLOCK_ROWS):
             idx = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, size)), shape)
             X = np.column_stack([i + r.start for i, r in zip(idx, ranges)]).astype(np.int64)
-            if solvable:
-                ys, keep = cover.solve_columns(X, m)
+            if thin == "two-torsion":
+                ys, keep = _two_torsion_columns(X, m)
             else:
                 ys = np.broadcast_to(np.arange(-m, m + 1), (len(X), 2 * m + 1))
                 keep = _pointwise_keep(cover, X, ys)
@@ -413,9 +385,39 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return sings, thins
 
 
-# Prefixes per block: fixed, so that the blocks (and solve_columns' dtype
-# choices) do not depend on the worker count, and small, to bound its memory.
+# Prefixes per block: fixed, so that the blocks (and _two_torsion_columns'
+# dtype choices) do not depend on the worker count, and small, to bound the
+# memory of a block's rows x (2T+1) matrix.
 _BLOCK_ROWS = 128
+
+
+def _two_torsion_columns(X: np.ndarray, m: int):
+    """The two-torsion members over a block of prefixes X (int64 or Python
+    ints), one row per prefix.
+
+    f(t) = t^{2g+1} + x_0 t^{2g-1} + ... + x_{2g-2} t + y has the integer root
+    t exactly when y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}), and then
+    |y| <= m needs |t| <= T, the block's root window.  Returns (ys, keep): row
+    i of ys holds those values for |t| <= T, by Horner over the columns of X,
+    sorted; keep[i] marks its distinct values with |y| <= m.  Arrays are
+    int32 (int64) while m and every value and Horner intermediate stay below
+    2^31 (2^63), and Python ints otherwise, exact at any height.
+    """
+    cmax = np.abs(X).max(axis=0).tolist()
+    T = _root_window([*cmax, m])
+    reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
+    top = max(reach, m)
+    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
+    X, t = X.astype(dtype), np.arange(-T, T + 1).astype(dtype)
+    ys = t * t + X[:, :1]  # C-contiguous, so the row sort stays fast
+    for i in range(1, X.shape[1]):
+        ys *= t
+        ys += X[:, i: i + 1]
+    ys *= -t
+    ys.sort(axis=1)
+    keep = abs(ys) <= m
+    keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
+    return ys, keep
 
 
 def _pointwise_keep(cover, X, ys):

@@ -208,6 +208,20 @@ def test_image_density_from_cover_file(tmp_path, capsys):
     assert out == "p,density\n5,0.6\n"
 
 
+@pytest.mark.parametrize("bare", ["weights", "aux-weight", "degree", "c"])
+def test_image_density_cover_file_bare_directive(tmp_path, capsys, bare):
+    # a directive without its value is a usage error naming the line (exit 2)
+    lines = ["weights 2", "aux-weight 1", "degree 2", "c 0 -1:1"]
+    lines[[line.split()[0] for line in lines].index(bare)] = bare
+    path = tmp_path / "cover.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        ["image-density", "--cover", str(path), "--primes", "2"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert f"{path}:{lines.index(bare) + 1}:" in err
+
+
 def test_image_density_p_max_stops_at_the_budget(capsys):
     # the candidates are walked lazily: the density budget turns away p = 173
     # without a prime table up to 10^15 being built

@@ -1,5 +1,6 @@
-"""Property tests of the block column solver (covers.Cover.solve_columns),
-its exact root window and the census's level counter, against brute force,
+"""Property tests of the census's two-torsion column kernel
+(hyperelliptic._two_torsion_columns), the exact root window, the scalar
+Cover.column_members and the census's level counter, against brute force,
 the scalar Fujiwara-width t-scan and a loop over members and cutoffs."""
 
 from fractions import Fraction
@@ -60,58 +61,69 @@ def _blocks(cmaxes, pas):
     return st.lists(row, min_size=1, max_size=8)
 
 
-def _check_block(cover, block, bound, reference):
+def _check_block(g, block, bound, reference):
     # the exact window loses no member: the block kernel equals the
     # reference and the scan over each row's Fujiwara window
-    ys, keep = cover.solve_columns(block, bound)
+    cover = covers.two_torsion_cover(g)
+    ys, keep = hyp._two_torsion_columns(np.array(block, dtype=np.int64), bound)
     for i, prefix in enumerate(block):
         got = ys[i, keep[i]].tolist()
         assert got == reference(cover, prefix, bound), prefix
         assert got == scalar_column_members(cover, prefix, bound), prefix
-    assert ys.shape[1] <= cover.column_width(
-        [max(abs(p[k]) for p in block) for k in range(len(block[0]))], bound)
+    cmax = [max(abs(p[k]) for p in block) for k in range(len(block[0]))]
+    assert ys.shape[1] == 2 * hyp._root_window([*cmax, bound]) + 1
+    return ys
 
 
 @SETTINGS
 @given(block=_blocks((40,), (16,)), bound=st.integers(0, 300))
 def test_block_matches_brute_force_genus1(block, bound):
-    _check_block(covers.two_torsion_cover(1), block, bound, brute_column_members)
+    _check_block(1, block, bound, brute_column_members)
 
 
 @SETTINGS
 @given(block=_blocks((16, 64, 256), (16, 64, 256)), bound=st.integers(0, 40))
 def test_block_matches_brute_force_genus2(block, bound):
-    _check_block(covers.two_torsion_cover(2), block, bound, brute_column_members)
+    _check_block(2, block, bound, brute_column_members)
 
 
 @SETTINGS
-@given(block=_blocks((5, 5), (2, 4)), bound=st.integers(0, 120))
-def test_block_matches_brute_force_cover_file(tmp_path_factory, block, bound):
-    path = tmp_path_factory.getbasetemp() / "cover.txt"
-    path.write_text(COVER_FILE)
-    cover = covers.load_cover_file(path)
-    assert cover.column_solver() == -1
-    _check_block(cover, block, bound, brute_column_members)
+@given(block=_blocks((16, 64, 256, 1024, 4096), (16, 64, 256, 1024, 4096)),
+       bound=st.integers(0, 60))
+def test_block_matches_brute_force_genus3(block, bound):
+    # five prefix columns: the longest Horner the census runs
+    _check_block(3, block, bound, brute_column_members)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(block=_blocks((50, 50, 50), (16, 64, 256)), bound=st.integers(2**63, 2**66))
 def test_block_past_int64_matches_scalar_scan(block, bound):
     # T^5 alone passes 2^63 here, so the kernel must run on Python ints
-    cover = covers.two_torsion_cover(2)
-    ys, _ = cover.solve_columns(block, bound)
-    assert ys.dtype == object
-    _check_block(cover, block, bound, scalar_column_members)
+    ys = _check_block(2, block, bound, scalar_column_members)
+    assert ys.dtype == object and type(ys[0, 0]) is int
 
 
 @pytest.mark.parametrize("bound, dtype", [
-    (1000, np.int32), (2**31 - 2**27, np.int32), (2**31, np.int64), (2**40, np.int64)])
+    (1000, np.int32), (2**31 - 2**27, np.int32), (2**31, np.int64), (2**40, np.int64),
+    (2**64, object)])
 def test_block_dtype_ladder_matches_scalar_scan(bound, dtype):
-    # int32 while the bound and every value stay below 2^31, then int64
-    cover, block = covers.two_torsion_cover(2), [(0, 0, 0), (-3, 5, 7), (3, -4, 1)]
-    ys, _ = cover.solve_columns(block, bound)
+    # int32 while the bound and every value stay below 2^31, then int64,
+    # then Python ints
+    ys = _check_block(2, [(0, 0, 0), (-3, 5, 7), (3, -4, 1)], bound, scalar_column_members)
     assert ys.dtype == dtype
-    _check_block(cover, block, bound, scalar_column_members)
+
+
+@SETTINGS
+@given(prefix=st.tuples(st.integers(-5, 5), st.integers(-5, 5)), bound=st.integers(0, 120))
+def test_column_members_matches_brute_force_cover_file(tmp_path_factory, prefix, bound):
+    # c_0 = -x_2 and a multi-term c_1: the scalar scan of any solvable cover
+    path = tmp_path_factory.getbasetemp() / "cover.txt"
+    path.write_text(COVER_FILE)
+    cover = covers.load_cover_file(path)
+    assert cover.column_solver() == -1
+    got = cover.column_members(prefix, bound)
+    assert got == brute_column_members(cover, prefix, bound)
+    assert got == scalar_column_members(cover, prefix, bound)
 
 
 @SETTINGS
@@ -137,20 +149,19 @@ def test_root_window_past_float_range():
     assert covers.root_window(3, 10**60 - 1, [0, 0]) == 10**20 - 1
 
 
-def test_solve_columns_needs_a_separated_constant_term():
+def test_column_members_needs_a_separated_constant_term():
     cover = covers.disc_square_cover_g1()  # constant term -D(x), two terms
     assert cover.column_solver() is None
-    with pytest.raises(ValueError):
-        cover.solve_columns([(1,)], 10)
     with pytest.raises(ValueError):
         cover.column_members((1,), 10)
 
 
 def test_column_members_is_the_one_row_kernel():
-    cover = covers.two_torsion_cover(1)
-    for A in (-7, 0, 5):
-        got = cover.column_members((A,), 200)
-        assert got == scalar_column_members(cover, (A,), 200)
+    for g, prefix in ((1, (-7,)), (1, (0,)), (1, (5,)), (2, (3, -4, 1)), (3, (1, 0, -2, 5, 0))):
+        cover = covers.two_torsion_cover(g)
+        got = cover.column_members(prefix, 200)
+        ys, keep = hyp._two_torsion_columns(np.array([prefix], dtype=np.int64), 200)
+        assert got == ys[0, keep[0]].tolist() == scalar_column_members(cover, prefix, 200)
         assert all(type(y) is int for y in got)
 
 
@@ -192,7 +203,7 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
         S[i, : len(sing)] = sing
     in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
     got_sing = hyp._count_block(X, S, in_row, cut, plist).cumsum().tolist()
-    ys, keep = cover.solve_columns(X, Ms[last])
+    ys, keep = hyp._two_torsion_columns(X, Ms[last])
     ys = ys.astype(dtype)
     for i, sing in enumerate(sings):
         for y in sing:
@@ -203,19 +214,18 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
 
 @pytest.mark.parametrize("g, grid", [(1, [2, 3]), (2, [1, Fraction(5, 4)])])
 def test_census_charges_the_elements_built(monkeypatch, g, grid):
-    # the budget's prefixes x (2T+1) is at least what solve_columns builds
+    # the budget's prefixes x (2T+1) is at least what the kernel builds
     built = []
-    solve = covers.Cover.solve_columns
+    solve = hyp._two_torsion_columns
 
-    def spy(self, prefixes, bound):
-        ys, keep = solve(self, prefixes, bound)
+    def spy(X, bound):
+        ys, keep = solve(X, bound)
         built.append(ys.size)
         return ys, keep
 
-    monkeypatch.setattr(covers.Cover, "solve_columns", spy)
+    monkeypatch.setattr(hyp, "_two_torsion_columns", spy)
     hyp.census(g, grid)
-    cover = covers.two_torsion_cover(g)
-    charged = hyp._census_work(hyp.moduli_weights(g), grid[-1], cover, False)
+    charged = hyp._census_work(hyp.moduli_weights(g), grid[-1], "two-torsion", False)
     assert 0 < sum(built) <= charged
 
 

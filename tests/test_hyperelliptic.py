@@ -95,12 +95,22 @@ def _sylvester_resultant(A, B):
 
 
 def test_resultant_matches_sylvester_determinant():
+    # degrees 0..5, leading coefficients of either sign and any size,
+    # trailing zeros for _trim to strip, and pairs sharing a forced factor;
+    # half the lower coefficients are 0, so elimination meets zero pivots
     rng = random.Random(7)
-    for _ in range(120):
-        dA = rng.randint(1, 5)
-        dB = rng.randint(1, 5)
-        A = [rng.randint(-9, 9) for _ in range(dA)] + [rng.randint(1, 9)]
-        B = [rng.randint(-9, 9) for _ in range(dB)] + [rng.randint(1, 9)]
+
+    def poly(d):
+        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+        low = [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(d)]
+        return low + [lead] + [0] * rng.randint(0, 2)
+
+    for i in range(400):
+        A, B = poly(rng.randint(0, 5)), poly(rng.randint(0, 5))
+        if i % 4 == 0:
+            C = poly(rng.randint(1, 2))
+            A, B = hyp._mul(A, C), hyp._mul(B, C)
+            assert resultant(A, B) == 0, (A, B)
         assert resultant(A, B) == _sylvester_resultant(A, B), (A, B)
 
 
