@@ -236,12 +236,6 @@ def _resolve_residues(args, Q: int) -> sieve.ResidueSystem:
     raise CliError(f"{args.command} requires --residues FILE or --density NU")
 
 
-def _resolve_cover(spec: str) -> covers.Cover:
-    if os.path.exists(spec):
-        return covers.load_cover_file(spec)
-    return covers.named_cover(spec)
-
-
 # --- command runners -------------------------------------------------------
 
 
@@ -294,7 +288,11 @@ def _run_ls_check(args):
 
 
 def _run_image_density(args):
-    cover = _resolve_cover(_need(args, "cover"))
+    # the residue grid has its own, much smaller default cap; only an explicit
+    # --budget/--force overrides it
+    kw = {"budget": args.budget} if args.budget_explicit else {}
+    arg = _need(args, "cover")
+    cover = covers.load_cover_file(arg, **kw) if os.path.exists(arg) else covers.named_cover(arg)
     if args.primes is not None:
         ps = args.primes
     elif args.p_max is not None:
@@ -303,9 +301,6 @@ def _run_image_density(args):
         ps = filter(arith.is_prime, range(2, args.p_max + 1))
     else:
         raise CliError("image-density requires --primes or --p-max")
-    # the residue grid has its own, much smaller default cap; only an explicit
-    # --budget/--force overrides it
-    kw = {"budget": args.budget} if args.budget_explicit else {}
     rows = []
     for p in ps:
         if not arith.is_prime(p):
@@ -431,8 +426,6 @@ def _command_parser(command: str) -> _Parser:
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else _fmt_real(v)
     if isinstance(v, float):

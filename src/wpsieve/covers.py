@@ -243,13 +243,10 @@ def _mod_p_image(cover: Cover, p: int, budget: int):
         raise ValueError(f"modulus must be prime, got {p!r}")
     width = len(cover.weights)
     space = p**width
-    # p passes of Horner over every cell of the space
-    check_budget(space * p, budget, "mod-p image takes {} cell updates")
+    # p passes of Horner, degree steps each, over every cell of the space
+    check_budget(space * p * cover.degree, budget, "mod-p image takes {} cell updates")
     cols = np.indices((p,) * width).reshape(width, space) % p
-    coeff_arrs = [
-        form._evaluate_mod_cols(cols, p) if form else np.zeros(space, dtype=np.int64)
-        for form in cover.coeffs
-    ]
+    coeff_arrs = [form._evaluate_mod_cols(cols, p) if form else 0 for form in cover.coeffs]
     has_root = np.zeros(space, dtype=bool)
     for t in range(p):
         acc = np.ones(space, dtype=np.int64)  # monic leading coefficient
@@ -312,7 +309,7 @@ def named_cover(name: str) -> Cover:
 # --- text format -----------------------------------------------------------
 
 
-def load_cover_file(path) -> Cover:
+def load_cover_file(path, *, budget: int = _DENSITY_BUDGET) -> Cover:
     """Read a cover from the line format:
 
         weights 4,6
@@ -321,7 +318,8 @@ def load_cover_file(path) -> Cover:
         c 1 1:1,0        # c_1 = one monomial, coeff:exponents
         c 0 1:0,1 -2:1,0 # monomials are whitespace separated
 
-    Omitted c_j are zero; '#' starts a comment.
+    Omitted c_j are zero; '#' starts a comment.  A degree whose cheapest mod-p
+    image (p = 2) would pass the budget is refused before any c_j is built.
     """
     weights = aux = degree = None
     rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
@@ -353,6 +351,8 @@ def load_cover_file(path) -> Cover:
                 rows[j] = terms
     if weights is None or aux is None or degree is None:
         raise ValueError(f"{path}: needs weights, aux-weight and degree lines")
+    check_budget(2 ** (len(weights) + 1) * degree, budget,
+                 "a mod-p image of this cover takes at least {} cell updates")
     coeffs: list[Optional[WeightedForm]] = [None] * degree
     for j, terms in rows.items():
         if not 0 <= j < degree:

@@ -7,6 +7,8 @@ runs on plain int pairs (a, b) ↦ a + b√D (`_mul`, `_pow`), and the reduction
 builds `QuadInt`s only for what it returns.  Domain membership (both walls
 and the height cap) is decided exactly from one pair (`_maxima`); floats only
 guess the reducing unit exponent and give `log_embed` and `height_infty_k`.
+Each `QuadField` tables the pairs of ε^k, |k| ≤ `_UNIT_POW_MAX`, on first use,
+so a batch of reductions powers each unit once; larger |k| is never stored.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .arith import INFINITE
 from .wps import WeightVector
 
 VETTED_D = (2, 3, 6, 7, 11, 19)
+_UNIT_POW_MAX = 64  # the largest |k| whose ε^k a QuadField keeps (_unit_pow)
 
 
 class BoundaryAmbiguityError(ValueError):
@@ -95,14 +98,15 @@ def _mul(u: tuple[int, int], v: tuple[int, int], D: int) -> tuple[int, int]:
 
 
 def _pow(u: tuple[int, int], k: int, D: int) -> tuple[int, int]:
-    """The pair of (u₀ + u₁√D)^k for k ≥ 0, by binary powering."""
-    out = (1, 0)
+    """The pair of (u₀ + u₁√D)^k for k ≥ 0, by binary powering (u itself at k = 1)."""
+    out = None
     while k:
         if k & 1:
-            out = _mul(out, u, D)
-        u = _mul(u, u, D)
+            out = u if out is None else _mul(out, u, D)
         k >>= 1
-    return out
+        if k:
+            u = _mul(u, u, D)
+    return out or (1, 0)
 
 
 def _pell_min_unit(D: int) -> tuple[int, int]:
@@ -138,6 +142,7 @@ class QuadField:
         # ε and ε⁻¹ = N(ε)·ε̄ as pairs; ε's logs guess the reducing exponent
         self._units = ((u, v), (n * u, -n * v))
         self._unit_logs = _log_pair(u, v, D)
+        self._unit_pows: dict[int, tuple[int, int]] = {}  # k ↦ ε^k, |k| ≤ _UNIT_POW_MAX
 
     @classmethod
     def get(cls, D: int) -> "QuadField":
@@ -149,8 +154,13 @@ class QuadField:
         return QuadInt(a, b, self.D)
 
     def _unit_pow(self, k: int) -> tuple[int, int]:
-        """The pair of ε^k, for any integer k."""
-        return _pow(self._units[k < 0], abs(k), self.D)
+        """The pair of ε^k, for any integer k; from the table when |k| ≤ _UNIT_POW_MAX."""
+        pw = self._unit_pows.get(k)
+        if pw is None:
+            pw = _pow(self._units[k < 0], abs(k), self.D)
+            if abs(k) <= _UNIT_POW_MAX:
+                self._unit_pows[k] = pw
+        return pw
 
     def __repr__(self):
         return f"QuadField(√{self.D})"
@@ -269,10 +279,11 @@ def _maxima(y, weights: WeightVector) -> tuple[tuple[int, int], tuple[int, int]]
         a, b = _pow((yi.a, yi.b), L // ai, D)
         if _sign_quad(a, b, D) < 0:
             a, b = -a, -b
-        if best1 is None or _cmp1((a, b), best1, D) > 0:
+        if best1 is None or _sign_quad(a - best1[0], b - best1[1], D) > 0:
             best1 = (a, b)
-        c = (a, -b) if _sign_quad(a, -b, D) > 0 else (-a, b)  # ±w̄ᵢ, σ₁ > 0
-        if best2 is None or _cmp1(c, best2, D) > 0:
+        # σ₁wᵢ > 0, so σ₂wᵢ = σ₁w̄ᵢ has the sign of N(wᵢ) = a² − Db² ≠ 0
+        c = (a, -b) if a * a > D * b * b else (-a, b)  # ±w̄ᵢ, σ₁ > 0
+        if best2 is None or _sign_quad(c[0] - best2[0], c[1] - best2[1], D) > 0:
             best2 = c
     return best1, best2
 

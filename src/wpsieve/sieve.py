@@ -195,13 +195,12 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float |
 
 
 # Prefixes per block, as in the census kernels, and fewer when a block's
-# packed masks would pass _BLOCK_BYTES, so a long last coordinate cannot
-# inflate the block.
+# masks would pass _BLOCK_BYTES, so a long last coordinate cannot inflate the
+# block.  Survivors are counted as np.count_nonzero(np.unpackbits(mask)),
+# which numpy 1.24 has and which beats a byte lookup table; the unpacked
+# bools take 8 bytes per packed byte, so the cap is on 8 * the row bytes.
 _BLOCK_ROWS = 128
 _BLOCK_BYTES = 1 << 20
-
-# Set bits of each byte value (np.bitwise_count needs numpy >= 2).
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
@@ -249,7 +248,7 @@ def _survivors_chunk(args) -> int:
     base[1::2, :mlast] = False
     base[2:, mlast] = False
     bases = np.packbits(base, axis=1)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // bases.shape[1]))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * bases.shape[1])))
 
     def canonical():
         # Sign canon of (prefix, y): a prefix that decides it keeps all y or
@@ -269,7 +268,7 @@ def _survivors_chunk(args) -> int:
             k = (X.astype(radix.dtype, copy=False) % q) @ radix
             j = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
             mask &= table[np.where(keys[j] == k, j, len(keys))]
-        total += int(_POPCOUNT[mask].sum())
+        total += int(np.count_nonzero(np.unpackbits(mask)))
     return total
 
 

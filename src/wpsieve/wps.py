@@ -55,10 +55,6 @@ class WeightVector:
         if any(not isinstance(a, int) or a < 1 for a in self.weights):
             raise ValueError(f"weights must be positive integers: {self.weights}")
 
-    @classmethod
-    def of(cls, *weights: int) -> "WeightVector":
-        return cls(tuple(weights))
-
     @property
     def total(self) -> int:
         return sum(self.weights)

@@ -223,7 +223,7 @@ def test_image_density_cover_file_bare_directive(tmp_path, capsys, bare):
 
 
 def test_image_density_p_max_stops_at_the_budget(capsys):
-    # the candidates are walked lazily: the density budget turns away p = 173
+    # the candidates are walked lazily: the density budget turns away p = 127
     # without a prime table up to 10^15 being built
     t0 = time.perf_counter()
     code, out, err = run_cli(
@@ -232,6 +232,34 @@ def test_image_density_p_max_stops_at_the_budget(capsys):
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "budget"
     assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("degree", [200_000, 10**9])
+def test_image_density_cover_file_degree_is_budgeted(tmp_path, capsys, degree):
+    # p^{n+1}·p·degree cell updates: degree 200000 passes the cheapest image
+    # (p = 2: 800000) but not p = 7 (9.8·10^6); 10^9 is refused as the file
+    # is read, before a coefficient list of that length is built
+    path = tmp_path / "cover.txt"
+    path.write_text(f"weights 2\naux-weight 1\ndegree {degree}\n")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        ["image-density", "--cover", str(path), "--primes", "7"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "budget"
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_image_density_cover_file_degree_takes_the_explicit_budget(tmp_path, capsys):
+    # the mod-2 image of a degree-50 cover in one coordinate: 2^2 * 50 = 200
+    path = tmp_path / "cover.txt"
+    path.write_text("weights 2\naux-weight 1\ndegree 50\n")
+    argv = ["image-density", "--cover", str(path), "--primes", "2"]
+    code, out, err = run_cli([*argv, "--budget", "199"], capsys)
+    assert (code, out) == (3, "")
+    assert "at least 200 cell updates" in json.loads(err)["message"]
+    code, out, _ = run_cli([*argv, "--budget", "200"], capsys)
+    assert (code, out) == (0, "p,density\n2,1\n")
 
 
 def test_image_density_rejects_composite(capsys):

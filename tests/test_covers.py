@@ -88,14 +88,15 @@ def test_image_density_against_slow_oracle():
 
 
 def test_image_budget_counts_every_pass():
-    # p Horner passes over the p cells of Z/p: 10007 cells, 10007^2 updates
+    # p Horner passes of degree 2 steps over the p cells of Z/p: 10007 cells,
+    # 2 * 10007^2 updates
     sq = covers.square_coord_cover()
     with pytest.raises(wps.BudgetExceededError) as exc:
         covers.image_density_mod_p(sq, 10007, budget=10**7)
-    assert exc.value.volume == 10007**2
-    assert covers.image_density_mod_p(sq, 97, budget=97**2) == Fraction(49, 97)
+    assert exc.value.volume == 2 * 10007**2
+    assert covers.image_density_mod_p(sq, 97, budget=2 * 97**2) == Fraction(49, 97)
     with pytest.raises(wps.BudgetExceededError):
-        covers.omega_from_cover(sq, 97, budget=97**2 - 1)
+        covers.omega_from_cover(sq, 97, budget=2 * 97**2 - 1)
 
 
 def test_omega_from_cover_examples():

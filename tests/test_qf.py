@@ -259,18 +259,46 @@ def test_reduction_exact_under_unit_translates(D, weights, pairs, j):
         assert not in_domain(qf._unit_translate(y, spec, step), spec, INFINITE)
 
 
+_POW_MAX = qf._UNIT_POW_MAX
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(D=st.sampled_from(VETTED_D), k=st.integers(-60, 60))
+@given(
+    D=st.sampled_from(VETTED_D),
+    k=st.one_of(
+        st.integers(-_POW_MAX - 8, _POW_MAX + 8),
+        st.sampled_from([-_POW_MAX - 1, -_POW_MAX, 0, 1, _POW_MAX, _POW_MAX + 1]),
+    ),
+)
 def test_unit_pow_pairs(D, k):
-    # oracle: |k| products by ε or by ε⁻¹ = N(ε)·ε̄, multiplied out by hand
-    F = QuadField.get(D)
+    # oracle: |k| products by ε or by ε⁻¹ = N(ε)·ε̄, multiplied out by hand;
+    # a fresh field starts with an empty table (cold), the second call of
+    # the same k reads it (warm) when |k| is inside the bound
+    F = QuadField(D)
     n = F.epsilon.norm()
     u, v = (F.epsilon.a, F.epsilon.b) if k >= 0 else (n * F.epsilon.a, -n * F.epsilon.b)
     a, b = 1, 0
     for _ in range(abs(k)):
         a, b = a * u + D * b * v, a * v + b * u
     eps_k = F.epsilon ** k
+    assert not F._unit_pows
     assert F._unit_pow(k) == (a, b) == (eps_k.a, eps_k.b)
+    assert (k in F._unit_pows) == (abs(k) <= _POW_MAX)
+    assert F._unit_pow(k) == (a, b)
+
+
+@pytest.mark.parametrize("D", VETTED_D)
+def test_unit_pow_table_stays_bounded(D):
+    F = QuadField(D)
+    for k in range(-3 * _POW_MAX, 3 * _POW_MAX + 1):
+        assert F._unit_pow(k) == F._unit_pow(k)
+        assert len(F._unit_pows) <= 2 * _POW_MAX + 1
+    assert sorted(F._unit_pows) == list(range(-_POW_MAX, _POW_MAX + 1))
+    eps = F.epsilon ** _POW_MAX
+    assert F._unit_pows[_POW_MAX] == (eps.a, eps.b)
+    # past the bound the exponent is powered on each call, never stored
+    assert F._unit_pow(10**4) == qf._pow(F._units[0], 10**4, D)
+    assert len(F._unit_pows) == 2 * _POW_MAX + 1
 
 
 def _sigma1(v, D):

@@ -236,6 +236,34 @@ def test_survivor_tables_match_isin_walk(weights, bound, data):
         assert sieve.survivors(params, rs, workers=workers) == want, workers
 
 
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_survivors_across_many_capped_blocks(data):
+    # (1, 1, 3) at B = 3: a 55-bit last coordinate (7 bytes, not a byte
+    # multiple) and 25 sign-canonical prefixes.  A block budget of 3 unpacked
+    # rows splits one chunk into many blocks; each must be capped at 3 rows.
+    wv = WeightVector((1, 1, 3))
+    Q, rs = data.draw(_residue_systems(len(wv)))
+    params = SieveParams(wv, 3, Q)
+    row_bytes = (2 * wps.box_cutoffs(wv, 3)[-1] + 1 + 7) // 8
+    assert row_bytes == 7
+    want = _isin_walk(params, rs)
+    assert want == _survivor_oracle(params, rs)
+    shapes = []
+    unpack = np.unpackbits
+
+    def spy(a, *args, **kw):
+        shapes.append(a.shape)
+        return unpack(a, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_BLOCK_BYTES", 8 * row_bytes * 3 + 5)
+        mp.setattr(np, "unpackbits", spy)
+        assert sieve.survivors(params, rs, workers=1) == want
+        assert len(shapes) > 8 and all(rows <= 3 for rows, _ in shapes), shapes
+        assert sieve.survivors(params, rs, workers=2) == want
+
+
 def test_survivor_tables_keys_past_int64():
     # q = 2^64: prefix keys and residues are Python ints, not int64
     q = 2**64
