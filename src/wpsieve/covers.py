@@ -243,16 +243,19 @@ def _mod_p_image(cover: Cover, p: int, budget: int):
         raise ValueError(f"modulus must be prime, got {p!r}")
     width = len(cover.weights)
     space = p**width
-    # p passes of Horner, degree steps each, over every cell of the space
+    # p passes of Horner over every cell of the space, degree steps each at most
     check_budget(space * p * cover.degree, budget, "mod-p image takes {} cell updates")
     cols = np.indices((p,) * width).reshape(width, space) % p
-    coeff_arrs = [form._evaluate_mod_cols(cols, p) if form else 0 for form in cover.coeffs]
+    terms = [(j, form._evaluate_mod_cols(cols, p))
+             for j, form in reversed(list(enumerate(cover.coeffs))) if form]
     has_root = np.zeros(space, dtype=bool)
     for t in range(p):
-        acc = np.ones(space, dtype=np.int64)  # monic leading coefficient
-        for j in range(cover.degree - 1, -1, -1):
-            acc = (acc * t + coeff_arrs[j]) % p
-        has_root |= acc == 0
+        # Horner over the nonzero c_j only, times t^gap mod p between them
+        acc, top = 1, cover.degree  # monic leading coefficient
+        for j, c in terms:
+            acc = (acc * pow(t, top - j, p) + c) % p
+            top = j
+        has_root |= acc * pow(t, top, p) % p == 0
     return int(has_root.sum()), space, has_root
 
 

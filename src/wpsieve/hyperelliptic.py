@@ -10,16 +10,16 @@ right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
 The census totals are wps.count at each cutoff, less the singular tuples
-with --smooth-only.  Thin members come from one loop over int64 blocks of
-_BLOCK_ROWS prefixes (all coordinates but the last).  The coordinates are
-the coefficients of f, so _two_torsion_columns writes down the two-torsion
-members y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the
-prefix, t in the block's exact root window; a pointwise tester is run at
-every y.  One counter, _count_block, drops the candidates that are not
-points and counts each of the rest once, at its level: the first cutoff
-whose box holds it.  With --smooth-only the singular tuples are listed as
-f = q^2 h (_singular_tuples); those with deg q = 1 or deg h = 1 are
-two-torsion members without a test.  The budget counts the work: prefixes
+with --smooth-only.  Thin members come from one loop over the int64 blocks
+of prefixes (all coordinates but the last) that wps.prefix_blocks walks.
+The coordinates are the coefficients of f, so _two_torsion_columns writes
+down the two-torsion members y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2})
+by Horner over the prefix, t in the block's exact root window; a pointwise
+tester is run at every y.  One counter, _count_block, drops the candidates
+that are not points and counts each of the rest once, at its level: the
+first cutoff whose box holds it.  With --smooth-only the singular tuples are
+listed as f = q^2 h (_singular_tuples), and the thin ones among them are
+found by the same two kernels.  The budget counts the work: prefixes
 times the window 2T+1, the box for a pointwise tester, _singular_work.
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
@@ -38,6 +38,7 @@ import numpy as np
 
 from . import covers
 from .wps import (
+    BLOCK_ROWS,
     DEFAULT_BUDGET,
     WeightVector,
     WpsPoint,
@@ -46,9 +47,9 @@ from .wps import (
     box_primes,
     box_volume,
     check_budget,
-    clip_ranges,
     count,
     map_chunks,
+    prefix_blocks,
 )
 
 
@@ -141,7 +142,7 @@ def is_smooth(h: HyperellipticPoint) -> bool:
 
 def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
     """Integer root of the defining polynomial (a rational 2-torsion x-coordinate)."""
-    return covers.root_cover_member(covers.two_torsion_cover(h.genus), h.point)
+    return covers.has_integer_root(h.poly())
 
 
 # --- the singular locus ------------------------------------------------------
@@ -164,11 +165,11 @@ def _root_window(Ms: Sequence[int]) -> int:
     return covers.root_window(len(Ms) + 1, Ms[-1], [*reversed(Ms[:-1]), 0])
 
 
-def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[tuple[int, ...]]:
-    """Every tuple of the box |x_i| <= Ms[i] (x_0 cut down to x0_range as by
-    wps.clip_ranges) whose curve polynomial f has a repeated root.
+def _singular_tuples(g: int, Ms: Sequence[int], x0: range) -> set[tuple[int, ...]]:
+    """Every tuple of the box |x_i| <= Ms[i] with x_0 in the range x0 whose
+    curve polynomial f has a repeated root.
 
-    Then f = q^2 h, q and h monic in Z[t] (Gauss's lemma); k = deg q in ks (1..g).
+    Then f = q^2 h, q and h monic in Z[t] (Gauss's lemma), k = deg q in 1..g.
     With coefficients from the top, c_s of t^{n-s} (n = 2g+1), c_1 = 0 gives
     h_1 = -2 q_1 and c_s = x_{s-2} must lie in its window.  For k < g, q comes
     from the root box |q_j| <= C(k, j) R^j (R = _root_window + 1), each h_s
@@ -177,7 +178,6 @@ def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[t
     comes from the box, and q_s enters c_s with slope 2.  An f with several
     repeated factors is found once per q, and kept once."""
     n = 2 * g + 1
-    x0 = clip_ranges(Ms[:1], x0_range)[0]
     lo, hi = [0, 0, x0.start, *(-m for m in Ms[1:])], [0, 0, x0.stop - 1, *Ms[1:]]  # c_s's window
     found: set[tuple[int, ...]] = set()
 
@@ -205,7 +205,7 @@ def _singular_tuples(g: int, Ms: Sequence[int], x0_range=None, ks=None) -> set[t
             walk(k, q, h, [*cs, c[s]])
 
     R = _root_window(Ms) + 1
-    for k in range(1, g + 1) if ks is None else ks:
+    for k in range(1, g + 1):
         caps = [math.comb(k, j) * R**j for j in range(1, (k if k < g else 1) + 1)]
         for head in itertools.product(*(range(-c, c + 1) for c in caps)):
             walk(k, [1, *head], [1, -2 * head[0]], [])
@@ -322,8 +322,8 @@ def census(
     check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, "census needs {} steps")
     sings = thins = [0] * len(bounds)
     if thin != "none" or smooth_only:
-        m0 = box_cutoffs(wv, bounds[-1])[0]
-        parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), m0, workers)
+        prefix = box_cutoffs(wv, bounds[-1])[:-1]
+        parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), prefix, workers)
         sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
     rows = [CensusRow(b, count(wv, b, budget=None) - sing, th, thin)
             for b, sing, th in zip(bounds, sings, thins)]
@@ -347,35 +347,30 @@ def _census_work(wv, bound, thin, smooth_only) -> int:
 
 
 def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """(singular, thin) counts by level over one x0 range: the singular
-    tuples as one block of rows (X, y), less the thin tester's hits among
-    them; then the thin members, from one loop over int64 blocks of
-    _BLOCK_ROWS prefixes (two-torsion columns or the pointwise tester)."""
-    g, bounds, thin, smooth_only, x0_range = args
+    """(singular, thin) counts by level over the prefix ranges of one piece:
+    the singular tuples as one block of rows (X, y), less the thin tester's
+    hits among them; then the thin members over the wps.prefix_blocks."""
+    g, bounds, thin, smooth_only, ranges = args
     wv = moduli_weights(g)
     cutoffs = np.array([box_cutoffs(wv, b) for b in bounds], dtype=object)
     cutoffs = cutoffs.astype(np.int64 if cutoffs.max() < 2**63 else object)
     cover = _tester_cover(thin, g)
     plist = box_primes(wv, bounds[-1])
+    m = int(cutoffs[-1, -1])
     sings = thins = np.zeros(len(bounds), dtype=np.int64)  # counts by level
     if smooth_only:
-        # f = q^2 h with deg q = 1 or deg h = 1 (k = 1 or g) has an integer root
-        Ms, sure_k = cutoffs[-1].tolist(), thin == "two-torsion"
-        sure = _singular_tuples(g, Ms, x0_range, {1, g}) if sure_k else set()
-        rest = _singular_tuples(g, Ms, x0_range, range(2, g) if sure_k else None) - sure
-        S = np.array([*sure, *rest], dtype=cutoffs.dtype).reshape(-1, len(wv))
+        S = np.array([*_singular_tuples(g, cutoffs[-1].tolist(), ranges[0])],
+                     dtype=cutoffs.dtype).reshape(-1, len(wv))
         X, ys, keep = S[:, :-1], S[:, -1:], np.ones((len(S), 1), dtype=bool)
         sings = _count_block(X, ys, keep, cutoffs, plist)
+        if thin == "two-torsion":  # every |y| <= m, so any integer root is in the window
+            keep = (_two_torsion_columns(X, m)[0] == ys).any(axis=1, keepdims=True)
+        elif cover is not None:
+            keep = _pointwise_keep(cover, X, ys)
         if cover is not None:
-            keep[len(sure):] = _pointwise_keep(cover, X[len(sure):], ys[len(sure):])
             thins = -_count_block(X, ys, keep, cutoffs, plist)
     if cover is not None:
-        m = int(cutoffs[-1, -1])
-        ranges = clip_ranges(cutoffs[-1, :-1].tolist(), x0_range)
-        shape, size = [len(r) for r in ranges], math.prod(len(r) for r in ranges)
-        for start in range(0, size, _BLOCK_ROWS):
-            idx = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, size)), shape)
-            X = np.column_stack([i + r.start for i, r in zip(idx, ranges)]).astype(np.int64)
+        for X in prefix_blocks(ranges, BLOCK_ROWS):
             if thin == "two-torsion":
                 ys, keep = _two_torsion_columns(X, m)
             else:
@@ -383,12 +378,6 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
                 keep = _pointwise_keep(cover, X, ys)
             thins = thins + _count_block(X, ys, keep, cutoffs, plist)
     return sings, thins
-
-
-# Prefixes per block: fixed, so that the blocks (and _two_torsion_columns'
-# dtype choices) do not depend on the worker count, and small, to bound the
-# memory of a block's rows x (2T+1) matrix.
-_BLOCK_ROWS = 128
 
 
 def _two_torsion_columns(X: np.ndarray, m: int):
@@ -403,7 +392,7 @@ def _two_torsion_columns(X: np.ndarray, m: int):
     int32 (int64) while m and every value and Horner intermediate stay below
     2^31 (2^63), and Python ints otherwise, exact at any height.
     """
-    cmax = np.abs(X).max(axis=0).tolist()
+    cmax = np.abs(X).max(axis=0, initial=0).tolist()  # a chunk may hold no singular tuple
     T = _root_window([*cmax, m])
     reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
     top = max(reach, m)

@@ -17,7 +17,6 @@ or (for the bound alone) a bare density.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,15 +26,16 @@ import numpy as np
 
 from . import arith
 from .wps import (
+    BLOCK_ROWS,
     DEFAULT_BUDGET,
     WeightVector,
     as_bound,
     box_cutoffs,
     box_volume,
     check_budget,
-    clip_ranges,
-    is_sign_canonical,
+    leading_signs,
     map_chunks,
+    prefix_blocks,
 )
 
 
@@ -194,12 +194,9 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float |
 # --- survivors -------------------------------------------------------------
 
 
-# Prefixes per block, as in the census kernels, and fewer when a block's
-# masks would pass _BLOCK_BYTES, so a long last coordinate cannot inflate the
-# block.  Survivors are counted as np.count_nonzero(np.unpackbits(mask)),
-# which numpy 1.24 has and which beats a byte lookup table; the unpacked
-# bools take 8 bytes per packed byte, so the cap is on 8 * the row bytes.
-_BLOCK_ROWS = 128
+# Survivors are counted as np.count_nonzero(np.unpackbits(mask)) (numpy 1.24
+# has it; it beats a byte table).  A block has fewer than BLOCK_ROWS prefixes
+# when its masks, unpacked to 8 bytes per packed byte, would pass _BLOCK_BYTES.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -236,34 +233,25 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
 
 
 def _survivors_chunk(args) -> int:
-    params, rs, x0_range = args
+    params, rs, ranges = args
     weights = params.weights
-    Ms = box_cutoffs(weights, params.bound)
-    width = len(weights)
-    mlast = Ms[-1]
-    tables = _survivor_tables(rs, params.Q, width, mlast)
+    mlast = box_cutoffs(weights, params.bound)[-1]
+    tables = _survivor_tables(rs, params.Q, len(weights), mlast)
     # Base rows, indexed by (y < 0 dropped) + 2 * (y = 0 dropped): all y,
     # y >= 0, and each of those without y = 0 for the zero prefix.
     base = np.ones((4, 2 * mlast + 1), dtype=bool)
     base[1::2, :mlast] = False
     base[2:, mlast] = False
     bases = np.packbits(base, axis=1)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * bases.shape[1])))
-
-    def canonical():
-        # Sign canon of (prefix, y): a prefix that decides it keeps all y or
-        # none; otherwise an odd last weight keeps y >= 0.
-        for prefix in itertools.product(*clip_ranges(Ms[:-1], x0_range)):
-            if is_sign_canonical((*prefix, 1), weights):
-                neg = is_sign_canonical((*prefix, -1), weights)
-                yield prefix, (not neg) + 2 * (not any(prefix))
-
+    rows = max(1, min(BLOCK_ROWS, _BLOCK_BYTES // (8 * bases.shape[1])))
+    odd_last = weights.weights[-1] % 2
     total = 0
-    walk = canonical()
-    while block := list(itertools.islice(walk, rows)):
-        prefixes, kinds = zip(*block)
-        X = np.array(prefixes, dtype=np.int64).reshape(len(block), width - 1)
-        mask = bases[list(kinds)]
+    for X in prefix_blocks(ranges, rows):
+        # Sign canon of (prefix, y): a prefix whose sign is nonzero keeps all
+        # y (sign 1) or none (-1); otherwise an odd last weight keeps y >= 0.
+        sign = leading_signs(X, weights)
+        X, sign = X[sign >= 0], sign[sign >= 0]
+        mask = bases[(sign == 0) * odd_last + 2 * ~X.any(axis=1)]
         for q, radix, keys, table in tables:
             k = (X.astype(radix.dtype, copy=False) % q) @ radix
             j = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
@@ -278,10 +266,8 @@ def survivors(params: SieveParams, rs: ResidueSystem, *,
     exclusion x mod p^m not in Omega_{p^m}, p <= Q (from the bit tables)."""
     _check_widths(params, rs)
     check_budget(box_volume(params.weights, params.bound), budget)
-    if len(params.weights) < 2:
-        workers = 1  # no prefix coordinate to partition
-    m0 = box_cutoffs(params.weights, params.bound)[0]
-    return sum(map_chunks(_survivors_chunk, (params, rs), m0, workers))
+    prefix = box_cutoffs(params.weights, params.bound)[:-1]
+    return sum(map_chunks(_survivors_chunk, (params, rs), prefix, workers))
 
 
 class LsCheck(NamedTuple):

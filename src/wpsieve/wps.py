@@ -9,9 +9,10 @@ bounded-height enumeration walks the box |x_i| <= B^{a_i} directly.
 Counts are computed, not walked: d divides the weighted gcd exactly when
 d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
 points (the plain gcd likewise, with d | x_i), summed over the blocks of d
-with equal quotients, and the enumeration stays as its oracle.  Code that
-does walk a box (the sieve's survivors, the census) partitions the first
-coordinate with map_chunks and clip_ranges.
+with equal quotients, and the enumeration stays as its oracle.  The walks of
+a box (the sieve's survivors, the census) cut the first coordinate across
+workers with map_chunks and take int64 blocks of prefixes (all coordinates
+but the last) from prefix_blocks, their sign canon from leading_signs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import arith
 
 DEFAULT_BUDGET = 5_000_000_000
@@ -31,6 +34,10 @@ DEFAULT_BUDGET = 5_000_000_000
 # The partition must not depend on the worker count, so that merged results
 # are bit-identical for any number of workers.
 _CHUNKS = 32
+
+# Prefixes per block: fixed, so that blocks (and the census kernels' dtypes)
+# do not depend on the worker count; small, to bound a block's matrices.
+BLOCK_ROWS = 128
 
 
 class BudgetExceededError(RuntimeError):
@@ -322,34 +329,47 @@ def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> in
 # --- partitioning ------------------------------------------------------------
 
 
-def _chunk_ranges(m0: int) -> list[tuple[int, int]]:
+def _chunk_ranges(m0: int) -> list[range]:
     # Fixed partition of [-m0, m0]; independent of the worker count.
     width = 2 * m0 + 1
     pieces = min(width, _CHUNKS)
     bounds = [-m0 + (width * i) // pieces for i in range(pieces + 1)]
-    return [(bounds[i], bounds[i + 1] - 1) for i in range(pieces)]
+    return [range(bounds[i], bounds[i + 1]) for i in range(pieces)]
 
 
-def map_chunks(fn, args: tuple, m0: int, workers: int) -> list:
-    """Results of fn((*args, x0_range)) over a fixed partition of [-m0, m0].
-
-    With workers <= 1 this is the single call fn((*args, None)); otherwise
-    fn (a top-level function, so Pool can pickle it) runs on _CHUNKS pieces
-    of the first coordinate.  The pieces never depend on the worker count,
-    so merged results are the same for any number of workers, and no more
-    processes are started than there are pieces."""
-    if workers <= 1:
-        return [fn((*args, None))]
-    tasks = [(*args, rng) for rng in _chunk_ranges(m0)]
+def map_chunks(fn, args: tuple, cutoffs: Sequence[int], workers: int) -> list:
+    """Results of fn((*args, ranges)), ranges = [range(-M_i, M_i + 1) per
+    cutoff]: one call on the whole prefix box with workers <= 1 or no cutoff,
+    else one per piece of a fixed partition of the first range.  The pieces
+    never depend on the worker count, so merged results do not either; fn is
+    top-level, so Pool can pickle it, and no more processes start than there
+    are pieces."""
+    ranges = [range(-m, m + 1) for m in cutoffs]
+    if workers <= 1 or not ranges:
+        return [fn((*args, ranges))]
+    tasks = [(*args, [piece, *ranges[1:]]) for piece in _chunk_ranges(cutoffs[0])]
     with Pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks)
 
 
-def clip_ranges(cutoffs: Sequence[int], x0_range) -> list[range]:
-    """range(-M_i, M_i + 1) per cutoff, the first cut down to the inclusive
-    window x0_range = (lo, hi) when one is given (empty when disjoint)."""
-    ranges = [range(-m, m + 1) for m in cutoffs]
-    if x0_range is not None:
-        lo, hi = x0_range
-        ranges[0] = range(max(lo, -cutoffs[0]), min(hi, cutoffs[0]) + 1)
-    return ranges
+def prefix_blocks(ranges: Sequence[range], rows: int) -> Iterator[np.ndarray]:
+    """The product of the ranges in lexicographic order, as int64 arrays of at
+    most `rows` rows, one column per range (no range: the one empty prefix)."""
+    shape, starts = [len(r) for r in ranges], [r.start for r in ranges]
+    size = math.prod(shape)
+    for lo in range(0, size, rows):
+        flat = np.arange(lo, min(lo + rows, size))
+        X = np.empty((len(flat), len(shape)), dtype=np.int64)
+        X[:] = np.transpose(np.unravel_index(flat, shape)) + starts if shape else 0
+        yield X
+
+
+def leading_signs(X: np.ndarray, weights: WeightVector) -> np.ndarray:
+    """Per row of X (leading coordinates), the sign of its first nonzero
+    coordinate of odd weight, 0 when none: a tuple beginning with the row is
+    sign-canonical at 1, not at -1, and at 0 the later coordinates decide."""
+    sign = np.zeros(len(X), dtype=np.int64)
+    for col, a in reversed(list(zip(X.T, weights))):
+        if a % 2:
+            sign = np.where(col != 0, np.sign(col), sign)
+    return sign

@@ -250,6 +250,17 @@ def test_image_density_cover_file_degree_is_budgeted(tmp_path, capsys, degree):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_image_density_cover_file_time_follows_its_c_lines(tmp_path, capsys):
+    # t^200000 has the root 0 mod every p; Horner skips the zero c_j, so the
+    # run takes one step per c line, not per degree
+    path = tmp_path / "cover.txt"
+    path.write_text("weights 2\naux-weight 1\ndegree 200000\n")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["image-density", "--cover", str(path), "--primes", "2,3"], capsys)
+    assert (code, out) == (0, "p,density\n2,1\n3,1\n")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_image_density_cover_file_degree_takes_the_explicit_budget(tmp_path, capsys):
     # the mod-2 image of a degree-50 cover in one coordinate: 2^2 * 50 = 200
     path = tmp_path / "cover.txt"

@@ -179,7 +179,7 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
     Ms = cutoffs[-1]
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
     cover = covers.two_torsion_cover(g)
-    singular = hyp._singular_tuples(g, Ms) if smooth else set()
+    singular = hyp._singular_tuples(g, Ms, range(-Ms[0], Ms[0] + 1)) if smooth else set()
     sings = []
     want_sing, want_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     for prefix in block:

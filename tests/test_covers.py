@@ -81,8 +81,14 @@ def _density_oracle(cov, p):
 
 
 def test_image_density_against_slow_oracle():
-    for name in ("two-torsion-g1", "square-coord", "disc-square-g1"):
-        cov = covers.named_cover(name)
+    # besides the built-ins, t^5 + x1 t^3 + 3 x0^4 t + x0^3 x1 (gaps between
+    # the nonzero c_j) and t^4 + x1 t^2 (no constant term) over weights (1, 2)
+    w12 = WeightVector((1, 2))
+    sparse = Cover(w12, 1, 5, (monomial(w12, 1, (3, 1)), monomial(w12, 3, (4, 0)), None,
+                               monomial(w12, 1, (0, 1)), None))
+    no_c0 = Cover(w12, 1, 4, (None, None, monomial(w12, 1, (0, 1)), None))
+    for cov in (*map(covers.named_cover, ("two-torsion-g1", "square-coord",
+                                          "disc-square-g1")), sparse, no_c0):
         for p in (2, 3, 5, 7):
             assert covers.image_density_mod_p(cov, p) == _density_oracle(cov, p)
 

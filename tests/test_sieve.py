@@ -307,6 +307,17 @@ def test_survivors_workers_agree():
     assert sieve.survivors(params, rs, workers=2) == sieve.survivors(params, rs)
 
 
+def test_survivors_width_one_workers_agree():
+    # no prefix coordinate to cut across workers: one call on the whole box
+    for w in ((1,), (2,), (3,)):
+        params = SieveParams(WeightVector(w), 4, 3)
+        rs = ResidueSystem.from_omegas([Omega(2, 1, residues={(0,)}),
+                                        Omega(3, 1, residues={(1,)})])
+        want = _survivor_oracle(params, rs)
+        assert sieve.survivors(params, rs, workers=1) == want, w
+        assert sieve.survivors(params, rs, workers=2) == want, w
+
+
 def test_survivors_monotone_in_Q():
     om2 = Omega(2, 1, residues={(0, 0)})
     om3 = Omega(3, 1, residues={(1, 2)})

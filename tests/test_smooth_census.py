@@ -6,6 +6,7 @@ singular locus at heights no enumeration reaches."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import arith, covers, hyperelliptic as hyp, wps
@@ -17,25 +18,25 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=N
 _MAX_BOX = {1: (30, 60), 2: (3, 4, 5, 8), 3: (1, 2, 2, 2, 3, 3)}
 
 
-def _scan(g, Ms, x0_range):
-    lo, hi = x0_range
+def _scan(g, Ms, x0):
     return {
         x
-        for x in itertools.product(*(range(-m, m + 1) for m in Ms))
-        if lo <= x[0] <= hi and hyp._disc_poly(hyp._poly_from_coords(g, x)) == 0
+        for x in itertools.product(x0, *(range(-m, m + 1) for m in Ms[1:]))
+        if hyp._disc_poly(hyp._poly_from_coords(g, x)) == 0
     }
 
 
 @SETTINGS
 @given(data=st.data(), g=st.sampled_from((1, 2, 3)))
 def test_singular_block_matches_scan(data, g):
-    # the finder on one block of x_0 values, as map_chunks hands it out, and
-    # on the whole box
+    # the finder on one window of x_0 values inside the box, as map_chunks
+    # hands it out, and on the whole box
     Ms = tuple(data.draw(st.integers(0, m)) for m in _MAX_BOX[g])
-    lo = data.draw(st.integers(-Ms[0] - 1, Ms[0] + 1))
-    x0_range = (lo, data.draw(st.integers(lo - 1, Ms[0] + 1)))
-    assert hyp._singular_tuples(g, Ms, x0_range) == _scan(g, Ms, x0_range)
-    assert hyp._singular_tuples(g, Ms) == _scan(g, Ms, (-Ms[0], Ms[0]))
+    lo = data.draw(st.integers(-Ms[0], Ms[0]))
+    x0 = range(lo, data.draw(st.integers(lo, Ms[0])) + 1)
+    assert hyp._singular_tuples(g, Ms, x0) == _scan(g, Ms, x0)
+    box = range(-Ms[0], Ms[0] + 1)
+    assert hyp._singular_tuples(g, Ms, box) == _scan(g, Ms, box)
 
 
 def _divisor_oracle(poly):
@@ -98,23 +99,26 @@ def test_g1_smooth_census_matches_singular_locus():
     assert totals[12] == 247429284362
 
 
-def test_sure_singular_members_have_an_integer_root():
-    # f = q^2 h with deg q = 1 or deg h = 1 (k = 1 or g) has an integer root,
-    # so the two-torsion census tests only k = 2..g-1; at genus 3 some of
-    # those have none, such as (t^2 + 1)^2 (t^3 - t + 1)
+def test_singular_two_torsion_columns_match_integer_roots():
+    # the census decides two-torsion on the singular tuples from the column
+    # kernel: exact, as every |y| <= m.  At genus 3 some singular f have no
+    # integer root, such as (t^2 + 1)^2 (t^3 - t + 1)
     Ms = wps.box_cutoffs(hyp.moduli_weights(3), Fraction(9, 8))
-    sure = hyp._singular_tuples(3, Ms, ks={1, 3})
-    rest = hyp._singular_tuples(3, Ms, ks={2}) - sure
-    assert sure | rest == hyp._singular_tuples(3, Ms)
-    assert all(covers.has_integer_root(hyp._poly_from_coords(3, x)) for x in sure)
-    assert (1, 1, -1, 2, -1, 1) in rest
+    singular = sorted(hyp._singular_tuples(3, Ms, range(-Ms[0], Ms[0] + 1)))
+    S = np.array(singular, dtype=np.int64)
+    keep = (hyp._two_torsion_columns(S[:, :-1], Ms[-1])[0] == S[:, -1:]).any(axis=1)
+    assert keep.tolist() == [covers.has_integer_root(hyp._poly_from_coords(3, x))
+                             for x in singular]
+    assert 0 < keep.sum() < len(singular)
+    assert (1, 1, -1, 2, -1, 1) in singular
     assert not covers.has_integer_root(hyp._poly_from_coords(3, (1, 1, -1, 2, -1, 1)))
 
 
 def test_genus3_smooth_thin_drops_the_singular_members():
     wv, grid = hyp.moduli_weights(3), [1, Fraction(9, 8)]
     full, smooth = hyp.census(3, grid), hyp.census(3, grid, smooth_only=True)
-    singular = hyp._singular_tuples(3, wps.box_cutoffs(wv, grid[-1]))
+    top = wps.box_cutoffs(wv, grid[-1])
+    singular = hyp._singular_tuples(3, top, range(-top[0], top[0] + 1))
     for row, smooth_row in zip(full.rows, smooth.rows):
         Ms = wps.box_cutoffs(wv, row.bound)
         members = [x for x in singular

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,13 +167,46 @@ def test_map_chunks_starts_no_more_processes_than_pieces(monkeypatch):
 
     monkeypatch.setattr(wps, "Pool", SerialPool)
     for m0, workers in ((100, 100_000), (100, 3), (2, 50)):
-        parts = wps.map_chunks(lambda args: args[-1], (), m0, workers)
-        assert [x for lo, hi in parts for x in range(lo, hi + 1)] == list(range(-m0, m0 + 1))
+        parts = wps.map_chunks(lambda args: args[-1], (), [m0, 4], workers)
+        assert [x for x0, _ in parts for x in x0] == list(range(-m0, m0 + 1))
+        assert all(rest == range(-4, 5) for _, rest in parts)
+    assert asked == [wps._CHUNKS, 3, 5]
+    # one worker, or no prefix coordinate to cut: one call on the whole box
+    whole = [range(-100, 101), range(-4, 5)]
+    assert wps.map_chunks(lambda args: args, (7,), [100, 4], 1) == [(7, whole)]
+    assert wps.map_chunks(lambda args: args, (7,), [], 8) == [(7, [])]
     assert asked == [wps._CHUNKS, 3, 5]
     one = hyperelliptic.census(1, [1, 2], thin="disc-square", workers=1)
     many = hyperelliptic.census(1, [1, 2], thin="disc-square", workers=100_000)
     assert one.rows == many.rows
     assert asked[-1] == wps._CHUNKS
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), cutoffs=st.lists(st.integers(0, 3), max_size=3), rows=st.integers(1, 7))
+def test_prefix_blocks_walk_the_product(data, cutoffs, rows):
+    ranges = [range(-m, m + 1) for m in cutoffs]
+    if ranges:  # the first range cut to a piece, as map_chunks hands it out
+        ranges[0] = data.draw(st.sampled_from(wps._chunk_ranges(cutoffs[0])))
+    blocks = list(wps.prefix_blocks(ranges, rows))
+    assert all(X.dtype == np.int64 and X.shape[1] == len(ranges) for X in blocks)
+    assert [len(X) for X in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= rows
+    assert [tuple(x) for X in blocks for x in X.tolist()] == list(itertools.product(*ranges))
+
+
+def test_leading_signs_decide_the_sign_canon():
+    # every weight vector of 1s and 2s up to width 4, every prefix in [-2, 2]
+    for ws in itertools.chain.from_iterable(
+            itertools.product((1, 2), repeat=n) for n in range(1, 5)):
+        wv = WeightVector(ws)
+        prefixes = list(itertools.product(range(-2, 3), repeat=len(ws) - 1))
+        X = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), len(ws) - 1)
+        for prefix, sign in zip(prefixes, wps.leading_signs(X, wv).tolist()):
+            canon = (wps.is_sign_canonical((*prefix, 1), wv),
+                     wps.is_sign_canonical((*prefix, -1), wv))
+            assert canon == {1: (True, True), -1: (False, False),
+                             0: (True, ws[-1] % 2 == 0)}[sign], (ws, prefix)
 
 
 def _small_bounds(wv):
