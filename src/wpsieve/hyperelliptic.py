@@ -9,18 +9,19 @@ discriminant, computed exactly), rational 2-torsion (an integer root of the
 right-hand side), a bounded-height census over a grid of height cutoffs,
 and log-log exponent fits of the census columns.
 
-The census totals are wps.count at each cutoff, less the singular tuples
-with --smooth-only.  Thin members come from one loop over the int64 blocks
-of prefixes (all coordinates but the last) that wps.prefix_blocks walks.
+A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
+box's nonzero members in place of its volume (thin and singular sets are
+closed under x -> d.x both ways).  Thin members come from one loop over the
+int64 wps.prefix_blocks (all coordinates but the last) of the largest box.
 The coordinates are the coefficients of f, so _two_torsion_columns writes
 down the two-torsion members y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2})
 by Horner over the prefix, t in the block's exact root window; a pointwise
-tester is run at every y.  One counter, _count_block, drops the candidates
-that are not points and counts each of the rest once, at its level: the
-first cutoff whose box holds it.  With --smooth-only the singular tuples are
-listed as f = q^2 h (_singular_tuples), and the thin ones among them are
-found by the same two kernels.  The budget counts the work: prefixes
-times the window 2T+1, the box for a pointwise tester, _singular_work.
+tester is run at every y.  One counter, _count_block, drops the zero tuple
+and counts each of the rest once, at its level: the first box that holds
+it.  With --smooth-only the singular tuples are listed as f = q^2 h
+(_singular_tuples), and the thin ones among them are found by the same two
+kernels.  The budget counts the work: prefixes times the window 2T+1, the
+box for a pointwise tester, _singular_work.
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
 """
@@ -44,11 +45,10 @@ from .wps import (
     WpsPoint,
     as_bound,
     box_cutoffs,
-    box_primes,
     box_volume,
     check_budget,
-    count,
     map_chunks,
+    moebius_boxes,
     prefix_blocks,
 )
 
@@ -306,10 +306,11 @@ def census(
 ) -> CensusTable:
     """Point totals and thin counts for every height cutoff in the grid.
 
-    The totals come from wps.count.  One pass over coordinate prefixes finds
-    the thin points of the whole grid, each counted once at the first cutoff
-    whose box holds it.  With smooth_only the singular tuples, listed as
-    f = q^2 h, come off the totals and, when thin, off the thin counts.
+    Each column at B is the sum of mu times its nonzero tuples over the boxes
+    of wps.moebius_boxes(wv, B, wv); the weights are even, so no sign fold.
+    One pass over the prefixes counts the members of every box.  With
+    smooth_only the singular tuples, listed as f = q^2 h, come off the totals
+    and, when thin, off the thin counts.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -320,13 +321,18 @@ def census(
         raise ValueError("census heights must increase strictly")
     _tester_cover(thin, g)  # validate the name before any work
     check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, "census needs {} steps")
-    sings = thins = [0] * len(bounds)
-    if thin != "none" or smooth_only:
-        prefix = box_cutoffs(wv, bounds[-1])[:-1]
-        parts = map_chunks(_census_chunk, (g, bounds, thin, smooth_only), prefix, workers)
+    walks = [list(moebius_boxes(wv, b, wv)) for b in bounds]
+    boxes = sorted({box for walk in walks for _, box in walk})  # nested, so in order
+    sings = thins = [0] * len(boxes)
+    if boxes and (thin != "none" or smooth_only):
+        parts = map_chunks(_census_chunk, (g, boxes, thin, smooth_only), boxes[-1][:-1], workers)
         sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
-    rows = [CensusRow(b, count(wv, b, budget=None) - sing, th, thin)
-            for b, sing, th in zip(bounds, sings, thins)]
+    totals = [math.prod(2 * q + 1 for q in box) - 1 - s for box, s in zip(boxes, sings)]
+    level = {box: j for j, box in enumerate(boxes)}
+    rows = []
+    for b, walk in zip(bounds, walks):
+        total, th = (sum(mu * col[level[box]] for mu, box in walk) for col in (totals, thins))
+        rows.append(CensusRow(b, total, th, thin))
     meta = dict(genus=g, thin=thin, smooth_only=smooth_only, workers=workers,
                 wall_time_s=time.perf_counter() - t0)
     return CensusTable(rows, meta)
@@ -347,28 +353,25 @@ def _census_work(wv, bound, thin, smooth_only) -> int:
 
 
 def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """(singular, thin) counts by level over the prefix ranges of one piece:
-    the singular tuples as one block of rows (X, y), less the thin tester's
-    hits among them; then the thin members over the wps.prefix_blocks."""
-    g, bounds, thin, smooth_only, ranges = args
-    wv = moduli_weights(g)
-    cutoffs = np.array([box_cutoffs(wv, b) for b in bounds], dtype=object)
-    cutoffs = cutoffs.astype(np.int64 if cutoffs.max() < 2**63 else object)
+    """(singular, thin) nonzero tuples by level (box) over the prefix ranges of
+    one piece: the singular tuples as one block of rows (X, y), less the thin
+    tester's hits among them; then the thin members over wps.prefix_blocks."""
+    g, boxes, thin, smooth_only, ranges = args
+    cutoffs = np.array(boxes, dtype=np.int64 if max(boxes[-1]) < 2**63 else object)
     cover = _tester_cover(thin, g)
-    plist = box_primes(wv, bounds[-1])
-    m = int(cutoffs[-1, -1])
-    sings = thins = np.zeros(len(bounds), dtype=np.int64)  # counts by level
+    m = boxes[-1][-1]
+    sings = thins = np.zeros(len(boxes), dtype=np.int64)  # counts by level
     if smooth_only:
-        S = np.array([*_singular_tuples(g, cutoffs[-1].tolist(), ranges[0])],
-                     dtype=cutoffs.dtype).reshape(-1, len(wv))
+        S = np.array([*_singular_tuples(g, boxes[-1], ranges[0])],
+                     dtype=cutoffs.dtype).reshape(-1, len(boxes[-1]))
         X, ys, keep = S[:, :-1], S[:, -1:], np.ones((len(S), 1), dtype=bool)
-        sings = _count_block(X, ys, keep, cutoffs, plist)
+        sings = _count_block(X, ys, keep, cutoffs)
         if thin == "two-torsion":  # every |y| <= m, so any integer root is in the window
             keep = (_two_torsion_columns(X, m)[0] == ys).any(axis=1, keepdims=True)
         elif cover is not None:
             keep = _pointwise_keep(cover, X, ys)
         if cover is not None:
-            thins = -_count_block(X, ys, keep, cutoffs, plist)
+            thins = -_count_block(X, ys, keep, cutoffs)
     if cover is not None:
         for X in prefix_blocks(ranges, BLOCK_ROWS):
             if thin == "two-torsion":
@@ -376,7 +379,7 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             else:
                 ys = np.broadcast_to(np.arange(-m, m + 1), (len(X), 2 * m + 1))
                 keep = _pointwise_keep(cover, X, ys)
-            thins = thins + _count_block(X, ys, keep, cutoffs, plist)
+            thins = thins + _count_block(X, ys, keep, cutoffs)
     return sings, thins
 
 
@@ -417,32 +420,27 @@ def _pointwise_keep(cover, X, ys):
     return np.array([covers.has_integer_root(p) for p in polys], dtype=bool).reshape(ys.shape)
 
 
-def _count_block(X, ys, keep, cutoffs, plist) -> np.ndarray:
-    """Entry j: the points among a block's candidates whose level is j.
+def _count_block(X, ys, keep, cutoffs) -> np.ndarray:
+    """Entry j: the nonzero tuples among a block's kept candidates of level j.
 
     Row i of ys holds candidate last coordinates y over the prefix X[i],
-    those marked in keep[i]; (X[i], y) is a point unless it is all zero or
-    some p of plist has p^{a_k} dividing every coordinate.  Row j of cutoffs
-    is the box of cutoff j.  The boxes are nested, so a point's level (its
-    first box) is the larger of its row's and its y's: lo, the lowest row
-    level, plus the cutoffs past lo that |y| exceeds.  One bincount counts
-    each point once, and its cumulative sum at every cutoff.  Arrays are
-    int64 (ys also int32) only when every cutoff fits in int64.
+    those marked in keep[i]; only the zero tuple is dropped.  Row j of
+    cutoffs is box j.  The boxes are nested, so a tuple's level (its first
+    box) is the larger of its row's and its y's: lo, the lowest row level,
+    plus the boxes past lo whose last cutoff |y| exceeds.  One bincount
+    counts each tuple once, and its cumulative sum every box's tuples.
+    Arrays are int64 (ys also int32) only when every cutoff fits in int64.
     """
     n = len(cutoffs)
-    pas = np.array([pas for _, pas in plist], dtype=cutoffs.dtype).reshape(-1, cutoffs.shape[1])
-    ok = keep.copy()
-    div = (X[:, None, :] % pas[:, :-1] == 0).all(axis=2)  # div[i, p]: p^{a_k} | X[i]
-    for rows, q in ((~X.any(axis=1), 0), *zip(div.T, pas[:, -1].tolist())):
-        if rows.any():
-            ok[rows] &= ys[rows] % q != 0 if q else ys[rows] != 0
     row_level = (abs(X)[:, None, :] > cutoffs[:, :-1]).sum(axis=1).max(axis=1)
     lo, a = int(row_level.min(initial=n)), abs(ys)
     levels = np.full(ys.shape, lo + 1, dtype=np.min_scalar_type(n + 1))  # level + 1
     for c in cutoffs[lo:, -1].tolist():
         levels += a > c
     np.maximum(levels, (row_level + 1).astype(levels.dtype)[:, None], out=levels)
-    levels *= ok  # 0: not a point
+    levels *= keep  # 0: not counted
+    zero = ~X.any(axis=1)
+    levels[zero] *= ys[zero] != 0
     return np.bincount(levels.ravel(), minlength=n + 2)[1: n + 1]
 
 

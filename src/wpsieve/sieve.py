@@ -353,6 +353,8 @@ def load_residue_system(path) -> ResidueSystem:
             else:
                 if p in density_rows or p in explicit_rows:
                     raise ValueError(f"{path}:{lineno}: duplicate entry for p={p}")
+                if int(parts[3]) == 0:
+                    raise ValueError(f"{path}:{lineno}: density {parts[2]}/0 has a zero denominator")
                 density_rows[p] = Fraction(int(parts[2]), int(parts[3]))
     if len(m_seen) > 1:
         raise ValueError(f"{path}: inconsistent modulus exponents {sorted(m_seen)}")

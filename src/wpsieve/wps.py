@@ -8,8 +8,9 @@ bounded-height enumeration walks the box |x_i| <= B^{a_i} directly.
 
 Counts are computed, not walked: d divides the weighted gcd exactly when
 d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
-points (the plain gcd likewise, with d | x_i), summed over the blocks of d
-with equal quotients, and the enumeration stays as its oracle.  The walks of
+points (the plain gcd likewise, with d | x_i), one term per moebius_boxes
+box: count takes the boxes' volumes, the census their thin members, and the
+enumeration stays as their oracle.  The walks of
 a box (the sieve's survivors, the census) cut the first coordinate across
 workers with map_chunks and take int64 blocks of prefixes (all coordinates
 but the last) from prefix_blocks, their sign canon from leading_signs.
@@ -217,25 +218,6 @@ def height_leq(point: WpsPoint, bound) -> bool:
 # --- enumeration -----------------------------------------------------------
 
 
-def box_primes(weights: WeightVector, bound) -> list[tuple[int, tuple[int, ...]]]:
-    """(p, (p^{a_0}, ..., p^{a_n})) for every prime that can witness weighted
-    gcd > 1 inside the box of height B."""
-    # p^{a_i} | x_i with some 0 < |x_i| <= B^{a_i} forces p <= B.
-    b = as_bound(bound)
-    pmax = b.numerator // b.denominator
-    return [
-        (p, tuple(p**a for a in weights)) for p in arith.primes_up_to(pmax)
-    ]
-
-
-def wgcd_one_in_box(coords, prime_powers) -> bool:
-    """Weighted gcd 1 for a tuple of the box that box_primes was built for."""
-    for _, pas in prime_powers:
-        if all(x % pa == 0 for x, pa in zip(coords, pas)):  # 0 % pa == 0: v = inf
-            return False
-    return True
-
-
 def check_budget(work: int, budget, what: str = "enumeration box holds {} tuples") -> None:
     """Refuse work past the budget (None: no limit) with BudgetExceededError."""
     if budget is not None and work > budget:
@@ -246,17 +228,16 @@ def _iter_canonical(
     weights: WeightVector, bound, budget, integral: bool
 ) -> Iterator[tuple[int, ...]]:
     check_budget(box_volume(weights, bound), budget)
-    prime_powers = None if integral else box_primes(weights, bound)
+    b = as_bound(bound)  # p^{a_i} | x_i with some 0 < |x_i| <= B^{a_i} forces p <= B
+    pas = [[p**a for a in weights] for p in arith.primes_up_to(b.numerator // b.denominator)]
     ranges = [range(-m, m + 1) for m in box_cutoffs(weights, bound)]
     for tup in itertools.product(*ranges):
-        if not any(tup):
-            continue
-        if not is_sign_canonical(tup, weights):
+        if not any(tup) or not is_sign_canonical(tup, weights):
             continue
         if integral:
             if math.gcd(*tup) != 1:
                 continue
-        elif not wgcd_one_in_box(tup, prime_powers):
+        elif any(all(x % q == 0 for x, q in zip(tup, qs)) for qs in pas):  # 0 % q == 0: v = inf
             continue
         yield tup
 
@@ -280,31 +261,37 @@ def enumerate_integral(
 # --- counting ----------------------------------------------------------------
 
 
-def _count(weights: WeightVector, bound, exponents: Sequence[int]) -> int:
-    # Moebius inversion over d: the nonzero tuples with d^{e_i} | x_i (e_i = a_i
-    # for the weighted gcd, 1 for the plain gcd) number
-    # prod_i (2 floor(M_i / d^{e_i}) + 1) - 1.  The quotients are constant on
-    # blocks of d, so mu is summed per block from the Mertens function.  With
-    # some e_i > 1 the blocks are single d up to about n^{e_i / (e_i + 1)}, so
-    # the Mertens table then covers all of 1..n.  Negation fixes the tuples
-    # whose odd-weight coordinates are all 0 and pairs off the rest, so the
-    # sign-canonical count is (N_all + N_fixed) / 2.
+def moebius_boxes(weights: WeightVector, bound, exponents: Sequence[int]) -> Iterator:
+    """(mu summed over a block, box) per block of d on which the nonempty box
+    floor(M_i / d^{e_i}) is constant, M_i = floor(B^{a_i}), mu-sum 0 skipped.
+    In a set closed under x -> d.x both ways, its tuples of gcd 1 (e_i = a_i:
+    weighted, 1: plain) number the sum of mu times its nonzero tuples per box.
+    With some e_i > 1 the blocks are single d up to about n^{e_i / (e_i + 1)}
+    (n: the last d), so the Mertens table then covers all of 1..n."""
     Ms = box_cutoffs(weights, bound)
-    even = [i for i, a in enumerate(weights) if a % 2 == 0]
     n = max(arith.iroot(m, e) for m, e in zip(Ms, exponents))
     mertens = arith.mertens(n, dense=max(exponents) > 1)
-    n_all = n_fixed = 0
     d, before = 1, 0
     while d <= n:
-        qs = [m // d**e for m, e in zip(Ms, exponents)]
+        qs = tuple(m // d**e for m, e in zip(Ms, exponents))
         # the block ends at the last d' with d'^{e_i} <= M_i // q_i wherever q_i > 0
         end = min(arith.iroot(m // q, e) for m, q, e in zip(Ms, qs, exponents) if q)
         upto = mertens(end)
         if mu := upto - before:
-            sides = [2 * q + 1 for q in qs]
-            n_all += mu * (math.prod(sides) - 1)
-            n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
+            yield mu, qs
         d, before = end + 1, upto
+
+
+def _count(weights: WeightVector, bound, exponents: Sequence[int]) -> int:
+    # A box of sides 2 q_i + 1 holds prod_i (2 q_i + 1) - 1 nonzero tuples.
+    # Negation fixes the tuples whose odd-weight coordinates are all 0 and
+    # pairs off the rest, so the sign-canonical count is (N_all + N_fixed) / 2.
+    even = [i for i, a in enumerate(weights) if a % 2 == 0]
+    n_all = n_fixed = 0
+    for mu, qs in moebius_boxes(weights, bound, exponents):
+        sides = [2 * q + 1 for q in qs]
+        n_all += mu * (math.prod(sides) - 1)
+        n_fixed += mu * (math.prod(sides[i] for i in even) - 1)
     return (n_all + n_fixed) // 2
 
 

@@ -168,6 +168,17 @@ def test_residue_width_must_match_weights(tmp_path, capsys):
     assert (code, out) == (0, "B,Q,m,survivors\n3,1,1,24\n")
 
 
+def test_residue_zero_denominator_is_a_validation_error(tmp_path, capsys):
+    rs = write_rs(tmp_path, "2 1 1 0\n")
+    code, out, err = run_cli(
+        ["sieve-bound", "--weights", "1,1", "--height-max", "1", "--Q", "2",
+         "--residues", rs],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert f"{rs}:1:" in json.loads(err)["message"]
+
+
 def test_m_cross_check(tmp_path, capsys):
     rs = write_rs(tmp_path)
     code, _, err = run_cli(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import arith, covers, hyperelliptic as hyp
-from wpsieve.wps import box_cutoffs, box_primes
+from wpsieve.wps import box_cutoffs
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -171,13 +171,13 @@ def test_column_members_is_the_one_row_kernel():
 def test_count_block_matches_member_loop(data, g, smooth, dtype):
     # the census's level counter, on a block's singular values and on its
     # column members, int64 or Python ints, against a loop over members and
-    # cutoffs
+    # cutoffs; it drops only the zero tuple, so the members of prefixes with
+    # 2^{a_i} | x_i count too (the census inverts the weighted gcd by Moebius)
     wv = hyp.moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in (1, Fraction(3, 2), 2)]
     last = len(wv) - 1
-    plist = box_primes(wv, 2)
     Ms = cutoffs[-1]
-    block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], plist[0][1][:-1]))))
+    block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], [2**a for a in wv.weights[:-1]]))))
     cover = covers.two_torsion_cover(g)
     singular = hyp._singular_tuples(g, Ms, range(-Ms[0], Ms[0] + 1)) if smooth else set()
     sings = []
@@ -185,14 +185,12 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
     for prefix in block:
         j0 = next(j for j, c in enumerate(cutoffs)
                   if all(abs(x) <= cm for x, cm in zip(prefix, c)))
-        P = [pas[last] for _, pas in plist
-             if all(x % q == 0 for x, q in zip(prefix, pas))]
         sing = sorted(x[last] for x in singular if x[:last] == prefix)
         members = [y for y in cover.column_members(prefix, Ms[last]) if y not in sing]
         sings.append(sing)
         for ys, want in ((sing, want_sing), (members, want_thin)):
             for y in ys:
-                if any(y % q == 0 for q in P) or not any((*prefix, y)):
+                if not any((*prefix, y)):
                     continue
                 for j in range(j0, len(cutoffs)):
                     if abs(y) <= cutoffs[j][last]:
@@ -202,13 +200,13 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
     for i, sing in enumerate(sings):
         S[i, : len(sing)] = sing
     in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
-    got_sing = hyp._count_block(X, S, in_row, cut, plist).cumsum().tolist()
+    got_sing = hyp._count_block(X, S, in_row, cut).cumsum().tolist()
     ys, keep = hyp._two_torsion_columns(X, Ms[last])
     ys = ys.astype(dtype)
     for i, sing in enumerate(sings):
         for y in sing:
             keep[i] &= ys[i] != y
-    got_thin = hyp._count_block(X, ys, keep, cut, plist).cumsum().tolist()
+    got_thin = hyp._count_block(X, ys, keep, cut).cumsum().tolist()
     assert (got_sing, got_thin) == (want_sing, want_thin)
 
 

@@ -196,12 +196,15 @@ def _census_oracle(g, grid, thin, smooth_only):
 @pytest.mark.parametrize("thin", ["two-torsion", "disc-square", "none"])
 @pytest.mark.parametrize("smooth_only", [False, True])
 def test_census_genus1_matches_enumeration(thin, smooth_only):
-    grid = [1, Fraction(3, 2), 2]
+    # at 9/4 the box of d = 2 is that of 9/8, not a whole height
+    grid = [1, Fraction(3, 2), 2, Fraction(9, 4)]
     table = census(1, grid, thin=thin, smooth_only=smooth_only)
     want = _census_oracle(1, grid, thin, smooth_only)
     got = [(r.total, r.thin) for r in table.rows]
     assert got == want
-    assert [r.thin_label for r in table.rows] == [thin] * 3
+    assert [r.thin_label for r in table.rows] == [thin] * len(grid)
+    if not smooth_only:
+        assert [r.total for r in table.rows] == [wps.count(moduli_weights(1), b) for b in grid]
     if thin == "none":
         assert all(r.thin == 0 for r in table.rows)
 
@@ -232,6 +235,17 @@ def test_census_workers_agree(thin, smooth_only):
     multi = census(1, grid, thin=thin, smooth_only=smooth_only, workers=2)
     assert base.rows == multi.rows
     assert multi.metadata["workers"] == 2
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("smooth_only", [False, True])
+def test_census_grid_below_one(g, smooth_only):
+    # below height 1 every box is empty, so there is no Moebius block at all
+    table = census(g, [Fraction(1, 2), Fraction(3, 4)], smooth_only=smooth_only)
+    assert [(r.total, r.thin) for r in table.rows] == [(0, 0), (0, 0)]
+    if g == 1:
+        table = census(1, [Fraction(1, 2), 1], smooth_only=smooth_only)
+        assert [(r.total, r.thin) for r in table.rows] == [(0, 0), (8, 4)]
 
 
 def test_census_workers_agree_genus2_smooth_two_torsion():

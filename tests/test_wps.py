@@ -291,6 +291,28 @@ def test_count_integral_quotient_blocks_match_sum_over_d(ws, num, den):
     assert got == (n_all + n_fixed) // 2
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), ws=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       den=st.integers(1, 6), plain=st.booleans())
+def test_moebius_boxes_group_the_sum_over_d(data, ws, den, plain):
+    # a per-d list of (mu(d), box), grouped by box: the generator's blocks
+    # are those groups in order, with the same mu-sums, and none sums to 0
+    wv = WeightVector(tuple(ws))
+    b = Fraction(data.draw(st.integers(1, 5 * den)), den)
+    exps = (1,) * len(ws) if plain else tuple(ws)
+    Ms = wps.box_cutoffs(wv, b)
+    mu = arith.moebius_table(max(Ms) + 1)
+    sums = {}
+    for d in range(1, max(Ms) + 1):
+        box = tuple(m // d**e for m, e in zip(Ms, exps))
+        if any(box):
+            sums[box] = sums.get(box, 0) + mu[d]
+    want = [(s, box) for box, s in sums.items() if s]
+    got = list(wps.moebius_boxes(wv, b, exps))
+    assert got == want
+    assert all(s != 0 for s, _ in got)
+
+
 def test_integral_vs_rational():
     # (2,2) with a=(1,2): wgcd 1 but no gcd-1 representative
     pts = {p.coords for p in wps.enumerate_points(W12, 2)}
