@@ -101,7 +101,8 @@ _FLAGS = {
     "p_max": (_parse_int, "every prime <= P_MAX"),
     "primes": (_parse_int_list, "comma list of primes"),
     "genus": (_parse_int, "curve genus"),
-    "thin": (str, "thin tester: two-torsion, disc-square, or none"),
+    "thin": (str, "thin tester: two-torsion (an integer root, a rational "
+                  "Weierstrass point), disc-square, or none"),
     "smooth_only": (_parse_bool, "count smooth curves only"),
     "input": (str, "census CSV file"),
     "column": (str, "total or thin"),

@@ -334,33 +334,38 @@ def load_cover_file(path, *, budget: int = _DENSITY_BUDGET) -> Cover:
                 continue
             parts = line.split()
             key = parts[0]
-            if key not in ("weights", "aux-weight", "degree", "c"):
-                raise ValueError(f"{path}:{lineno}: unknown directive {key!r}")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: {key!r} needs a value")
-            if key == "weights":
-                weights = WeightVector(tuple(int(w) for w in parts[1].split(",")))
-            elif key == "aux-weight":
-                aux = int(parts[1])
-            elif key == "degree":
-                degree = int(parts[1])
-            else:
-                j = int(parts[1])
-                terms = []
-                for mono in parts[2:]:
-                    cstr, estr = mono.split(":", 1)
-                    terms.append((int(cstr), tuple(int(k) for k in estr.split(","))))
-                if j in rows:
-                    raise ValueError(f"{path}:{lineno}: duplicate coefficient c_{j}")
-                rows[j] = terms
+            try:  # every ValueError of a line names path:line
+                if key not in ("weights", "aux-weight", "degree", "c"):
+                    raise ValueError(f"unknown directive {key!r}")
+                if len(parts) < 2:
+                    raise ValueError(f"{key!r} needs a value")
+                if key == "weights":
+                    weights = WeightVector(tuple(int(w) for w in parts[1].split(",")))
+                elif key == "aux-weight":
+                    aux = int(parts[1])
+                elif key == "degree":
+                    degree = int(parts[1])
+                else:
+                    j = int(parts[1])
+                    terms = []
+                    for mono in parts[2:]:
+                        cstr, estr = mono.split(":", 1)
+                        terms.append((int(cstr), tuple(int(k) for k in estr.split(","))))
+                    if j in rows:
+                        raise ValueError(f"duplicate coefficient c_{j}")
+                    rows[j] = (lineno, terms)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     if weights is None or aux is None or degree is None:
         raise ValueError(f"{path}: needs weights, aux-weight and degree lines")
     check_budget(2 ** (len(weights) + 1) * degree, budget,
                  "a mod-p image of this cover takes at least {} cell updates")
     coeffs: list[Optional[WeightedForm]] = [None] * degree
-    for j, terms in rows.items():
-        if not 0 <= j < degree:
-            raise ValueError(f"{path}: coefficient index {j} out of range")
-        deg_j = (degree - j) * aux
-        coeffs[j] = WeightedForm(weights, deg_j, tuple(terms))
+    for j, (lineno, terms) in rows.items():
+        try:
+            if not 0 <= j < degree:
+                raise ValueError(f"coefficient index {j} out of range")
+            coeffs[j] = WeightedForm(weights, (degree - j) * aux, tuple(terms))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return Cover(weights, aux, degree, tuple(coeffs))

@@ -5,23 +5,25 @@ A point of weights (4, 6, ..., 4g+2) is read as the curve
     y^2 = t^{2g+1} + x_0 t^{2g-1} + x_1 t^{2g-2} + ... + x_{2g-1}
 
 (no t^{2g} term).  The module provides smoothness (nonvanishing
-discriminant, computed exactly), rational 2-torsion (an integer root of the
-right-hand side), a bounded-height census over a grid of height cutoffs,
-and log-log exponent fits of the census columns.
+discriminant, computed exactly), an integer root of the right-hand side (a
+rational Weierstrass point), a bounded-height census over a grid of height
+cutoffs, and log-log exponent fits of the census columns.
 
 A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
 box's nonzero members in place of its volume (thin and singular sets are
-closed under x -> d.x both ways).  Thin members come from one loop over the
-int64 wps.prefix_blocks (all coordinates but the last) of the largest box.
-The coordinates are the coefficients of f, so _two_torsion_columns writes
-down the two-torsion members y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2})
-by Horner over the prefix, t in the block's exact root window; a pointwise
-tester is run at every y.  One counter, _count_block, drops the zero tuple
-and counts each of the rest once, at its level: the first box that holds
-it.  With --smooth-only the singular tuples are listed as f = q^2 h
-(_singular_tuples), and the thin ones among them are found by the same two
-kernels.  The budget counts the work: prefixes times the window 2T+1, the
-box for a pointwise tester, _singular_work.
+closed under x -> d.x both ways).  Two-torsion members come from one loop
+over the int64 wps.prefix_blocks (all coordinates but the last) of the
+largest box.  The coordinates are the coefficients of f, so
+_two_torsion_columns writes down the members y = -t (t^{2g} + x_0 t^{2g-2}
++ ... + x_{2g-2}) by Horner over the prefix, t in the block's exact root
+window.  Disc-square members (genus 1) are listed from the elements of norm
+4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One counter,
+_count_block, drops the zero tuple and counts each of the rest once, at its
+level: the first box that holds it.  With --smooth-only the singular tuples
+are listed as f = q^2 h (_singular_tuples); the two-torsion ones among them
+are found by the same kernel, and every one is a disc-square member (D = 0).
+The budget counts the work: prefixes times the window 2T+1, the M_0
+factorisations of the disc-square lister, _singular_work.
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
 """
@@ -33,11 +35,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import covers
+from . import arith, covers
 from .wps import (
     BLOCK_ROWS,
     DEFAULT_BUDGET,
@@ -45,7 +47,6 @@ from .wps import (
     WpsPoint,
     as_bound,
     box_cutoffs,
-    box_volume,
     check_budget,
     map_chunks,
     moebius_boxes,
@@ -141,7 +142,7 @@ def is_smooth(h: HyperellipticPoint) -> bool:
 
 
 def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
-    """Integer root of the defining polynomial (a rational 2-torsion x-coordinate)."""
+    """Integer root of the defining polynomial (a rational Weierstrass point)."""
     return covers.has_integer_root(h.poly())
 
 
@@ -266,13 +267,16 @@ class CensusTable:
         header = fh.readline().strip()
         if header != "B,total,thin,thin_label":
             raise ValueError(f"unexpected census header {header!r}")
-        rows = []
-        for line in fh:
+        rows, path = [], getattr(fh, "name", "<census>")
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            b, total, thin, label = line.split(",")
-            rows.append(CensusRow(Fraction(b), int(total), int(thin), label))
+            try:
+                b, total, thin, label = line.split(",")
+                rows.append(CensusRow(Fraction(b), int(total), int(thin), label))
+            except (ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
         return cls(rows)
 
 
@@ -281,18 +285,6 @@ def _fmt_bound(b: Fraction) -> str:
 
 
 _TESTER_NAMES = ("two-torsion", "disc-square", "none")
-
-
-def _tester_cover(name: str, g: int) -> Optional[covers.Cover]:
-    if name == "none":
-        return None
-    if name == "two-torsion":
-        return covers.two_torsion_cover(g)
-    if name == "disc-square":
-        if g != 1:
-            raise ValueError("disc-square tester is defined for genus 1 only")
-        return covers.disc_square_cover_g1()
-    raise ValueError(f"unknown tester {name!r}; choose from {_TESTER_NAMES}")
 
 
 def census(
@@ -308,7 +300,8 @@ def census(
 
     Each column at B is the sum of mu times its nonzero tuples over the boxes
     of wps.moebius_boxes(wv, B, wv); the weights are even, so no sign fold.
-    One pass over the prefixes counts the members of every box.  With
+    One pass over the prefixes (two-torsion) or over the n <= M_0 with
+    x_0 = -n (disc-square) counts the members of every box.  With
     smooth_only the singular tuples, listed as f = q^2 h, come off the totals
     and, when thin, off the thin counts.
     """
@@ -319,7 +312,10 @@ def census(
         raise ValueError("census needs a nonempty height grid")
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("census heights must increase strictly")
-    _tester_cover(thin, g)  # validate the name before any work
+    if thin not in _TESTER_NAMES:
+        raise ValueError(f"unknown tester {thin!r}; choose from {_TESTER_NAMES}")
+    if thin == "disc-square" and g != 1:
+        raise ValueError("disc-square tester is defined for genus 1 only")
     check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, "census needs {} steps")
     walks = [list(moebius_boxes(wv, b, wv)) for b in bounds]
     boxes = sorted({box for walk in walks for _, box in walk})  # nested, so in order
@@ -340,47 +336,86 @@ def census(
 
 def _census_work(wv, bound, thin, smooth_only) -> int:
     """Steps the census takes up to its top height: the prefixes times the
-    box's root window 2T+1 (at least every block's) for two-torsion, the box
-    for a pointwise tester, none for "none" (it visits no prefix); with
-    smooth_only plus _singular_work."""
+    box's root window 2T+1 (at least every block's) for two-torsion, the M_0
+    factorisations of _disc_square_members for disc-square, none for "none"
+    (it visits no prefix); with smooth_only plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
     work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
     if thin == "none":
         return work
-    if thin != "two-torsion":
-        return work + box_volume(wv, bound)
+    if thin == "disc-square":
+        return work + Ms[0]
     return work + math.prod(2 * m + 1 for m in Ms[:-1]) * (2 * _root_window(Ms) + 1)
 
 
 def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """(singular, thin) nonzero tuples by level (box) over the prefix ranges of
     one piece: the singular tuples as one block of rows (X, y), less the thin
-    tester's hits among them; then the thin members over wps.prefix_blocks."""
+    members among them; then the thin members, over wps.prefix_blocks for
+    two-torsion and one row each from _disc_square_members for disc-square."""
     g, boxes, thin, smooth_only, ranges = args
-    cutoffs = np.array(boxes, dtype=np.int64 if max(boxes[-1]) < 2**63 else object)
-    cover = _tester_cover(thin, g)
+    dtype = np.int64 if max(boxes[-1]) < 2**63 else object
+    cutoffs = np.array(boxes, dtype=dtype)
     m = boxes[-1][-1]
     sings = thins = np.zeros(len(boxes), dtype=np.int64)  # counts by level
     if smooth_only:
         S = np.array([*_singular_tuples(g, boxes[-1], ranges[0])],
-                     dtype=cutoffs.dtype).reshape(-1, len(boxes[-1]))
+                     dtype=dtype).reshape(-1, len(boxes[-1]))
         X, ys, keep = S[:, :-1], S[:, -1:], np.ones((len(S), 1), dtype=bool)
         sings = _count_block(X, ys, keep, cutoffs)
         if thin == "two-torsion":  # every |y| <= m, so any integer root is in the window
             keep = (_two_torsion_columns(X, m)[0] == ys).any(axis=1, keepdims=True)
-        elif cover is not None:
-            keep = _pointwise_keep(cover, X, ys)
-        if cover is not None:
+        if thin != "none":  # disc-square keeps all: a singular tuple has D = 0, a square
             thins = -_count_block(X, ys, keep, cutoffs)
-    if cover is not None:
+    if thin == "disc-square":
+        S = np.array(_disc_square_members(ranges[0], m), dtype=dtype).reshape(-1, 2)
+        thins = thins + _count_block(S[:, :1], S[:, 1:], np.ones((len(S), 1), dtype=bool), cutoffs)
+    elif thin == "two-torsion":
         for X in prefix_blocks(ranges, BLOCK_ROWS):
-            if thin == "two-torsion":
-                ys, keep = _two_torsion_columns(X, m)
-            else:
-                ys = np.broadcast_to(np.arange(-m, m + 1), (len(X), 2 * m + 1))
-                keep = _pointwise_keep(cover, X, ys)
-            thins = thins + _count_block(X, ys, keep, cutoffs)
+            thins = thins + _count_block(X, *_two_torsion_columns(X, m), cutoffs)
     return sings, thins
+
+
+def _disc_square_members(x0: range, m: int) -> list[tuple[int, int]]:
+    """The genus-1 tuples (x_0, x_1) != 0 with x_0 in x0 and |x_1| <= m whose
+    D = -16 (4 x_0^3 + 27 x_1^2) is a square.
+
+    That is u^2 + 27 x_1^2 = -4 x_0^3 for an integer u, so x_0 = -n <= 0;
+    with a = u + 3 x_1 and b = 6 x_1 the left side is the norm a^2 - ab + b^2
+    of a + b w in Z[w], w^2 = -1 - w.  So the x_1 at -n are the b / 6 over
+    the elements of norm 4 n^3 = N(2) n^3 with 6 | b, built from the
+    factorisation of n: an inert p = 2 mod 3 (2 included) gives p^{3e/2},
+    none when e is odd; p = 3 or p = 1 mod 3 is x^2 + 3 y^2, the norm of
+    pi = (x + y) + 2y w, and gives the products of 3e factors pi or its
+    conjugate (x - y) - 2y w (for p = 3, pi = 1 + 2w = w (1 - w)).
+    The six unit multiples of a + b w have w-coefficients +-b, +-a, +-(a - b)."""
+    found = []
+    for n in range(max(1, 1 - x0.stop), 1 - x0.start):
+        fs = arith.factorize(n).factors
+        if any(p % 3 == 2 and e % 2 for p, e in fs):
+            continue
+        elems = {(2 * math.prod(p ** (3 * e // 2) for p, e in fs if p % 3 == 2), 0)}
+        for p, e in fs:
+            if p % 3 != 2:
+                x, y = (0, 1) if p == 3 else _split_prime(p)
+                for _ in range(3 * e):
+                    elems = {(a * c - b * d, a * d + b * c - b * d) for a, b in elems
+                             for c, d in ((x + y, 2 * y), (x - y, -2 * y))}
+        x1s = {abs(v) // 6 for a, b in elems for v in (a, b, a - b)
+               if v % 6 == 0 and abs(v) <= 6 * m}
+        found += [(-n, s * y) for y in sorted(x1s) for s in ((1, -1) if y else (1,))]
+    return found
+
+
+def _split_prime(p: int) -> tuple[int, int]:
+    """(x, y) with x^2 + 3 y^2 = p, for a prime p = 1 (mod 3), by Cornacchia:
+    Euclid on p and a root t of t^2 = -3 (mod p) stops at x < sqrt(p).  Here
+    t = 2r + 1 for r a cube root of unity mod p, r != 1."""
+    r = next(r for r in (pow(c, (p - 1) // 3, p) for c in itertools.count(2)) if r != 1)
+    a, b = p, (2 * r + 1) % p
+    while b * b > p:
+        a, b = b, a % b
+    return b, math.isqrt((p - b * b) // 3)
 
 
 def _two_torsion_columns(X: np.ndarray, m: int):
@@ -410,14 +445,6 @@ def _two_torsion_columns(X: np.ndarray, m: int):
     keep = abs(ys) <= m
     keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
     return ys, keep
-
-
-def _pointwise_keep(cover, X, ys):
-    """keep[i, c]: the tester accepts (X[i], ys[i, c]), by has_integer_root
-    on the cover's coefficients, evaluated once over Python-int columns."""
-    coeffs = cover.poly_at([*X.T.astype(object)[:, :, None], ys.astype(object)])
-    polys = zip(*(np.broadcast_to(c, ys.shape).ravel().tolist() for c in coeffs))
-    return np.array([covers.has_integer_root(p) for p in polys], dtype=bool).reshape(ys.shape)
 
 
 def _count_block(X, ys, keep, cutoffs) -> np.ndarray:

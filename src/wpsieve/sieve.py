@@ -340,22 +340,25 @@ def load_residue_system(path) -> ResidueSystem:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {line!r}")
-            p, m = int(parts[0]), int(parts[1])
-            m_seen.add(m)
-            if parts[2] == "explicit":
-                tup = tuple(int(c) for c in parts[3].split(","))
-                if p in density_rows:
-                    raise ValueError(f"{path}:{lineno}: p={p} mixes density and explicit rows")
-                explicit_rows.setdefault(p, []).append(tup)
-            else:
-                if p in density_rows or p in explicit_rows:
-                    raise ValueError(f"{path}:{lineno}: duplicate entry for p={p}")
-                if int(parts[3]) == 0:
-                    raise ValueError(f"{path}:{lineno}: density {parts[2]}/0 has a zero denominator")
-                density_rows[p] = Fraction(int(parts[2]), int(parts[3]))
+            try:  # every ValueError of a line names path:line
+                parts = line.split()
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {line!r}")
+                p, m = int(parts[0]), int(parts[1])
+                m_seen.add(m)
+                if parts[2] == "explicit":
+                    tup = tuple(int(c) for c in parts[3].split(","))
+                    if p in density_rows:
+                        raise ValueError(f"p={p} mixes density and explicit rows")
+                    explicit_rows.setdefault(p, []).append(tup)
+                else:
+                    if p in density_rows or p in explicit_rows:
+                        raise ValueError(f"duplicate entry for p={p}")
+                    if int(parts[3]) == 0:
+                        raise ValueError(f"density {parts[2]}/0 has a zero denominator")
+                    density_rows[p] = Fraction(int(parts[2]), int(parts[3]))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     if len(m_seen) > 1:
         raise ValueError(f"{path}: inconsistent modulus exponents {sorted(m_seen)}")
     if not m_seen:

@@ -179,6 +179,18 @@ def test_residue_zero_denominator_is_a_validation_error(tmp_path, capsys):
     assert f"{rs}:1:" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("line", ["2 1 a 3", "2 1 explicit 0,x", "2 1 1 b"])
+def test_residue_non_integer_field_names_its_line(tmp_path, capsys, line):
+    rs = write_rs(tmp_path, f"# header\n3 1 1 3\n{line}\n")
+    code, out, err = run_cli(
+        ["sieve-bound", "--weights", "1,1", "--height-max", "1", "--Q", "2",
+         "--residues", rs],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].startswith(f"{rs}:3: invalid literal for int()")
+
+
 def test_m_cross_check(tmp_path, capsys):
     rs = write_rs(tmp_path)
     code, _, err = run_cli(
@@ -231,6 +243,15 @@ def test_image_density_cover_file_bare_directive(tmp_path, capsys, bare):
     )
     assert (code, out) == (2, "")
     assert f"{path}:{lines.index(bare) + 1}:" in err
+
+
+def test_image_density_cover_file_bad_exponent_tuple_names_its_line(tmp_path, capsys):
+    # the exponent tuple is checked when c_1 is built, after the file is read
+    path = tmp_path / "cover.txt"
+    path.write_text("weights 4,6\naux-weight 2\ndegree 3\n\nc 1 1:1\n")
+    code, out, err = run_cli(["image-density", "--cover", str(path), "--primes", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"{path}:5: exponent tuple (1,) has wrong length"
 
 
 def test_image_density_p_max_stops_at_the_budget(capsys):
@@ -309,6 +330,14 @@ def test_census_output_and_sidecar(tmp_path):
     assert sidecar["config"]["genus"] == "1"
     assert sidecar["config"]["heights"] == "1,2,3,4"
     assert sidecar["wall_time_s"] >= 0
+
+
+def test_fit_bad_census_count_names_its_line(tmp_path, capsys):
+    path = tmp_path / "census.csv"
+    path.write_text("B,total,thin,thin_label\n1,1,0,none\n\n2,8,x,none\n")
+    code, out, err = run_cli(["fit", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].startswith(f"{path}:4: invalid literal for int()")
 
 
 def test_fit_from_census_csv(tmp_path, capsys):

@@ -179,7 +179,8 @@ def test_singular_column_finder_large_window():
 
 def _census_oracle(g, grid, thin, smooth_only):
     wv = moduli_weights(g)
-    cover = hyp._tester_cover(thin, g)
+    cover = {"two-torsion": covers.two_torsion_cover(g),
+             "disc-square": covers.disc_square_cover_g1() if g == 1 else None}.get(thin)
     rows = []
     for b in grid:
         total = thin_n = 0
@@ -295,10 +296,10 @@ def test_census_validation():
 
 def test_census_budget_counts_work_done():
     # column path: 33 prefixes at B = 2, times the kernel row width 2T+1 = 11
-    # (T = 5, the largest t with t^3 - 16 t <= 64); pointwise path: the
-    # 33 * 129 box; without a thin cover no prefix is visited and nothing is
+    # (T = 5, the largest t with t^3 - 16 t <= 64); disc-square: the n <= 16
+    # it factors; without a thin tester no prefix is visited and nothing is
     # charged
-    for thin, work in (("two-torsion", 33 * 11), ("none", 0), ("disc-square", 33 * 129)):
+    for thin, work in (("two-torsion", 33 * 11), ("none", 0), ("disc-square", 16)):
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
