@@ -6,8 +6,9 @@ factorization, p-adic valuations, integer k-th roots, the Moebius function
 function) and the squarefree mass that both sieves divide by.  Past the
 table, primality is deterministic Miller-Rabin, and factorization
 trial-divides by the primes up to _TRIAL_TO only, then splits what is left
-by Pollard's rho (Brent's variant), so a number's cost follows the size of
-its second-largest prime factor, not its square root.
+by Pollard's rho (Brent's variant) after taking out exact powers, so a
+number's cost follows the size of its second-largest distinct prime factor,
+not its square root.
 """
 
 from __future__ import annotations
@@ -130,8 +131,14 @@ def factorize(n: int) -> Factorization:
                 raise ValueError(f"primality of the factor {m} is out of range (>= {_MR_LIMIT})")
             big.append(m)
         else:
-            d = _rho(m)
-            pieces += [d, m // d]
+            # rho takes ~sqrt(p) steps on p^k: split a k-th power (r > _TRIAL_TO) first
+            for k in range(2, m.bit_length() // 9 + 1):
+                if (r := iroot(m, k)) ** k == m:
+                    pieces += [r] * k
+                    break
+            else:
+                d = _rho(m)
+                pieces += [d, m // d]
     return Factorization(n, (*out, *((p, big.count(p)) for p in sorted(set(big)))))
 
 

@@ -282,9 +282,9 @@ def _run_ls_check(args):
     chk = sieve.testable_ls_inequality(
         params, rs, budget=args.budget, workers=args.workers
     )
-    return (
+    return (  # rhs printed as sieve-bound's bound, also past the float range
         ["B", "Q", "m", "lhs", "rhs", "holds"],
-        [[params.bound, params.Q, rs.m, chk.lhs, chk.rhs, chk.holds]],
+        [[params.bound, params.Q, rs.m, chk.lhs, _fmt_real(Fraction(chk.rhs)), chk.holds]],
     )
 
 

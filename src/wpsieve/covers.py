@@ -230,10 +230,8 @@ def omega_from_cover(cover: Cover, p: int, *, budget: int = _DENSITY_BUDGET) -> 
     a member.
     """
     count, space, has_root = _mod_p_image(cover, p, budget)
-    width = len(cover.weights)
-    cols = np.indices((p,) * width).reshape(width, space)
-    missing = np.nonzero(~has_root)[0]
-    residues = frozenset(tuple(int(cols[i, idx]) for i in range(width)) for idx in missing)
+    missing = np.unravel_index(np.nonzero(~has_root)[0], (p,) * len(cover.weights))
+    residues = frozenset(zip(*(col.tolist() for col in missing)))
     om = sieve.Omega(p, 1, residues=residues)
     assert om.density == 1 - Fraction(count, space)
     return om
@@ -246,7 +244,7 @@ def _mod_p_image(cover: Cover, p: int, budget: int):
     space = p**width
     # p passes of Horner over every cell of the space, degree steps each at most
     check_budget(space * p * cover.degree, budget, "mod-p image takes {} cell updates")
-    cols = np.indices((p,) * width).reshape(width, space) % p
+    cols = np.indices((p,) * width).reshape(width, space)
     terms = [(j, form._evaluate_mod_cols(cols, p))
              for j, form in reversed(list(enumerate(cover.coeffs))) if form]
     has_root = np.zeros(space, dtype=bool)

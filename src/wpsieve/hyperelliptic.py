@@ -480,16 +480,19 @@ class FitResult(NamedTuple):
 
 
 def fit_exponent(table: CensusTable, column: str = "total") -> FitResult:
-    """Least-squares slope of log(count) against log(B), with its standard error."""
-    data = [
-        (float(r.bound), v)
-        for r, v in zip(table.rows, table.column(column))
-        if v > 0
-    ]
+    """Least-squares slope of log(count) against log(B), with its standard
+    error; a row with B or the count past the float range is refused."""
+    data = []
+    for i, (r, v) in enumerate(zip(table.rows, table.column(column)), 1):
+        try:
+            if v > 0:
+                data.append((float(r.bound), float(v)))
+        except OverflowError:
+            raise ValueError(f"census row {i}: B or {column} is past the float range") from None
     if len(data) < 3:
         raise ValueError("exponent fit needs at least 3 rows with positive counts")
     x = np.log(np.array([b for b, _ in data]))
-    y = np.log(np.array([v for _, v in data], dtype=float))
+    y = np.log(np.array([v for _, v in data]))
     xc = x - x.mean()
     sxx = float(np.dot(xc, xc))
     if sxx == 0:

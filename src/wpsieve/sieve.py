@@ -272,7 +272,7 @@ def survivors(params: SieveParams, rs: ResidueSystem, *,
 
 class LsCheck(NamedTuple):
     lhs: int
-    rhs: float
+    rhs: float | Fraction
     holds: bool
 
 
@@ -283,17 +283,22 @@ def testable_ls_inequality(params: SieveParams, rs: ResidueSystem, *,
     survivors <= prod_i (N_i^{1/2} + Q^m)^2 / G(Q) with N_i = 2 floor(B^{a_i}) + 1
     (the box side counts).  Every quantity on the right is explicit, so a
     violation would be a genuine bug, not a constant hiding somewhere.  The
-    reported rhs is a float; holds is decided exactly.
+    reported rhs is a float, past the float range a Fraction good to far more
+    than 12 digits; holds is decided exactly.
     """
     lhs = survivors(params, rs, budget=budget, workers=workers)
     G = compute_G(params.Q, rs)
-    shift = float(params.Q) ** rs.m
     ns = [2 * m + 1 for m in box_cutoffs(params.weights, params.bound)]
-    rhs = 1.0
-    for n_i in ns:
-        rhs *= (math.sqrt(n_i) + shift) ** 2
-    rhs /= float(G)
-    return LsCheck(lhs, rhs, _ls_holds(lhs * G, ns, params.Q**rs.m))
+    shift = params.Q**rs.m
+    try:
+        fshift = float(params.Q) ** rs.m
+        rhs = math.prod((math.sqrt(n_i) + fshift) ** 2 for n_i in ns) / float(G)
+    except OverflowError:
+        rhs = math.inf
+    if math.isinf(rhs):  # sqrt(n_i) to 64 bits past the point
+        rhs = math.prod((math.isqrt(n_i << 128) + (shift << 64)) ** 2 for n_i in ns)
+        rhs = Fraction(rhs, 1 << 128 * len(ns)) / G
+    return LsCheck(lhs, rhs, _ls_holds(lhs * G, ns, shift))
 
 
 def _ls_holds(target: Fraction, ns, shift: int) -> bool:

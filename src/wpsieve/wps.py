@@ -31,13 +31,14 @@ from . import arith
 
 DEFAULT_BUDGET = 5_000_000_000
 
-# Fixed chunk count for parallel partitioning of the outermost coordinate.
-# The partition must not depend on the worker count, so that merged results
-# are bit-identical for any number of workers.
+# Chunk count for parallel partitioning of the outermost coordinate.  Every
+# chunk returns exact integer counts, and merging sums them, so the result is
+# the same for any number of workers (one worker takes the whole box at once).
 _CHUNKS = 32
 
-# Prefixes per block: fixed, so that blocks (and the census kernels' dtypes)
-# do not depend on the worker count; small, to bound a block's matrices.
+# Prefixes per block: small, to bound a block's matrices.  The blocks (and the
+# census kernels' dtypes) differ between one worker and several, but each
+# yields exact integer counts, so their sum does not.
 BLOCK_ROWS = 128
 
 
@@ -160,36 +161,20 @@ def wgcd(coords: Sequence[int], weights: WeightVector) -> int:
 def normalize(coords, weights: WeightVector) -> WpsPoint:
     """Canonical representative of the orbit of a rational tuple.
 
-    Scales per prime so every valuation profile min_i floor(v_p/a_i) becomes
-    zero, then fixes the sign.  The result has integer coordinates.
+    Scaling by lambda = the lcm of the denominators gives integers (each
+    a_i >= 1); x_i / g^{a_i}, g = their wgcd, has weighted gcd 1, a
+    representative unique up to lambda = -1, which the sign canon fixes.
     """
     xs = [Fraction(c) for c in coords]
     if len(xs) != len(weights):
         raise ValueError("coordinate/weight length mismatch")
     if all(x == 0 for x in xs):
         raise ValueError("cannot normalize the all-zero tuple")
-    # A prime dividing neither the gcd of the nonzero numerators nor the lcm
-    # of the denominators has minimum valuation 0, so it never scales.
-    num = math.gcd(*(x.numerator for x in xs if x))
-    den = math.lcm(*(x.denominator for x in xs))
-    support = {p for n in (num, den) for p, _ in arith.factorize(n).factors}
-    ws = tuple(weights)
-    for p in sorted(support):
-        vmin = None
-        for x, a in zip(xs, ws):
-            if x == 0:
-                continue
-            v = arith.valuation(x.numerator, p) - arith.valuation(x.denominator, p)
-            q = v // a  # floor division, also for negative v
-            vmin = q if vmin is None else min(vmin, q)
-        if vmin:
-            scale = Fraction(p) ** (-vmin)
-            xs = [x * scale**a for x, a in zip(xs, ws)]
-    ints = []
-    for x in xs:
-        if x.denominator != 1:
-            raise AssertionError(f"normalization left a denominator: {x}")
-        ints.append(x.numerator)
+    lam = math.lcm(*(x.denominator for x in xs))
+    xs = [x * lam**a for x, a in zip(xs, weights)]
+    assert all(x.denominator == 1 for x in xs), f"scaling by {lam} left a denominator: {xs}"
+    g = wgcd([x.numerator for x in xs], weights)
+    ints = [x.numerator // g**a for x, a in zip(xs, weights)]
     return WpsPoint(sign_canonical(ints, weights), weights)
 
 
@@ -327,10 +312,10 @@ def _chunk_ranges(m0: int) -> list[range]:
 def map_chunks(fn, args: tuple, cutoffs: Sequence[int], workers: int) -> list:
     """Results of fn((*args, ranges)), ranges = [range(-M_i, M_i + 1) per
     cutoff]: one call on the whole prefix box with workers <= 1 or no cutoff,
-    else one per piece of a fixed partition of the first range.  The pieces
-    never depend on the worker count, so merged results do not either; fn is
-    top-level, so Pool can pickle it, and no more processes start than there
-    are pieces."""
+    else one per piece of a fixed partition of the first range.  Results
+    agree for every worker count because each call returns exact integer
+    counts and they are summed; fn is top-level, so Pool can pickle it, and
+    no more processes start than there are pieces."""
     ranges = [range(-m, m + 1) for m in cutoffs]
     if workers <= 1 or not ranges:
         return [fn((*args, ranges))]

@@ -147,6 +147,16 @@ def test_factorize_semiprime_near_1e30_is_quick():
         arith.factorize(3 * (2**127 - 1))
 
 
+def test_factorize_prime_powers_past_trial_division_are_quick():
+    # rho alone would need about sqrt(p) = 2^30 steps on a power of 2^61 - 1
+    p, q = 2**61 - 1, 1_000_003
+    t0 = time.perf_counter()
+    assert arith.factorize(p**5).factors == ((p, 5),)
+    assert arith.factorize(12 * p**6 * q**4).factors == ((2, 2), (3, 1), (q, 4), (p, 6))
+    assert arith.factorize((p * q) ** 2).factors == ((q, 2), (p, 2))
+    assert time.perf_counter() - t0 < 5
+
+
 def _trial_division(n):
     out, p = [], 2
     while p * p <= n:

@@ -154,6 +154,18 @@ def test_ls_check_row(tmp_path, capsys):
     assert out == "B,Q,m,lhs,rhs,holds\n1,2,1,4,145.496133918,true\n"
 
 
+def test_ls_check_rhs_past_float_range(tmp_path, capsys):
+    # Q^m = 10^320 has no float; rhs is printed like sieve-bound's bound
+    rs = write_rs(tmp_path, "2 64 explicit 0,0\n")
+    code, out, err = run_cli(
+        ["ls-check", "--weights", "1,1", "--height-max", "1", "--Q", "100000",
+         "--residues", rs],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == "B,Q,m,lhs,rhs,holds\n1,100000,64,4,1e+1280,true\n"
+
+
 def test_residue_width_must_match_weights(tmp_path, capsys):
     # 3-wide tuples at p = 2 would count in G(Q) but exclude nothing from a
     # 2-wide box; beyond Q they are not used
@@ -340,6 +352,17 @@ def test_fit_bad_census_count_names_its_line(tmp_path, capsys):
     assert json.loads(err)["message"].startswith(f"{path}:4: invalid literal for int()")
 
 
+@pytest.mark.parametrize("row", ["8," + "1" + "0" * 400 + ",0,none",
+                                 "1" + "0" * 400 + ",512,0,none"], ids=["total", "B"])
+def test_fit_refuses_values_past_float_range(tmp_path, capsys, row):
+    path = tmp_path / "census.csv"
+    path.write_text(f"B,total,thin,thin_label\n1,1,0,none\n2,8,0,none\n4,64,0,none\n{row}\n")
+    code, out, err = run_cli(["fit", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message":
+                               "census row 4: B or total is past the float range"}
+
+
 def test_fit_from_census_csv(tmp_path, capsys):
     path = tmp_path / "census.csv"
     path.write_text(
@@ -445,6 +468,39 @@ def test_validation_exit_codes(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert json.loads(err.splitlines()[-1])["error"] == "validation", argv
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["count", "--heights", "2"], None, "count requires --weights"),
+    (["count", "--weights", "1,1", "--heights", "1", "--budget", "0"], None,
+     "budget must be >= 1, got 0"),
+    (["count", "--weights", "1,1", "--heights", "0"], None, "heights must be positive"),
+    (["sieve-bound", "--weights", "1,1", "--height-max", "1", "--Q", "2"], None,
+     "sieve-bound requires --residues FILE or --density NU"),
+    (["image-density", "--cover", "square-coord"], None,
+     "image-density requires --primes or --p-max"),
+    (["count", "--weights", "1,1", "--heights", "1"], "force=maybe\n",
+     "expected a boolean, got 'maybe'"),
+    (["count", "--weights", "1,1", "--heights", "1"], "# job\nweights 1,1\n",
+     "{cfg}:2: expected key=value, got 'weights 1,1'"),
+])
+def test_validation_messages(argv, config, message, tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    if config is not None:
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message": message.format(cfg=cfg)}
+
+
+def test_config_force_with_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("# a budget of one tuple, lifted\n\nforce = yes\n   \nweights = 1,1\n")
+    argv = ["count", "--height-max", "1", "--budget", "1"]
+    assert run_cli(argv + ["--weights", "1,1"], capsys)[0] == 3
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert (code, out, err) == (0, "B,count\n1,4\n", "")
 
 
 COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--workers", "--budget", "--force"}

@@ -368,6 +368,26 @@ def test_ls_inequality_exact_tie_with_square_sides(monkeypatch):
         assert sieve.testable_ls_inequality(params, rs).holds is holds
 
 
+@pytest.mark.parametrize("ws, bound, m", [
+    ((1, 1, 1), 7, 700),  # Q^m = 3^700 is past the float range
+    ((1, 1, 1), 1, 200),  # each factor fits, their product does not
+])
+def test_ls_inequality_rhs_past_float_range(ws, bound, m):
+    params = SieveParams(WeightVector(ws), bound, 3)
+    rs = ResidueSystem.from_omegas([Omega(2, m, residues={(0,) * len(ws)})])
+    chk = sieve.testable_ls_inequality(params, rs)
+    G = sieve.compute_G(3, rs)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        want = Decimal(1)
+        for k in wps.box_cutoffs(params.weights, bound):
+            want *= ((2 * k + 1) ** Decimal("0.5") + 3**m) ** 2
+        want = Fraction(want) / G
+    assert isinstance(chk.rhs, Fraction)
+    assert abs(chk.rhs / want - 1) < Fraction(1, 10**30)
+    assert chk.holds
+
+
 def test_ls_inequality_empty_system_trivial():
     params = SieveParams(W12, 2, 3)
     rs = ResidueSystem(1, {})

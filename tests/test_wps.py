@@ -70,6 +70,35 @@ def test_normalize_idempotent_and_action_invariant():
         assert wps.height(wps.normalize(scaled, wv)) == wps.height(p)
 
 
+# primes past trial division: rho splits off 1_000_003 in about 10^3 steps,
+# and the powers of 2^61 - 1 left over are taken apart as k-th roots
+_LAMBDA_PRIMES = [2, 3, 1_000_003, 2**61 - 1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ws=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       b=st.sampled_from([1, Fraction(3, 2), 2]),
+       num=st.lists(st.sampled_from(_LAMBDA_PRIMES), max_size=3),
+       den=st.lists(st.sampled_from(_LAMBDA_PRIMES), max_size=3),
+       sign=st.sampled_from([1, -1]))
+def test_normalize_undoes_rational_scaling(ws, b, num, den, sign):
+    # every normalized point, zero coordinates included, is its own
+    # representative after scaling by any rational lambda
+    wv = WeightVector(tuple(ws))
+    lam = sign * Fraction(math.prod(num), math.prod(den))
+    points = list(wps.enumerate_points(wv, b))
+    assert any(0 in p.coords for p in points)
+    for p in points:
+        assert wps.normalize(tuple(lam**a * x for x, a in zip(p.coords, wv)), wv) == p
+
+
+def test_normalize_prime_power_denominators_are_quick():
+    # the lcm of the denominators, P, turns into P^2 in the weighted gcd
+    P = 2**61 - 1
+    x = (Fraction(1, P), Fraction(2, P))
+    assert wps.normalize(x, WeightVector((3, 3))).coords == (P**2, 2 * P**2)
+
+
 def test_height_examples():
     assert wps.height(WpsPoint((3, 5), W46)) == pytest.approx(3 ** 0.25)
     assert wps.height(WpsPoint((0, 1), W46)) == 1.0
