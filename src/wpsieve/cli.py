@@ -191,7 +191,8 @@ def _resolve_budget(args) -> int:
         if args.budget < 1:
             raise CliError(f"budget must be >= 1, got {args.budget}")
         return args.budget
-    return DEFAULT_BUDGET
+    # the residue grid has its own, much smaller default cap
+    return covers.DENSITY_BUDGET if args.command == "image-density" else DEFAULT_BUDGET
 
 
 def _need(args, dest: str):
@@ -289,11 +290,9 @@ def _run_ls_check(args):
 
 
 def _run_image_density(args):
-    # the residue grid has its own, much smaller default cap; only an explicit
-    # --budget/--force overrides it
-    kw = {"budget": args.budget} if args.budget_explicit else {}
     arg = _need(args, "cover")
-    cover = covers.load_cover_file(arg, **kw) if os.path.exists(arg) else covers.named_cover(arg)
+    cover = (covers.load_cover_file(arg, budget=args.budget) if os.path.exists(arg)
+             else covers.named_cover(arg))
     if args.primes is not None:
         ps = args.primes
     elif args.p_max is not None:
@@ -306,7 +305,7 @@ def _run_image_density(args):
     for p in ps:
         if not arith.is_prime(p):
             raise CliError(f"{p} is not prime")
-        rows.append([p, covers.image_density_mod_p(cover, p, **kw)])
+        rows.append([p, covers.image_density_mod_p(cover, p, budget=args.budget)])
     return ["p", "density"], rows
 
 
@@ -453,7 +452,7 @@ def _render(header, body) -> str:
 
 
 def _config_echo(args) -> dict:
-    skip = {"command", "config", "budget_explicit"}
+    skip = {"command", "config"}
     return {
         k: (None if v is None else _fmt_cell(v) if not isinstance(v, tuple) else
             ",".join(_fmt_cell(x) for x in v))
@@ -496,7 +495,6 @@ def main(argv=None) -> int:
         _merge_config(args)
         _coerce_flags(args)
         args.workers = _resolve_workers(args)
-        args.budget_explicit = args.budget is not None or bool(args.force)
         args.budget = _resolve_budget(args)
         header, body = _COMMANDS[command][2](args)
         _emit(args, _render(header, body), time.perf_counter() - t0)

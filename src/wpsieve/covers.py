@@ -23,7 +23,7 @@ import numpy as np
 from . import arith, sieve
 from .wps import WeightVector, WpsPoint, check_budget
 
-_DENSITY_BUDGET = 5_000_000
+DENSITY_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,13 @@ def root_cover_member(cover: Cover, point: WpsPoint) -> bool:
     return has_integer_root(cover.poly_at(point.coords))
 
 
-def image_density_mod_p(cover: Cover, p: int, *, budget: int = _DENSITY_BUDGET) -> Fraction:
+def image_density_mod_p(cover: Cover, p: int, *, budget: int = DENSITY_BUDGET) -> Fraction:
     """Exact fraction of tuples in (Z/p)^{n+1} where the family has a root mod p."""
     count, space, _ = _mod_p_image(cover, p, budget)
     return Fraction(count, space)
 
 
-def omega_from_cover(cover: Cover, p: int, *, budget: int = _DENSITY_BUDGET) -> sieve.Omega:
+def omega_from_cover(cover: Cover, p: int, *, budget: int = DENSITY_BUDGET) -> sieve.Omega:
     """Excluded residue classes: the complement of the mod-p image (m = 1).
 
     Members reduce to mod-p roots, so sieving by these classes never removes
@@ -311,7 +311,7 @@ def named_cover(name: str) -> Cover:
 # --- text format -----------------------------------------------------------
 
 
-def load_cover_file(path, *, budget: int = _DENSITY_BUDGET) -> Cover:
+def load_cover_file(path, *, budget: int = DENSITY_BUDGET) -> Cover:
     """Read a cover from the line format:
 
         weights 4,6

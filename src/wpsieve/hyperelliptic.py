@@ -11,18 +11,18 @@ cutoffs, and log-log exponent fits of the census columns.
 
 A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
 box's nonzero members in place of its volume (thin and singular sets are
-closed under x -> d.x both ways).  Two-torsion members come from one loop
-over the int64 wps.prefix_blocks (all coordinates but the last) of the
-largest box.  The coordinates are the coefficients of f, so
-_two_torsion_columns writes down the members y = -t (t^{2g} + x_0 t^{2g-2}
-+ ... + x_{2g-2}) by Horner over the prefix, t in the block's exact root
-window.  Disc-square members (genus 1) are listed from the elements of norm
-4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One counter,
-_count_block, drops the zero tuple and counts each of the rest once, at its
-level: the first box that holds it.  With --smooth-only the singular tuples
-are listed as f = q^2 h (_singular_tuples); the two-torsion ones among them
-are found by the same kernel, and every one is a disc-square member (D = 0).
-The budget counts the work: prefixes times the window 2T+1, the M_0
+closed under x -> d.x both ways).  Two-torsion members come from one loop over
+the int64 wps.prefix_blocks (all coordinates but the last) of the largest box,
+sized to wps.BLOCK_BYTES at 32 bytes a candidate.  The coordinates are the
+coefficients of f, so _two_torsion_columns writes down the members y = -t
+(t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the prefix, t in the
+block's exact root window.  Disc-square members (genus 1) are listed from the
+elements of norm 4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One
+counter, _count_block, drops the zero tuple and counts each of the rest once,
+at its level: the first box that holds it.  With --smooth-only the singular
+tuples are listed as f = q^2 h (_singular_tuples); the two-torsion ones among
+them are found by the same kernel, and every one is a disc-square member
+(D = 0).  The budget counts the work: prefixes times the window 2T+1, the M_0
 factorisations of the disc-square lister, _singular_work.
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
@@ -41,7 +41,6 @@ import numpy as np
 
 from . import arith, covers
 from .wps import (
-    BLOCK_ROWS,
     DEFAULT_BUDGET,
     WeightVector,
     WpsPoint,
@@ -371,7 +370,8 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         S = np.array(_disc_square_members(ranges[0], m), dtype=dtype).reshape(-1, 2)
         thins = thins + _count_block(S[:, :1], S[:, 1:], np.ones((len(S), 1), dtype=bool), cutoffs)
     elif thin == "two-torsion":
-        for X in prefix_blocks(ranges, BLOCK_ROWS):
+        # 2T+1 candidates a prefix; tracemalloc over both kernels: 18-21 B each (int32), 26 (int64)
+        for X in prefix_blocks(ranges, 32 * (2 * _root_window(boxes[-1]) + 1)):
             thins = thins + _count_block(X, *_two_torsion_columns(X, m), cutoffs)
     return sings, thins
 
@@ -481,14 +481,18 @@ class FitResult(NamedTuple):
 
 def fit_exponent(table: CensusTable, column: str = "total") -> FitResult:
     """Least-squares slope of log(count) against log(B), with its standard
-    error; a row with B or the count past the float range is refused."""
+    error; a row whose B or count is past the float range, either way, is refused."""
     data = []
     for i, (r, v) in enumerate(zip(table.rows, table.column(column)), 1):
+        if v <= 0:
+            continue
         try:
-            if v > 0:
-                data.append((float(r.bound), float(v)))
+            b, c = float(r.bound), float(v)
         except OverflowError:
-            raise ValueError(f"census row {i}: B or {column} is past the float range") from None
+            b = 0.0
+        if b == 0.0:
+            raise ValueError(f"census row {i}: B or {column} is past the float range")
+        data.append((b, c))
     if len(data) < 3:
         raise ValueError("exponent fit needs at least 3 rows with positive counts")
     x = np.log(np.array([b for b, _ in data]))

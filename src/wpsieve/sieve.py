@@ -10,9 +10,9 @@ fully explicit large-sieve inequality over Q (no hidden constants) are
 evaluated against an exact survivor count.  The survivors are counted from
 one bit table per prime, built once: a packed row of the allowed last
 coordinates for each prefix residue that Omega mentions.  Blocks of prefixes
-AND one sign row with one table row per prime and count the set bits, so no
-tuple is tested on its own.  An Omega is an explicit set of residue tuples,
-or (for the bound alone) a bare density.
+(wps.BLOCK_BYTES each) AND one sign row with one table row per prime and
+count the set bits, so no tuple is tested on its own.  An Omega is an
+explicit set of residue tuples, or (for the bound alone) a bare density.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import arith
 from .wps import (
-    BLOCK_ROWS,
     DEFAULT_BUDGET,
     WeightVector,
     as_bound,
@@ -194,12 +193,6 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float |
 # --- survivors -------------------------------------------------------------
 
 
-# Survivors are counted as np.count_nonzero(np.unpackbits(mask)) (numpy 1.24
-# has it; it beats a byte table).  A block has fewer than BLOCK_ROWS prefixes
-# when its masks, unpacked to 8 bytes per packed byte, would pass _BLOCK_BYTES.
-_BLOCK_BYTES = 1 << 20
-
-
 def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
     """Per prime p <= Q with excluded residues: (q, radix, keys, rows).
 
@@ -243,10 +236,11 @@ def _survivors_chunk(args) -> int:
     base[1::2, :mlast] = False
     base[2:, mlast] = False
     bases = np.packbits(base, axis=1)
-    rows = max(1, min(BLOCK_ROWS, _BLOCK_BYTES // (8 * bases.shape[1])))
     odd_last = weights.weights[-1] % 2
     total = 0
-    for X in prefix_blocks(ranges, rows):
+    # Counted as np.count_nonzero(np.unpackbits(mask)) (numpy 1.24 has it; it
+    # beats a byte table), so a prefix costs its mask unpacked, 8 bytes a byte.
+    for X in prefix_blocks(ranges, 8 * bases.shape[1]):
         # Sign canon of (prefix, y): a prefix whose sign is nonzero keeps all
         # y (sign 1) or none (-1); otherwise an odd last weight keeps y >= 0.
         sign = leading_signs(X, weights)

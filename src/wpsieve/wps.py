@@ -10,10 +10,10 @@ Counts are computed, not walked: d divides the weighted gcd exactly when
 d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
 points (the plain gcd likewise, with d | x_i), one term per moebius_boxes
 box: count takes the boxes' volumes, the census their thin members, and the
-enumeration stays as their oracle.  The walks of
-a box (the sieve's survivors, the census) cut the first coordinate across
-workers with map_chunks and take int64 blocks of prefixes (all coordinates
-but the last) from prefix_blocks, their sign canon from leading_signs.
+enumeration stays as their oracle.  The walks of a box (the sieve's
+survivors, the census) cut the first coordinate across workers with
+map_chunks and take int64 blocks of prefixes (all coordinates but the last)
+of BLOCK_BYTES from prefix_blocks, their sign canon from leading_signs.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ DEFAULT_BUDGET = 5_000_000_000
 # the same for any number of workers (one worker takes the whole box at once).
 _CHUNKS = 32
 
-# Prefixes per block: small, to bound a block's matrices.  The blocks (and the
-# census kernels' dtypes) differ between one worker and several, but each
-# yields exact integer counts, so their sum does not.
-BLOCK_ROWS = 128
+# Bytes per prefix block (prefix_blocks).  The blocks (and the census kernels'
+# dtypes) differ between one worker and several, but each yields exact
+# integer counts, so their sum does not.
+BLOCK_BYTES = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -324,9 +324,12 @@ def map_chunks(fn, args: tuple, cutoffs: Sequence[int], workers: int) -> list:
         return pool.map(fn, tasks)
 
 
-def prefix_blocks(ranges: Sequence[range], rows: int) -> Iterator[np.ndarray]:
-    """The product of the ranges in lexicographic order, as int64 arrays of at
-    most `rows` rows, one column per range (no range: the one empty prefix)."""
+def prefix_blocks(ranges: Sequence[range], row_bytes: int) -> Iterator[np.ndarray]:
+    """The product of the ranges in lexicographic order, as int64 arrays with one
+    column per range (no range: the one empty prefix).  Every block but the last
+    has max(1, BLOCK_BYTES // bytes a row) rows: its 8-byte columns plus the
+    caller's row_bytes (at least 1)."""
+    rows = max(1, BLOCK_BYTES // (8 * len(ranges) + row_bytes))
     shape, starts = [len(r) for r in ranges], [r.start for r in ranges]
     size = math.prod(shape)
     for lo in range(0, size, rows):

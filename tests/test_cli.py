@@ -344,6 +344,16 @@ def test_census_output_and_sidecar(tmp_path):
     assert sidecar["wall_time_s"] >= 0
 
 
+def test_image_density_sidecar_records_the_budget_applied(tmp_path, capsys):
+    # without --budget the density default applies, not the tuple budget
+    for flags, budget in (([], "5000000"), (["--budget", "200"], "200")):
+        out = tmp_path / "density.csv"
+        code, _, _ = run_cli(["image-density", "--cover", "two-torsion-g1", "--primes", "2",
+                              "--output", str(out), *flags], capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "density.csv.json").read_text())["config"]["budget"] == budget
+
+
 def test_fit_bad_census_count_names_its_line(tmp_path, capsys):
     path = tmp_path / "census.csv"
     path.write_text("B,total,thin,thin_label\n1,1,0,none\n\n2,8,x,none\n")
@@ -352,15 +362,19 @@ def test_fit_bad_census_count_names_its_line(tmp_path, capsys):
     assert json.loads(err)["message"].startswith(f"{path}:4: invalid literal for int()")
 
 
-@pytest.mark.parametrize("row", ["8," + "1" + "0" * 400 + ",0,none",
-                                 "1" + "0" * 400 + ",512,0,none"], ids=["total", "B"])
-def test_fit_refuses_values_past_float_range(tmp_path, capsys, row):
+@pytest.mark.parametrize("rows, i", [
+    ("1,1,0,none\n2,8,0,none\n4,64,0,none\n8,1" + "0" * 400 + ",0,none\n", 4),
+    ("1,1,0,none\n2,8,0,none\n4,64,0,none\n1" + "0" * 400 + ",512,0,none\n", 4),
+    # B must increase, so a B that rounds to 0.0 can only come first
+    ("1/1" + "0" * 400 + ",1,0,none\n2,8,0,none\n4,64,0,none\n", 1),
+], ids=["total", "B", "B underflow"])
+def test_fit_refuses_values_past_float_range(tmp_path, capsys, rows, i):
     path = tmp_path / "census.csv"
-    path.write_text(f"B,total,thin,thin_label\n1,1,0,none\n2,8,0,none\n4,64,0,none\n{row}\n")
+    path.write_text("B,total,thin,thin_label\n" + rows)
     code, out, err = run_cli(["fit", "--input", str(path)], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "validation", "message":
-                               "census row 4: B or total is past the float range"}
+                               f"census row {i}: B or total is past the float range"}
 
 
 def test_fit_from_census_csv(tmp_path, capsys):

@@ -240,8 +240,9 @@ def test_survivor_tables_match_isin_walk(weights, bound, data):
 @given(data=st.data())
 def test_survivors_across_many_capped_blocks(data):
     # (1, 1, 3) at B = 3: a 55-bit last coordinate (7 bytes, not a byte
-    # multiple) and 25 sign-canonical prefixes.  A block budget of 3 unpacked
-    # rows splits one chunk into many blocks; each must be capped at 3 rows.
+    # multiple) and 25 sign-canonical prefixes.  A block budget of 3 rows (two
+    # int64 prefix columns and the mask unpacked) splits one chunk into many
+    # blocks; each must be capped at 3 rows.
     wv = WeightVector((1, 1, 3))
     Q, rs = data.draw(_residue_systems(len(wv)))
     params = SieveParams(wv, 3, Q)
@@ -257,7 +258,7 @@ def test_survivors_across_many_capped_blocks(data):
         return unpack(a, *args, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sieve, "_BLOCK_BYTES", 8 * row_bytes * 3 + 5)
+        mp.setattr(wps, "BLOCK_BYTES", (8 * 2 + 8 * row_bytes) * 3 + 5)
         mp.setattr(np, "unpackbits", spy)
         assert sieve.survivors(params, rs, workers=1) == want
         assert len(shapes) > 8 and all(rows <= 3 for rows, _ in shapes), shapes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpsieve import arith, cli, hyperelliptic, wps
+from wpsieve import arith, cli, hyperelliptic, sieve, wps
 from wpsieve.wps import WeightVector, WpsPoint
 
 
@@ -212,16 +212,41 @@ def test_map_chunks_starts_no_more_processes_than_pieces(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), cutoffs=st.lists(st.integers(0, 3), max_size=3), rows=st.integers(1, 7))
-def test_prefix_blocks_walk_the_product(data, cutoffs, rows):
+@given(data=st.data(), cutoffs=st.lists(st.integers(0, 3), max_size=3),
+       block_bytes=st.integers(1, 200), row_bytes=st.integers(1, 40))
+def test_prefix_blocks_walk_the_product(data, cutoffs, block_bytes, row_bytes):
     ranges = [range(-m, m + 1) for m in cutoffs]
     if ranges:  # the first range cut to a piece, as map_chunks hands it out
         ranges[0] = data.draw(st.sampled_from(wps._chunk_ranges(cutoffs[0])))
-    blocks = list(wps.prefix_blocks(ranges, rows))
+    # a row costs its 8-byte prefix columns plus the caller's row_bytes
+    rows = max(1, block_bytes // (8 * len(ranges) + row_bytes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wps, "BLOCK_BYTES", block_bytes)
+        blocks = list(wps.prefix_blocks(ranges, row_bytes))
     assert all(X.dtype == np.int64 and X.shape[1] == len(ranges) for X in blocks)
     assert [len(X) for X in blocks[:-1]] == [rows] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1]) <= rows
     assert [tuple(x) for X in blocks for x in X.tolist()] == list(itertools.product(*ranges))
+
+
+def test_block_size_changes_no_count():
+    # Blocks only regroup exact integer sums: one-prefix blocks (BLOCK_BYTES
+    # = 1) give every census and survivor count of the default blocks.
+    grids = ((1, [1, 2, 3]), (2, [1, Fraction(5, 4)]), (3, [1, Fraction(9, 8)]))
+    rs = sieve.ResidueSystem.from_omegas([sieve.Omega(2, 1, residues={(0, 0, 1)}),
+                                          sieve.Omega(3, 1, residues={(1, 2, 0), (2, 0, 2)})])
+    params = sieve.SieveParams(WeightVector((1, 2, 3)), 4, 3)
+
+    def counts():
+        return ([hyperelliptic.census(g, grid, smooth_only=s).rows
+                 for g, grid in grids for s in (False, True)],
+                sieve.survivors(params, rs))
+
+    want = counts()
+    assert want[1] == 15270
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wps, "BLOCK_BYTES", 1)
+        assert counts() == want
 
 
 def test_leading_signs_decide_the_sign_canon():
