@@ -267,8 +267,8 @@ def _sieve_params(args) -> tuple[sieve.SieveParams, sieve.ResidueSystem]:
 def _run_sieve_bound(args):
     params, rs = _sieve_params(args)
     G = sieve.compute_G(params.Q, rs)
-    # 12 significant digits, also for an integral bound past the float range
-    bound = _fmt_real(Fraction(sieve.sieve_upper_bound(params, rs, G)))
+    # 12 significant digits, also for an integral bound
+    bound = _fmt_real(sieve.sieve_upper_bound(params, rs, G))
     return ["B", "Q", "m", "G", "bound"], [[params.bound, params.Q, rs.m, G, bound]]
 
 
@@ -283,9 +283,9 @@ def _run_ls_check(args):
     chk = sieve.testable_ls_inequality(
         params, rs, budget=args.budget, workers=args.workers
     )
-    return (  # rhs printed as sieve-bound's bound, also past the float range
+    return (  # rhs printed as sieve-bound's bound
         ["B", "Q", "m", "lhs", "rhs", "holds"],
-        [[params.bound, params.Q, rs.m, chk.lhs, _fmt_real(Fraction(chk.rhs)), chk.holds]],
+        [[params.bound, params.Q, rs.m, chk.lhs, _fmt_real(chk.rhs), chk.holds]],
     )
 
 
@@ -428,8 +428,6 @@ def _fmt_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else _fmt_real(v)
-    if isinstance(v, float):
-        return format(v, ".12g")
     return str(v)
 
 

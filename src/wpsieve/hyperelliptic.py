@@ -16,10 +16,12 @@ the int64 wps.prefix_blocks (all coordinates but the last) of the largest box,
 sized to wps.BLOCK_BYTES at 32 bytes a candidate.  The coordinates are the
 coefficients of f, so _two_torsion_columns writes down the members y = -t
 (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the prefix, t in the
-block's exact root window.  Disc-square members (genus 1) are listed from the
-elements of norm 4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One
+block's exact root window; a repeat in a row becomes m + 1, past the largest
+box (m is its last cutoff).  Disc-square members (genus 1) are listed from
+the elements of norm 4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One
 counter, _count_block, drops the zero tuple and counts each of the rest once,
-at its level: the first box that holds it.  With --smooth-only the singular
+at its level, the first box that holds it; a y past every box has no level,
+so the counter is the one range test.  With --smooth-only the singular
 tuples are listed as f = q^2 h (_singular_tuples); the two-torsion ones among
 them are found by the same kernel, and every one is a disc-square member
 (D = 0).  The budget counts the work: prefixes times the window 2T+1, the M_0
@@ -256,13 +258,9 @@ class CensusTable:
             return [r.thin for r in self.rows]
         raise ValueError(f"unknown census column {name!r}")
 
-    def to_csv(self, fh) -> None:
-        fh.write("B,total,thin,thin_label\n")
-        for r in self.rows:
-            fh.write(f"{_fmt_bound(r.bound)},{r.total},{r.thin},{r.thin_label}\n")
-
     @classmethod
     def from_csv(cls, fh) -> "CensusTable":
+        """Read the CSV that `wpsieve census` writes (cli is its one writer)."""
         header = fh.readline().strip()
         if header != "B,total,thin,thin_label":
             raise ValueError(f"unexpected census header {header!r}")
@@ -277,10 +275,6 @@ class CensusTable:
             except (ValueError, ZeroDivisionError) as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
         return cls(rows)
-
-
-def _fmt_bound(b: Fraction) -> str:
-    return str(b.numerator) if b.denominator == 1 else format(float(b), ".12g")
 
 
 _TESTER_NAMES = ("two-torsion", "disc-square", "none")
@@ -360,19 +354,19 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     if smooth_only:
         S = np.array([*_singular_tuples(g, boxes[-1], ranges[0])],
                      dtype=dtype).reshape(-1, len(boxes[-1]))
-        X, ys, keep = S[:, :-1], S[:, -1:], np.ones((len(S), 1), dtype=bool)
-        sings = _count_block(X, ys, keep, cutoffs)
+        sings = _count_block(S[:, :-1], S[:, -1:], cutoffs)
         if thin == "two-torsion":  # every |y| <= m, so any integer root is in the window
-            keep = (_two_torsion_columns(X, m)[0] == ys).any(axis=1, keepdims=True)
-        if thin != "none":  # disc-square keeps all: a singular tuple has D = 0, a square
-            thins = -_count_block(X, ys, keep, cutoffs)
+            S = S[(_two_torsion_columns(S[:, :-1], m) == S[:, -1:]).any(axis=1)]
+            thins = -_count_block(S[:, :-1], S[:, -1:], cutoffs)
+        elif thin == "disc-square":  # a singular tuple has D = 0, a square
+            thins = -sings
     if thin == "disc-square":
         S = np.array(_disc_square_members(ranges[0], m), dtype=dtype).reshape(-1, 2)
-        thins = thins + _count_block(S[:, :1], S[:, 1:], np.ones((len(S), 1), dtype=bool), cutoffs)
+        thins = thins + _count_block(S[:, :1], S[:, 1:], cutoffs)
     elif thin == "two-torsion":
         # 2T+1 candidates a prefix; tracemalloc over both kernels: 18-21 B each (int32), 26 (int64)
         for X in prefix_blocks(ranges, 32 * (2 * _root_window(boxes[-1]) + 1)):
-            thins = thins + _count_block(X, *_two_torsion_columns(X, m), cutoffs)
+            thins = thins + _count_block(X, _two_torsion_columns(X, m), cutoffs)
     return sings, thins
 
 
@@ -418,22 +412,23 @@ def _split_prime(p: int) -> tuple[int, int]:
     return b, math.isqrt((p - b * b) // 3)
 
 
-def _two_torsion_columns(X: np.ndarray, m: int):
+def _two_torsion_columns(X: np.ndarray, m: int) -> np.ndarray:
     """The two-torsion members over a block of prefixes X (int64 or Python
     ints), one row per prefix.
 
     f(t) = t^{2g+1} + x_0 t^{2g-1} + ... + x_{2g-2} t + y has the integer root
     t exactly when y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}), and then
-    |y| <= m needs |t| <= T, the block's root window.  Returns (ys, keep): row
-    i of ys holds those values for |t| <= T, by Horner over the columns of X,
-    sorted; keep[i] marks its distinct values with |y| <= m.  Arrays are
-    int32 (int64) while m and every value and Horner intermediate stay below
-    2^31 (2^63), and Python ints otherwise, exact at any height.
+    |y| <= m needs |t| <= T, the block's root window.  Row i of the result
+    holds those values for |t| <= T, by Horner over the columns of X, sorted,
+    with each repeat of the value before it overwritten by m + 1; so the
+    members of row i are its entries with |y| <= m, each once.  Arrays are
+    int32 (int64) while m + 1 and every value and Horner intermediate stay
+    below 2^31 (2^63), and Python ints otherwise, exact at any height.
     """
     cmax = np.abs(X).max(axis=0, initial=0).tolist()  # a chunk may hold no singular tuple
     T = _root_window([*cmax, m])
     reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
-    top = max(reach, m)
+    top = max(reach, m + 1)
     dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
     X, t = X.astype(dtype), np.arange(-T, T + 1).astype(dtype)
     ys = t * t + X[:, :1]  # C-contiguous, so the row sort stays fast
@@ -442,21 +437,22 @@ def _two_torsion_columns(X: np.ndarray, m: int):
         ys += X[:, i: i + 1]
     ys *= -t
     ys.sort(axis=1)
-    keep = abs(ys) <= m
-    keep[:, 1:] &= ys[:, 1:] != ys[:, :-1]
-    return ys, keep
+    np.putmask(ys[:, 1:], ys[:, 1:] == ys[:, :-1], m + 1)
+    return ys
 
 
-def _count_block(X, ys, keep, cutoffs) -> np.ndarray:
-    """Entry j: the nonzero tuples among a block's kept candidates of level j.
+def _count_block(X, ys, cutoffs) -> np.ndarray:
+    """Entry j: the nonzero tuples (X[i], y), y in row i of ys, of level j.
 
-    Row i of ys holds candidate last coordinates y over the prefix X[i],
-    those marked in keep[i]; only the zero tuple is dropped.  Row j of
-    cutoffs is box j.  The boxes are nested, so a tuple's level (its first
-    box) is the larger of its row's and its y's: lo, the lowest row level,
-    plus the boxes past lo whose last cutoff |y| exceeds.  One bincount
-    counts each tuple once, and its cumulative sum every box's tuples.
-    Arrays are int64 (ys also int32) only when every cutoff fits in int64.
+    Row i of ys holds candidate last coordinates y over the prefix X[i];
+    only the zero tuple is dropped.  Row j of cutoffs is box j.  The boxes
+    are nested, so a tuple's level (its first box) is the larger of its
+    row's and its y's: lo, the lowest row level, plus the boxes past lo whose
+    last cutoff |y| exceeds.  A |y| past every last cutoff lands at level n,
+    one past the last box, which is never counted: this is the one range
+    test.  One bincount counts each tuple once, and its cumulative sum every
+    box's tuples.  Arrays are int64 (ys also int32) only when every cutoff
+    fits in int64.
     """
     n = len(cutoffs)
     row_level = (abs(X)[:, None, :] > cutoffs[:, :-1]).sum(axis=1).max(axis=1)
@@ -465,9 +461,8 @@ def _count_block(X, ys, keep, cutoffs) -> np.ndarray:
     for c in cutoffs[lo:, -1].tolist():
         levels += a > c
     np.maximum(levels, (row_level + 1).astype(levels.dtype)[:, None], out=levels)
-    levels *= keep  # 0: not counted
     zero = ~X.any(axis=1)
-    levels[zero] *= ys[zero] != 0
+    levels[zero] *= ys[zero] != 0  # 0: not counted
     return np.bincount(levels.ravel(), minlength=n + 2)[1: n + 1]
 
 

@@ -5,10 +5,11 @@ residue tuples modulo p^m with exact density nu_p.  The sieve mass
 
     G(Q) = sum over squarefree q <= Q of prod_{p | q} nu_p / (1 - nu_p)
 
-is computed exactly; the bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q) and a
-fully explicit large-sieve inequality over Q (no hidden constants) are
-evaluated against an exact survivor count.  The survivors are counted from
-one bit table per prime, built once: a packed row of the allowed last
+is computed exactly; so is the bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q).
+A fully explicit large-sieve inequality over Q (no hidden constants) is
+decided exactly against the survivor count, from one bracket of its right
+side, whose 64-bit lower end is the reported rhs.  The survivors are counted
+from one bit table per prime, built once: a packed row of the allowed last
 coordinates for each prefix residue that Omega mentions.  Blocks of prefixes
 (wps.BLOCK_BYTES each) AND one sign row with one table row per prime and
 count the set bits, so no tuple is tested on its own.  An Omega is an
@@ -171,9 +172,8 @@ def _check_widths(params: SieveParams, rs: ResidueSystem) -> None:
                              f"the weights have {len(params.weights)} coordinates")
 
 
-def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float | Fraction:
-    """Bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), G = compute_G unless given,
-    as a float; a value past the float range comes back as the exact Fraction."""
+def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> Fraction:
+    """Exact bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q), G = compute_G unless given."""
     _check_widths(params, rs)
     G = compute_G(params.Q, rs) if G is None else G
     if G <= 0:
@@ -183,11 +183,7 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> float |
     b = params.bound
     for a in params.weights:
         prod *= b**a + shift
-    bound = prod / G
-    try:
-        return float(bound)
-    except OverflowError:
-        return bound
+    return prod / G
 
 
 # --- survivors -------------------------------------------------------------
@@ -266,7 +262,7 @@ def survivors(params: SieveParams, rs: ResidueSystem, *,
 
 class LsCheck(NamedTuple):
     lhs: int
-    rhs: float | Fraction
+    rhs: Fraction
     holds: bool
 
 
@@ -277,45 +273,47 @@ def testable_ls_inequality(params: SieveParams, rs: ResidueSystem, *,
     survivors <= prod_i (N_i^{1/2} + Q^m)^2 / G(Q) with N_i = 2 floor(B^{a_i}) + 1
     (the box side counts).  Every quantity on the right is explicit, so a
     violation would be a genuine bug, not a constant hiding somewhere.  The
-    reported rhs is a float, past the float range a Fraction good to far more
-    than 12 digits; holds is decided exactly.
+    reported rhs is the Fraction from the lower end of _ls_bracket at k = 64,
+    at every size (relative error below 2^-63 per weight); holds is decided
+    exactly.
     """
     lhs = survivors(params, rs, budget=budget, workers=workers)
     G = compute_G(params.Q, rs)
     ns = [2 * m + 1 for m in box_cutoffs(params.weights, params.bound)]
     shift = params.Q**rs.m
-    try:
-        fshift = float(params.Q) ** rs.m
-        rhs = math.prod((math.sqrt(n_i) + fshift) ** 2 for n_i in ns) / float(G)
-    except OverflowError:
-        rhs = math.inf
-    if math.isinf(rhs):  # sqrt(n_i) to 64 bits past the point
-        rhs = math.prod((math.isqrt(n_i << 128) + (shift << 64)) ** 2 for n_i in ns)
-        rhs = Fraction(rhs, 1 << 128 * len(ns)) / G
+    rhs = Fraction(_ls_bracket(ns, shift, 64)[0], 1 << 128 * len(ns)) / G
     return LsCheck(lhs, rhs, _ls_holds(lhs * G, ns, shift))
+
+
+def _ls_bracket(ns, shift: int, k: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 4^{k len(ns)} prod_i (sqrt(n_i) + shift)^2 <= hi.
+
+    Each sqrt(n_i) is bracketed by r / 2^k <= sqrt(n_i) <= (r + 1) / 2^k with
+    r = isqrt(n_i * 4^k); a square n_i * 4^k is exact (r is its root).
+    """
+    lo = hi = 1
+    for n in ns:
+        n4 = n << 2 * k
+        r = math.isqrt(n4)
+        lo *= (r + (shift << k)) ** 2
+        hi *= (r + (r * r != n4) + (shift << k)) ** 2
+    return lo, hi
 
 
 def _ls_holds(target: Fraction, ns, shift: int) -> bool:
     """target <= prod_i (sqrt(n_i) + shift)^2, decided exactly.
 
-    Each sqrt(n_i) is bracketed by r / 2^k <= sqrt(n_i) <= (r + 1) / 2^k with
-    r = isqrt(n_i * 4^k), k growing until target falls on one side of the
-    product's bracket.  A square n_i is exact at once (r / 2^k is the root);
-    otherwise shift >= 1 leaves the product irrational, so it never equals
-    target and the loop ends.
+    k grows until target falls on one side of _ls_bracket(ns, shift, k).  A
+    square n_i is exact at once; otherwise shift >= 1 leaves the product
+    irrational, so it never equals target and the loop ends.
     """
     k = 0
     while True:
-        lo = hi = target.denominator
-        for n in ns:
-            n4 = n << 2 * k
-            r = math.isqrt(n4)
-            lo *= (r + (shift << k)) ** 2
-            hi *= (r + (r * r != n4) + (shift << k)) ** 2
+        lo, hi = _ls_bracket(ns, shift, k)
         scaled = target.numerator << 2 * k * len(ns)
-        if scaled <= lo:
+        if scaled <= lo * target.denominator:
             return True
-        if scaled > hi:
+        if scaled > hi * target.denominator:
             return False
         k = 2 * k + 32
 

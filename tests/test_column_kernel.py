@@ -65,9 +65,9 @@ def _check_block(g, block, bound, reference):
     # the exact window loses no member: the block kernel equals the
     # reference and the scan over each row's Fujiwara window
     cover = covers.two_torsion_cover(g)
-    ys, keep = hyp._two_torsion_columns(np.array(block, dtype=np.int64), bound)
+    ys = hyp._two_torsion_columns(np.array(block, dtype=np.int64), bound)
     for i, prefix in enumerate(block):
-        got = ys[i, keep[i]].tolist()
+        got = ys[i][abs(ys[i]) <= bound].tolist()
         assert got == reference(cover, prefix, bound), prefix
         assert got == scalar_column_members(cover, prefix, bound), prefix
     cmax = [max(abs(p[k]) for p in block) for k in range(len(block[0]))]
@@ -104,11 +104,11 @@ def test_block_past_int64_matches_scalar_scan(block, bound):
 
 
 @pytest.mark.parametrize("bound, dtype", [
-    (1000, np.int32), (2**31 - 2**27, np.int32), (2**31, np.int64), (2**40, np.int64),
-    (2**64, object)])
+    (1000, np.int32), (2**31 - 2**27, np.int32), (2**31 - 1, np.int64), (2**31, np.int64),
+    (2**40, np.int64), (2**64, object)])
 def test_block_dtype_ladder_matches_scalar_scan(bound, dtype):
-    # int32 while the bound and every value stay below 2^31, then int64,
-    # then Python ints
+    # int32 while bound + 1 (the value that overwrites a repeat) and every
+    # value stay below 2^31, then int64, then Python ints
     ys = _check_block(2, [(0, 0, 0), (-3, 5, 7), (3, -4, 1)], bound, scalar_column_members)
     assert ys.dtype == dtype
 
@@ -160,8 +160,8 @@ def test_column_members_is_the_one_row_kernel():
     for g, prefix in ((1, (-7,)), (1, (0,)), (1, (5,)), (2, (3, -4, 1)), (3, (1, 0, -2, 5, 0))):
         cover = covers.two_torsion_cover(g)
         got = cover.column_members(prefix, 200)
-        ys, keep = hyp._two_torsion_columns(np.array([prefix], dtype=np.int64), 200)
-        assert got == ys[0, keep[0]].tolist() == scalar_column_members(cover, prefix, 200)
+        ys = hyp._two_torsion_columns(np.array([prefix], dtype=np.int64), 200)
+        assert got == ys[0][abs(ys[0]) <= 200].tolist() == scalar_column_members(cover, prefix, 200)
         assert all(type(y) is int for y in got)
 
 
@@ -195,18 +195,18 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
                 for j in range(j0, len(cutoffs)):
                     if abs(y) <= cutoffs[j][last]:
                         want[j] += 1
+    # a row is padded, and a singular member taken out, with Ms[last] + 1:
+    # past every box, so the counter never counts it
     X, cut = np.array(block, dtype=dtype), np.array(cutoffs, dtype=dtype)
-    S = np.zeros((len(sings), max(1, *map(len, sings))), dtype=dtype)
+    S = np.full((len(sings), max(1, *map(len, sings))), Ms[last] + 1, dtype=dtype)
     for i, sing in enumerate(sings):
         S[i, : len(sing)] = sing
-    in_row = np.arange(S.shape[1]) < np.array([len(sing) for sing in sings])[:, None]
-    got_sing = hyp._count_block(X, S, in_row, cut).cumsum().tolist()
-    ys, keep = hyp._two_torsion_columns(X, Ms[last])
-    ys = ys.astype(dtype)
+    got_sing = hyp._count_block(X, S, cut).cumsum().tolist()
+    ys = hyp._two_torsion_columns(X, Ms[last]).astype(dtype)
     for i, sing in enumerate(sings):
         for y in sing:
-            keep[i] &= ys[i] != y
-    got_thin = hyp._count_block(X, ys, keep, cut).cumsum().tolist()
+            ys[i][ys[i] == y] = Ms[last] + 1
+    got_thin = hyp._count_block(X, ys, cut).cumsum().tolist()
     assert (got_sing, got_thin) == (want_sing, want_thin)
 
 
@@ -217,9 +217,9 @@ def test_census_charges_the_elements_built(monkeypatch, g, grid):
     solve = hyp._two_torsion_columns
 
     def spy(X, bound):
-        ys, keep = solve(X, bound)
+        ys = solve(X, bound)
         built.append(ys.size)
-        return ys, keep
+        return ys
 
     monkeypatch.setattr(hyp, "_two_torsion_columns", spy)
     hyp.census(g, grid)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpsieve import covers, hyperelliptic as hyp, wps
+from wpsieve import cli, covers, hyperelliptic as hyp, wps
 from wpsieve.hyperelliptic import (
     CensusRow,
     CensusTable,
@@ -327,15 +327,17 @@ def test_census_table_validation():
         CensusTable([row]).column("nope")
 
 
-def test_census_csv_round_trip():
-    table = census(1, [1, Fraction(3, 2), 2], smooth_only=True)
-    buf = io.StringIO()
-    table.to_csv(buf)
-    text = buf.getvalue()
+def test_census_csv_round_trip(tmp_path):
+    # the CLI writes the census CSV, CensusTable.from_csv reads it back
+    path = tmp_path / "census.csv"
+    argv = ["census", "--genus", "1", "--heights", "1,3/2,2", "--smooth-only"]
+    assert cli.main([*argv, "--output", str(path)]) == 0
+    text = path.read_text()
     assert text.splitlines()[0] == "B,total,thin,thin_label"
     assert "1.5," in text
-    back = CensusTable.from_csv(io.StringIO(text))
-    assert back.rows == table.rows
+    with open(path, encoding="utf-8") as fh:
+        back = CensusTable.from_csv(fh)
+    assert back.rows == census(1, [1, Fraction(3, 2), 2], smooth_only=True).rows
     with pytest.raises(ValueError):
         CensusTable.from_csv(io.StringIO("wrong,header\n"))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpsieve import arith, covers, sieve, wps
+from wpsieve import arith, cli, covers, sieve, wps
 from wpsieve.sieve import Omega, ResidueSystem, SieveParams
 from wpsieve.wps import WeightVector
 
@@ -70,14 +70,14 @@ def test_compute_G_monotone():
 def test_sieve_upper_bound_examples():
     rs = _half_density(3)
     b = sieve.sieve_upper_bound(SieveParams(W11, 10, 3), rs)
-    assert b == pytest.approx(361 / 3)
+    assert b == Fraction(361, 3)
     # Q = 1: empty sieve, G = 1
     b = sieve.sieve_upper_bound(SieveParams(W11, 10, 1), ResidueSystem(1, {}))
-    assert b == pytest.approx((10 + 1) ** 2)
+    assert b == (10 + 1) ** 2 and isinstance(b, Fraction)
     rs = ResidueSystem(1, {2: Omega(2, 1, density=Fraction(1, 4))})
     b = sieve.sieve_upper_bound(SieveParams(W46, 2, 2), rs)
-    assert b == pytest.approx(1020.0)
-    # past the float range the bound stays exact
+    assert b == 1020 and isinstance(b, Fraction)
+    # the bound is exact at every size
     rs = ResidueSystem(1, {2: Omega(2, 1, density=Fraction(1, 2))})
     b = sieve.sieve_upper_bound(SieveParams(W46, 10**41, 5), rs)
     assert b == Fraction((10**164 + 25) * (10**246 + 25), 2)
@@ -335,6 +335,22 @@ def test_ls_inequality_example():
     assert chk.lhs == 4
     # (sqrt(3)+2)^4 / G with G = 1 + (1/4)/(3/4) = 4/3
     assert chk.rhs == pytest.approx((math.sqrt(3) + 2) ** 4 / (4 / 3))
+    assert chk.holds
+
+
+def test_ls_inequality_rhs_rounds_the_exact_value(monkeypatch):
+    # (sqrt(71901) + 2)^4 / (4/3) = 3994294781.96499...: the 64-bit bracket
+    # rounds to ...96, a float product of the factors to ...97.  The box
+    # (71901^2 tuples) is not walked: survivors is patched out.
+    monkeypatch.setattr(sieve, "survivors", lambda *a, **k: 0)
+    chk = sieve.testable_ls_inequality(SieveParams(W11, 35950, 2),
+                                       ResidueSystem.from_omegas([OMEGA_00]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = (Decimal(71901).sqrt() + 2) ** 4 * 3 / 4
+    assert str(want).startswith("3994294781.96499")
+    assert abs(chk.rhs / Fraction(want) - 1) < Fraction(1, 2**60)
+    assert cli._fmt_real(chk.rhs) == "3994294781.96"
     assert chk.holds
 
 
