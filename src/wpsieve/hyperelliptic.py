@@ -11,9 +11,10 @@ cutoffs, and log-log exponent fits of the census columns.
 
 A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
 box's nonzero members in place of its volume (thin and singular sets are
-closed under x -> d.x both ways).  Two-torsion members come from one loop over
-the int64 wps.prefix_blocks (all coordinates but the last) of the largest box,
-sized to wps.BLOCK_BYTES at 32 bytes a candidate.  The coordinates are the
+closed under x -> d.x both ways).  Genus-1 two-torsion members are counted
+in closed form (_genus1_two_torsion); at higher genus they come from one loop
+over the int64 wps.prefix_blocks (all coordinates but the last) of the largest
+box, sized to wps.BLOCK_BYTES at 32 bytes a candidate.  The coordinates are the
 coefficients of f, so _two_torsion_columns writes down the members y = -t
 (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the prefix, t in the
 block's exact root window; a repeat in a row becomes m + 1, past the largest
@@ -24,8 +25,8 @@ at its level, the first box that holds it; a y past every box has no level,
 so the counter is the one range test.  With --smooth-only the singular
 tuples are listed as f = q^2 h (_singular_tuples); the two-torsion ones among
 them are found by the same kernel, and every one is a disc-square member
-(D = 0).  The budget counts the work: prefixes times the window 2T+1, the M_0
-factorisations of the disc-square lister, _singular_work.
+(D = 0).  The budget counts the work: the closed form's root pairs and t's,
+prefixes times the window 2T+1, the M_0 disc-square factorisations, _singular_work.
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
 """
@@ -293,10 +294,10 @@ def census(
 
     Each column at B is the sum of mu times its nonzero tuples over the boxes
     of wps.moebius_boxes(wv, B, wv); the weights are even, so no sign fold.
-    One pass over the prefixes (two-torsion) or over the n <= M_0 with
-    x_0 = -n (disc-square) counts the members of every box.  With
-    smooth_only the singular tuples, listed as f = q^2 h, come off the totals
-    and, when thin, off the thin counts.
+    A closed form (two-torsion, genus 1), one pass over the prefixes
+    (two-torsion) or over the n <= M_0 with x_0 = -n (disc-square) counts the
+    members of every box.  With smooth_only the singular tuples, listed as
+    f = q^2 h, come off the totals and, when thin, off the thin counts.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -309,13 +310,17 @@ def census(
         raise ValueError(f"unknown tester {thin!r}; choose from {_TESTER_NAMES}")
     if thin == "disc-square" and g != 1:
         raise ValueError("disc-square tester is defined for genus 1 only")
-    check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, "census needs {} steps")
+    closed, what = g == 1 and thin == "two-torsion", "census needs {} steps"
+    check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, what)  # before the walk
     walks = [list(moebius_boxes(wv, b, wv)) for b in bounds]
     boxes = sorted({box for walk in walks for _, box in walk})  # nested, so in order
     sings = thins = [0] * len(boxes)
-    if boxes and (thin != "none" or smooth_only):
+    if boxes and (smooth_only or thin != "none" and not closed):
         parts = map_chunks(_census_chunk, (g, boxes, thin, smooth_only), boxes[-1][:-1], workers)
         sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
+    if boxes and closed:
+        check_budget(_census_work(wv, bounds[-1], thin, smooth_only, len(boxes)), budget, what)
+        thins = [s + n for s, n in zip(thins, _genus1_two_torsion(boxes))]
     totals = [math.prod(2 * q + 1 for q in box) - 1 - s for box, s in zip(boxes, sings)]
     level = {box: j for j, box in enumerate(boxes)}
     rows = []
@@ -327,17 +332,21 @@ def census(
     return CensusTable(rows, meta)
 
 
-def _census_work(wv, bound, thin, smooth_only) -> int:
+def _census_work(wv, bound, thin, smooth_only, nboxes=0) -> int:
     """Steps the census takes up to its top height: the prefixes times the
-    box's root window 2T+1 (at least every block's) for two-torsion, the M_0
-    factorisations of _disc_square_members for disc-square, none for "none"
-    (it visits no prefix); with smooth_only plus _singular_work."""
+    box's root window 2T+1 (at least every block's) for two-torsion, at genus
+    1 the R (2R + 1) root pairs plus T for each of nboxes (0 before the
+    Moebius walk), the M_0 factorisations of _disc_square_members for disc-square,
+    none for "none" (it visits no prefix); with smooth_only plus _singular_work."""
     Ms = box_cutoffs(wv, bound)
     work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
     if thin == "none":
         return work
     if thin == "disc-square":
         return work + Ms[0]
+    if len(Ms) == 2:
+        R = math.isqrt(4 * Ms[0] // 3)
+        return work + R * (2 * R + 1) + nboxes * _root_window(Ms)
     return work + math.prod(2 * m + 1 for m in Ms[:-1]) * (2 * _root_window(Ms) + 1)
 
 
@@ -345,7 +354,7 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """(singular, thin) nonzero tuples by level (box) over the prefix ranges of
     one piece: the singular tuples as one block of rows (X, y), less the thin
     members among them; then the thin members, over wps.prefix_blocks for
-    two-torsion and one row each from _disc_square_members for disc-square."""
+    two-torsion (genus >= 2), one row each from _disc_square_members."""
     g, boxes, thin, smooth_only, ranges = args
     dtype = np.int64 if max(boxes[-1]) < 2**63 else object
     cutoffs = np.array(boxes, dtype=dtype)
@@ -363,7 +372,7 @@ def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     if thin == "disc-square":
         S = np.array(_disc_square_members(ranges[0], m), dtype=dtype).reshape(-1, 2)
         thins = thins + _count_block(S[:, :1], S[:, 1:], cutoffs)
-    elif thin == "two-torsion":
+    elif thin == "two-torsion" and g > 1:
         # 2T+1 candidates a prefix; tracemalloc over both kernels: 18-21 B each (int32), 26 (int64)
         for X in prefix_blocks(ranges, 32 * (2 * _root_window(boxes[-1]) + 1)):
             thins = thins + _count_block(X, _two_torsion_columns(X, m), cutoffs)
@@ -428,8 +437,7 @@ def _two_torsion_columns(X: np.ndarray, m: int) -> np.ndarray:
     cmax = np.abs(X).max(axis=0, initial=0).tolist()  # a chunk may hold no singular tuple
     T = _root_window([*cmax, m])
     reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
-    top = max(reach, m + 1)
-    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
+    dtype = _exact_dtype(max(reach, m + 1))
     X, t = X.astype(dtype), np.arange(-T, T + 1).astype(dtype)
     ys = t * t + X[:, :1]  # C-contiguous, so the row sort stays fast
     for i in range(1, X.shape[1]):
@@ -439,6 +447,37 @@ def _two_torsion_columns(X: np.ndarray, m: int) -> np.ndarray:
     ys.sort(axis=1)
     np.putmask(ys[:, 1:], ys[:, 1:] == ys[:, :-1], m + 1)
     return ys
+
+
+def _exact_dtype(top: int):
+    """int32 (int64) for values below top, when top < 2^31 (2^63); else Python ints."""
+    return np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
+
+
+def _genus1_two_torsion(boxes) -> list[int]:
+    """The nonzero (x_0, x_1) with an integer root of f = t^3 + x_0 t + x_1
+    in each nested box (M_0, M_1): the pairs (t, x_0) with |x_0| <= M_0 and
+    |t^3 + x_0 t| <= M_1 (t = 0: 2 M_0 + 1 with the zero tuple; t and -t one
+    interval each, empty past the box's root window) less, for f with k >= 2
+    distinct integer roots, f = (t - r)(t - s)(t + r + s), its k - 1 pairs
+    r < s with r the least root (2r + s <= 0): r < 0, |r|, |s| <= R =
+    isqrt(4 M_0 / 3), listed in wps.prefix_blocks and levelled by bisection."""
+    (m0, m1), T = boxes[-1], _root_window(boxes[-1])
+    R = math.isqrt(4 * m0 // 3)
+    dtype = _exact_dtype(max(3 * R**3, T**3 + m1 + 4 * (T + 1) * (m0 + 1)))
+    M0, M1 = np.array(boxes, dtype=dtype).T  # nondecreasing
+    split = np.zeros(len(boxes) + 1, dtype=np.int64)  # by level
+    for X in prefix_blocks([range(-R, 0), range(-R, R + 1)], 48):
+        r, s = X.astype(dtype).T
+        keep = (r < s) & (2 * r + s <= 0)
+        r, s = r[keep], s[keep]
+        level = np.maximum(np.searchsorted(M0, r * r + r * s + s * s),
+                           np.searchsorted(M1, abs(r * s * (r + s))))
+        split += np.bincount(level, minlength=len(split))
+    t = np.arange(1, T + 1).astype(dtype)
+    a, b, cube = M0[:, None], M1[:, None], t * t * t
+    width = np.minimum((b - cube) // t, a) + np.minimum((b + cube) // t, a) + 1
+    return (2 * M0 + 2 * np.maximum(width, 0).sum(axis=1) - split.cumsum()[:-1]).tolist()
 
 
 def _count_block(X, ys, cutoffs) -> np.ndarray:

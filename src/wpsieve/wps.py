@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -307,6 +306,12 @@ def _chunk_ranges(m0: int) -> list[range]:
     pieces = min(width, _CHUNKS)
     bounds = [-m0 + (width * i) // pieces for i in range(pieces + 1)]
     return [range(bounds[i], bounds[i + 1]) for i in range(pieces)]
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool, imported only when a pool starts."""
+    from multiprocessing import Pool
+    return Pool(processes)
 
 
 def map_chunks(fn, args: tuple, cutoffs: Sequence[int], workers: int) -> list:

@@ -599,10 +599,23 @@ def test_census_budget_past_float_range(capsys):
 
 
 def test_census_budget_counts_column_work(capsys):
-    # the box at B = 12 holds 2.5e11 tuples; the column census needs ~1.6e7 steps
+    # the box at B = 12 holds 2.5e11 tuples; the genus-1 closed form needs ~5.8e4 steps
     code, out, _ = run_cli(["census", "--genus", "1", "--heights", "2,4,8,12"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "12,247429284466,11725994,two-torsion"
+
+
+@pytest.mark.parametrize("heights, last", [
+    # the column kernel's value
+    ("16,20", "20,40919428904144,251643360,two-torsion"),
+    # the column kernel's value under --force (5.8e9 steps); the closed form
+    # takes 2.2e6 and runs within the default budget
+    ("24,30", "30,2359614622064502,2867500566,two-torsion"),
+])
+def test_census_genus1_closed_form_pins(heights, last, capsys):
+    code, out, _ = run_cli(["census", "--genus", "1", "--heights", heights], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("argv, last", [

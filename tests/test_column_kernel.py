@@ -1,8 +1,10 @@
 """Property tests of the census's two-torsion column kernel
-(hyperelliptic._two_torsion_columns), the exact root window, the scalar
+(hyperelliptic._two_torsion_columns), the genus-1 closed form
+(hyperelliptic._genus1_two_torsion), the exact root window, the scalar
 Cover.column_members and the census's level counter, against brute force,
 the scalar Fujiwara-width t-scan and a loop over members and cutoffs."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpsieve import arith, covers, hyperelliptic as hyp
-from wpsieve.wps import box_cutoffs
+from wpsieve.wps import box_cutoffs, moebius_boxes
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -212,19 +214,83 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
 
 @pytest.mark.parametrize("g, grid", [(1, [2, 3]), (2, [1, Fraction(5, 4)])])
 def test_census_charges_the_elements_built(monkeypatch, g, grid):
-    # the budget's prefixes x (2T+1) is at least what the kernel builds
+    # the budget is at least what the census builds
+    wv = hyp.moduli_weights(g)
     built = []
-    solve = hyp._two_torsion_columns
+    if g == 1:  # the closed form: its root-pair cells, one t-window row per box
+        blocks = hyp.prefix_blocks
 
-    def spy(X, bound):
-        ys = solve(X, bound)
-        built.append(ys.size)
-        return ys
+        def spy(ranges, row_bytes):
+            for X in blocks(ranges, row_bytes):
+                built.append(len(X))
+                yield X
 
-    monkeypatch.setattr(hyp, "_two_torsion_columns", spy)
+        monkeypatch.setattr(hyp, "prefix_blocks", spy)
+        boxes = {box for b in grid for _, box in moebius_boxes(wv, b, wv)}
+        built.append(len(boxes) * hyp._root_window(max(boxes)))
+        charged = hyp._census_work(wv, grid[-1], "two-torsion", False, len(boxes))
+    else:  # the column kernel: prefixes x (2T+1)
+        solve = hyp._two_torsion_columns
+
+        def spy(X, bound):
+            ys = solve(X, bound)
+            built.append(ys.size)
+            return ys
+
+        monkeypatch.setattr(hyp, "_two_torsion_columns", spy)
+        charged = hyp._census_work(wv, grid[-1], "two-torsion", False)
     hyp.census(g, grid)
-    charged = hyp._census_work(hyp.moduli_weights(g), grid[-1], "two-torsion", False)
     assert 0 < sum(built) <= charged
+
+
+def _kernel_genus1(boxes):
+    """Each nested box's two-torsion tuples at genus 1 by the column kernel
+    over every prefix x_0 of the top box."""
+    m0, m1 = boxes[-1]
+    X = np.arange(-m0, m0 + 1, dtype=np.int64)[:, None]
+    ys = hyp._two_torsion_columns(X, m1)
+    return hyp._count_block(X, ys, np.array(boxes, dtype=np.int64)).cumsum().tolist()
+
+
+@SETTINGS
+@given(steps=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 600)), min_size=1, max_size=6))
+def test_genus1_closed_form_matches_kernel(steps):
+    # nested boxes from nonnegative steps, so also boxes with M_0 = 0 or
+    # M_1 = 0, and with M_1 far below or above M_0^{3/2}
+    boxes = list(dict.fromkeys(itertools.accumulate(
+        steps, lambda a, b: (a[0] + b[0], a[1] + b[1]))))
+    assert hyp._genus1_two_torsion(boxes) == _kernel_genus1(boxes)
+
+
+def test_genus1_closed_form_matches_brute_force():
+    # every box (M_0, M_1) up to (8, 60), one at a time, against
+    # has_integer_root on each tuple of the largest
+    cover = covers.two_torsion_cover(1)
+    members = np.array([x for x in itertools.product(range(-8, 9), range(-60, 61))
+                        if any(x) and covers.has_integer_root(cover.poly_at(x))])
+    for m0, m1 in itertools.product(range(9), range(61)):
+        want = ((abs(members[:, 0]) <= m0) & (abs(members[:, 1]) <= m1)).sum()
+        assert hyp._genus1_two_torsion([(m0, m1)]) == [want], (m0, m1)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_genus1_closed_form_dtype_ladder(monkeypatch, dtype):
+    # int64 and Python ints give the int32 ladder's counts, as Python ints
+    wv = hyp.moduli_weights(1)
+    boxes = sorted({box for b in (2, 4, 8, 12) for _, box in moebius_boxes(wv, b, wv)})
+    want = hyp._genus1_two_torsion(boxes)
+    monkeypatch.setattr(hyp, "_exact_dtype", lambda top: dtype)
+    got = hyp._genus1_two_torsion(boxes)
+    assert got == want and all(type(n) is int for n in got)
+
+
+@pytest.mark.parametrize("smooth_only", [False, True])
+def test_census_workers_agree_genus1_closed_form(smooth_only):
+    # the closed form runs no map_chunks; with --smooth-only the singular
+    # listing still cuts x_0 across the workers
+    grid = [2, 3, 4, Fraction(9, 2)]
+    base = hyp.census(1, grid, smooth_only=smooth_only, workers=1)
+    assert base.rows == hyp.census(1, grid, smooth_only=smooth_only, workers=2).rows
 
 
 def test_census_workers_agree_genus2_thin():

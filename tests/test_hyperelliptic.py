@@ -288,18 +288,19 @@ def test_census_validation():
         census(1, [1, 2], thin="nope")
     with pytest.raises(ValueError):
         census(2, [1], thin="disc-square")
-    with pytest.raises(BudgetExceededError):
-        census(1, [1, 2], budget=100)
+    with pytest.raises(BudgetExceededError):  # 46 steps (test_census_budget_counts_work_done)
+        census(1, [1, 2], budget=10)
     # budget=None disables the guard
     census(1, [1], budget=None)
 
 
 def test_census_budget_counts_work_done():
-    # column path: 33 prefixes at B = 2, times the kernel row width 2T+1 = 11
-    # (T = 5, the largest t with t^3 - 16 t <= 64); disc-square: the n <= 16
-    # it factors; without a thin tester no prefix is visited and nothing is
+    # two-torsion at genus 1, the closed form: R (2R + 1) = 4 * 9 root-pair
+    # cells (R = isqrt(4 * 16 / 3) = 4) plus T = 5 (the largest t with
+    # t^3 - 16 t <= 64) for each of its 2 boxes; disc-square: the n <= 16 it
+    # factors; without a thin tester no prefix is visited and nothing is
     # charged
-    for thin, work in (("two-torsion", 33 * 11), ("none", 0), ("disc-square", 16)):
+    for thin, work in (("two-torsion", 4 * 9 + 2 * 5), ("none", 0), ("disc-square", 16)):
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
