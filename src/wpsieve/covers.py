@@ -6,9 +6,8 @@ coefficient of t^j is weighted-homogeneous of degree (deg - j) * w.  The
 latter makes the family invariant under the weighted scaling action, so
 membership is well defined on orbits.  With constant term +-(last
 coordinate), a column's members are written down, one per t of root_window,
-by Cover.column_members: a scalar reference that no census calls (the census
-has its own block kernel).  Mod-p image densities of a cover are computed
-exactly by exhausting (Z/p)^{n+1}.
+by Cover.column_members, a scalar reference that no census calls.  Mod-p
+image densities of a cover are computed exactly by exhausting (Z/p)^{n+1}.
 """
 
 from __future__ import annotations

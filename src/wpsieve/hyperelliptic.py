@@ -11,22 +11,13 @@ cutoffs, and log-log exponent fits of the census columns.
 
 A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
 box's nonzero members in place of its volume (thin and singular sets are
-closed under x -> d.x both ways).  Genus-1 two-torsion members are counted
-in closed form (_genus1_two_torsion); at higher genus they come from one loop
-over the int64 wps.prefix_blocks (all coordinates but the last) of the largest
-box, sized to wps.BLOCK_BYTES at 32 bytes a candidate.  The coordinates are the
-coefficients of f, so _two_torsion_columns writes down the members y = -t
-(t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}) by Horner over the prefix, t in the
-block's exact root window; a repeat in a row becomes m + 1, past the largest
-box (m is its last cutoff).  Disc-square members (genus 1) are listed from
-the elements of norm 4n^3 in Z[w] at x_0 = -n (_disc_square_members).  One
-counter, _count_block, drops the zero tuple and counts each of the rest once,
-at its level, the first box that holds it; a y past every box has no level,
-so the counter is the one range test.  With --smooth-only the singular
-tuples are listed as f = q^2 h (_singular_tuples); the two-torsion ones among
-them are found by the same kernel, and every one is a disc-square member
-(D = 0).  The budget counts the work: the closed form's root pairs and t's,
-prefixes times the window 2T+1, the M_0 disc-square factorisations, _singular_work.
+closed under x -> d.x both ways).  Two-torsion members are counted, not
+walked: in closed form at genus 1 (_genus1_two_torsion), at higher genus by
+inclusion-exclusion over sets of integer roots (_root_sets), each term one
+interval per cell of the other coordinates (_divisible).  Disc-square members
+(genus 1) and, with --smooth-only, the singular tuples f = q^2 h are listed
+(_disc_square_members, _singular_tuples) and counted by level, their first
+box (_count_levels).  The budget is charged before the work (_census_work).
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
 """
@@ -44,6 +35,7 @@ import numpy as np
 
 from . import arith, covers
 from .wps import (
+    BLOCK_BYTES,
     DEFAULT_BUDGET,
     WeightVector,
     WpsPoint,
@@ -294,8 +286,8 @@ def census(
 
     Each column at B is the sum of mu times its nonzero tuples over the boxes
     of wps.moebius_boxes(wv, B, wv); the weights are even, so no sign fold.
-    A closed form (two-torsion, genus 1), one pass over the prefixes
-    (two-torsion) or over the n <= M_0 with x_0 = -n (disc-square) counts the
+    A closed form (two-torsion, genus 1), root sets (two-torsion, genus >= 2)
+    or one pass over the n <= M_0 with x_0 = -n (disc-square) counts the
     members of every box.  With smooth_only the singular tuples, listed as
     f = q^2 h, come off the totals and, when thin, off the thin counts.
     """
@@ -310,17 +302,18 @@ def census(
         raise ValueError(f"unknown tester {thin!r}; choose from {_TESTER_NAMES}")
     if thin == "disc-square" and g != 1:
         raise ValueError("disc-square tester is defined for genus 1 only")
-    closed, what = g == 1 and thin == "two-torsion", "census needs {} steps"
-    check_budget(_census_work(wv, bounds[-1], thin, smooth_only), budget, what)  # before the walk
+    what = "census needs {} steps"
+    check_budget(_census_work(wv, bounds, thin, smooth_only), budget, what)  # before the walk
     walks = [list(moebius_boxes(wv, b, wv)) for b in bounds]
     boxes = sorted({box for walk in walks for _, box in walk})  # nested, so in order
     sings = thins = [0] * len(boxes)
-    if boxes and (smooth_only or thin != "none" and not closed):
-        parts = map_chunks(_census_chunk, (g, boxes, thin, smooth_only), boxes[-1][:-1], workers)
+    if boxes and (smooth_only or thin == "disc-square"):
+        parts = map_chunks(_census_chunk, (g, boxes, thin, smooth_only), boxes[-1][:1], workers)
         sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
-    if boxes and closed:
-        check_budget(_census_work(wv, bounds[-1], thin, smooth_only, len(boxes)), budget, what)
-        thins = [s + n for s, n in zip(thins, _genus1_two_torsion(boxes))]
+    if boxes and thin == "two-torsion":  # the genus-1 closed form adds T a box
+        check_budget(_census_work(wv, bounds, thin, smooth_only, len(boxes)), budget, what)
+        members = (_genus1_two_torsion if g == 1 else _root_sets)(boxes)
+        thins = [s + n for s, n in zip(thins, members)]
     totals = [math.prod(2 * q + 1 for q in box) - 1 - s for box, s in zip(boxes, sings)]
     level = {box: j for j, box in enumerate(boxes)}
     rows = []
@@ -332,50 +325,41 @@ def census(
     return CensusTable(rows, meta)
 
 
-def _census_work(wv, bound, thin, smooth_only, nboxes=0) -> int:
-    """Steps the census takes up to its top height: the prefixes times the
-    box's root window 2T+1 (at least every block's) for two-torsion, at genus
-    1 the R (2R + 1) root pairs plus T for each of nboxes (0 before the
-    Moebius walk), the M_0 factorisations of _disc_square_members for disc-square,
-    none for "none" (it visits no prefix); with smooth_only plus _singular_work."""
-    Ms = box_cutoffs(wv, bound)
-    work = _singular_work(len(wv) // 2, Ms) if smooth_only else 0
-    if thin == "none":
-        return work
-    if thin == "disc-square":
-        return work + Ms[0]
-    if len(Ms) == 2:
+def _census_work(wv, bounds, thin, smooth_only, nboxes=0) -> int:
+    """Steps the census takes up to its top height, known before the run: each
+    height's floor(B) + 1 dense Mertens entries (wps.moebius_boxes); for
+    two-torsion the R (2R + 1) root pairs plus T for each of nboxes at genus
+    1, else _divisible's cells, C(2T+1, k) root sets of each size k times the
+    cells of x_0..x_{2g-2-k}; the M_0 disc-square factorisations; _singular_work."""
+    Ms, g = box_cutoffs(wv, bounds[-1]), len(wv) // 2
+    work = sum(math.floor(b) + 1 for b in bounds) + smooth_only * _singular_work(g, Ms)
+    if thin != "two-torsion":
+        return work + (thin == "disc-square") * Ms[0]
+    T = _root_window(Ms)
+    if g == 1:
         R = math.isqrt(4 * Ms[0] // 3)
-        return work + R * (2 * R + 1) + nboxes * _root_window(Ms)
-    return work + math.prod(2 * m + 1 for m in Ms[:-1]) * (2 * _root_window(Ms) + 1)
+        return work + R * (2 * R + 1) + nboxes * T
+    return work + sum(math.comb(2 * T + 1, k) * math.prod(2 * m + 1 for m in Ms[::-1][k + 1:])
+                      for k in range(1, 2 * g + 2))
 
 
 def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """(singular, thin) nonzero tuples by level (box) over the prefix ranges of
-    one piece: the singular tuples as one block of rows (X, y), less the thin
-    members among them; then the thin members, over wps.prefix_blocks for
-    two-torsion (genus >= 2), one row each from _disc_square_members."""
-    g, boxes, thin, smooth_only, ranges = args
-    dtype = np.int64 if max(boxes[-1]) < 2**63 else object
-    cutoffs = np.array(boxes, dtype=dtype)
-    m = boxes[-1][-1]
+    """(singular, thin) nonzero tuples by level (box) over the x_0 range of one
+    piece: the singular tuples less their thin ones (two-torsion by has_integer_root,
+    all for disc-square as D = 0), then the disc-square members."""
+    g, boxes, thin, smooth_only, (x0,) = args
+    cutoffs = np.array(boxes, dtype=np.int64 if max(boxes[-1]) < 2**63 else object)
     sings = thins = np.zeros(len(boxes), dtype=np.int64)  # counts by level
     if smooth_only:
-        S = np.array([*_singular_tuples(g, boxes[-1], ranges[0])],
-                     dtype=dtype).reshape(-1, len(boxes[-1]))
-        sings = _count_block(S[:, :-1], S[:, -1:], cutoffs)
-        if thin == "two-torsion":  # every |y| <= m, so any integer root is in the window
-            S = S[(_two_torsion_columns(S[:, :-1], m) == S[:, -1:]).any(axis=1)]
-            thins = -_count_block(S[:, :-1], S[:, -1:], cutoffs)
-        elif thin == "disc-square":  # a singular tuple has D = 0, a square
+        S = [*_singular_tuples(g, boxes[-1], x0)]
+        sings = _count_levels(S, cutoffs)
+        if thin == "two-torsion":
+            S = [x for x in S if covers.has_integer_root(_poly_from_coords(g, x))]
+            thins = -_count_levels(S, cutoffs)
+        elif thin == "disc-square":
             thins = -sings
     if thin == "disc-square":
-        S = np.array(_disc_square_members(ranges[0], m), dtype=dtype).reshape(-1, 2)
-        thins = thins + _count_block(S[:, :1], S[:, 1:], cutoffs)
-    elif thin == "two-torsion" and g > 1:
-        # 2T+1 candidates a prefix; tracemalloc over both kernels: 18-21 B each (int32), 26 (int64)
-        for X in prefix_blocks(ranges, 32 * (2 * _root_window(boxes[-1]) + 1)):
-            thins = thins + _count_block(X, _two_torsion_columns(X, m), cutoffs)
+        thins = thins + _count_levels(_disc_square_members(x0, boxes[-1][-1]), cutoffs)
     return sings, thins
 
 
@@ -421,34 +405,6 @@ def _split_prime(p: int) -> tuple[int, int]:
     return b, math.isqrt((p - b * b) // 3)
 
 
-def _two_torsion_columns(X: np.ndarray, m: int) -> np.ndarray:
-    """The two-torsion members over a block of prefixes X (int64 or Python
-    ints), one row per prefix.
-
-    f(t) = t^{2g+1} + x_0 t^{2g-1} + ... + x_{2g-2} t + y has the integer root
-    t exactly when y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}), and then
-    |y| <= m needs |t| <= T, the block's root window.  Row i of the result
-    holds those values for |t| <= T, by Horner over the columns of X, sorted,
-    with each repeat of the value before it overwritten by m + 1; so the
-    members of row i are its entries with |y| <= m, each once.  Arrays are
-    int32 (int64) while m + 1 and every value and Horner intermediate stay
-    below 2^31 (2^63), and Python ints otherwise, exact at any height.
-    """
-    cmax = np.abs(X).max(axis=0, initial=0).tolist()  # a chunk may hold no singular tuple
-    T = _root_window([*cmax, m])
-    reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
-    dtype = _exact_dtype(max(reach, m + 1))
-    X, t = X.astype(dtype), np.arange(-T, T + 1).astype(dtype)
-    ys = t * t + X[:, :1]  # C-contiguous, so the row sort stays fast
-    for i in range(1, X.shape[1]):
-        ys *= t
-        ys += X[:, i: i + 1]
-    ys *= -t
-    ys.sort(axis=1)
-    np.putmask(ys[:, 1:], ys[:, 1:] == ys[:, :-1], m + 1)
-    return ys
-
-
 def _exact_dtype(top: int):
     """int32 (int64) for values below top, when top < 2^31 (2^63); else Python ints."""
     return np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
@@ -480,29 +436,74 @@ def _genus1_two_torsion(boxes) -> list[int]:
     return (2 * M0 + 2 * np.maximum(width, 0).sum(axis=1) - split.cumsum()[:-1]).tolist()
 
 
-def _count_block(X, ys, cutoffs) -> np.ndarray:
-    """Entry j: the nonzero tuples (X[i], y), y in row i of ys, of level j.
+def _count_levels(S, cutoffs: np.ndarray) -> np.ndarray:
+    """Entry j: the nonzero rows of S (tuples, in the dtype of cutoffs) whose
+    level, the number of the nested boxes (rows of cutoffs) they leave, is j."""
+    n, S = len(cutoffs), np.array(S, dtype=cutoffs.dtype).reshape(-1, cutoffs.shape[1])
+    levels = sum((abs(S) > c).any(axis=1) for c in cutoffs) + n * (S == 0).all(axis=1)
+    return np.bincount(levels, minlength=n + 1)[:n]  # level n: in no box, or zero
 
-    Row i of ys holds candidate last coordinates y over the prefix X[i];
-    only the zero tuple is dropped.  Row j of cutoffs is box j.  The boxes
-    are nested, so a tuple's level (its first box) is the larger of its
-    row's and its y's: lo, the lowest row level, plus the boxes past lo whose
-    last cutoff |y| exceeds.  A |y| past every last cutoff lands at level n,
-    one past the last box, which is never counted: this is the one range
-    test.  One bincount counts each tuple once, and its cumulative sum every
-    box's tuples.  Arrays are int64 (ys also int32) only when every cutoff
-    fits in int64.
-    """
-    n = len(cutoffs)
-    row_level = (abs(X)[:, None, :] > cutoffs[:, :-1]).sum(axis=1).max(axis=1)
-    lo, a = int(row_level.min(initial=n)), abs(ys)
-    levels = np.full(ys.shape, lo + 1, dtype=np.min_scalar_type(n + 1))  # level + 1
-    for c in cutoffs[lo:, -1].tolist():
-        levels += a > c
-    np.maximum(levels, (row_level + 1).astype(levels.dtype)[:, None], out=levels)
-    zero = ~X.any(axis=1)
-    levels[zero] *= ys[zero] != 0  # 0: not counted
-    return np.bincount(levels.ravel(), minlength=n + 2)[1: n + 1]
+
+def _divisible(Q, boxes) -> np.ndarray:
+    """N[i, j] = #{x in box j : Q_i | f_x}, for monic Q_i of one degree k (row
+    Q[i]: its lower coefficients, ascending) and nested boxes.  With c_d the
+    coefficient of t^d in f (c_n = 1, n = 2g+1; c_{n-1} = 0 has cutoff 0), Q | f
+    fixes c_i = Q_i c_k + base_i, i < k, base_i = -[t^n + sum_{k<d<n} c_d t^d mod
+    Q]_i (at k = n, c_k is c_n - 1, of cutoff 0): one interval of c_k per cell of
+    x_0..x_{m-1}, a box's cells a slice of the top box's grid."""
+    Ms, k = boxes[-1], len(Q[0])
+    n, m = len(Ms) + 1, max(0, len(Ms) - 1 - k)
+    sides = [2 * M + 1 for M in Ms[:m]]  # loop over x_0..x_{s-1}, and batch Q, past BLOCK_BYTES / 8
+    s = next((s for s in range(m) if k * math.prod(sides[s:]) <= BLOCK_BYTES // 8), m)
+    rows = max(1, BLOCK_BYTES // 8 // (k * math.prod(sides[s:])))
+    if len(Q) > rows:
+        return np.vstack([_divisible(Q[i:i + rows], boxes) for i in range(0, len(Q), rows)])
+    cuts, Q = [[*reversed(box), 0, 0] for box in boxes], np.array(Q, dtype=object)  # by degree
+    R = [-Q]  # t^d mod Q, d = k..n
+    while len(R) <= n - k:
+        R.append(np.hstack([0 * Q[:, :1], R[-1][:, :-1]]) - R[-1][:, -1:] * Q)
+    # x_i = sign_i base_i, and x_i + a_i c_k must lie in [-M_i, M_i]; where Q_i = 0
+    # x_i = W base_i, a_i = 1 and the cutoff W M_i + M_k (W = 2 M_k + 1) allow all c_k or none
+    W = 2 * cuts[-1][k] + 1
+    sign = np.where(Q < 0, -1, np.where(Q == 0, W, 1))
+    base, *outer = (sign * -r for r in (R[-1], *R[m:0:-1]))
+    bound = sum((abs(t) * M for t, M in zip(outer, Ms)), abs(base) + abs(sign) * cuts[-1][:k])
+    fits = max(2 * (bound.max() + W) + 2, W * math.prod(sides[s:])) < 2**63
+    dtype, shape = np.int64 if fits else object, (k, len(Q), *[1] * (m - s))
+    a, zero = (np.array(v.T, dtype=dtype).reshape(shape) for v in (np.maximum(abs(Q), 1), Q == 0))
+    b0, *heads = (t.T.astype(dtype) for t in (base, *outer[:s]))
+    axes = np.ix_(*(np.array(range(-M, M + 1), dtype=dtype) for M in Ms[s:m]))
+    grid = sum((t.T.astype(dtype).reshape(shape) * v for t, v in zip(outer[s:], axes)), 0)
+    counts = np.zeros((len(Q), len(boxes)), dtype=object)
+    for head in itertools.product(*(range(-M, M + 1) for M in Ms[:s])):
+        x = (b0 + sum(h * t for h, t in zip(head, heads))).reshape(shape) + grid
+        for j in reversed(range(len(boxes))):
+            if any(abs(h) > M for h, M in zip(head, boxes[j])):
+                break  # nor in any smaller box
+            cut, inner = cuts[j], [slice(Mt - M, Mt + M + 1) for Mt, M in zip(Ms, boxes[j])][s:m]
+            y, lo, hi = x[(..., *inner)], -cut[k], cut[k]
+            for i in range(k):
+                C = cut[i] + zero[i] * cut[i] * (W - 1) + zero[i] * cut[k]
+                lo, hi = np.maximum(lo, -((C + y[i]) // a[i])), np.minimum(hi, (C - y[i]) // a[i])
+            width = np.maximum(hi - lo + 1, 0).reshape(len(Q), -1)
+            counts[:, j] += width.sum(axis=1).astype(object)
+    return counts
+
+
+def _root_sets(boxes) -> list[int]:
+    """The nonzero tuples of each nested box whose f has an integer root: f has
+    the distinct roots S exactly when P_S = prod_{r in S} (t - r) divides it, so
+    sum_S (-1)^{|S|+1} N(P_S) over the sets of |r| <= T (the top box's root
+    window) less the zero tuple, f = t^n.  One _divisible call a size; only the
+    S whose P_S divides some f of the top box grow, up to size 2g+1."""
+    T, counts = _root_window(boxes[-1]), np.full(len(boxes), -1, dtype=object)
+    sets, sign = [(r, [-r, 1]) for r in range(-T, T + 1)], 1  # (max S, P_S)
+    while sets:
+        N = _divisible([P[:-1] for _, P in sets], boxes)
+        counts, sign = counts + sign * N.sum(axis=0), -sign
+        sets = [(r, _mul(P, [-r, 1])) for (top, P), row in zip(sets, N)
+                if row[-1] and len(P) <= len(boxes[-1]) + 1 for r in range(top + 1, T + 1)]
+    return counts.tolist()
 
 
 # --- exponent fits ---------------------------------------------------------

@@ -10,9 +10,9 @@ Counts are computed, not walked: d divides the weighted gcd exactly when
 d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
 points (the plain gcd likewise, with d | x_i), one term per moebius_boxes
 box: count takes the boxes' volumes, the census their thin members, and the
-enumeration stays as their oracle.  The walks of a box (the sieve's
-survivors, the census) cut the first coordinate across workers with
-map_chunks and take int64 blocks of prefixes (all coordinates but the last)
+enumeration stays as their oracle.  The sieve's survivors walk a box: they
+cut the first coordinate across workers with map_chunks (as the census's
+listers do) and take int64 blocks of prefixes (all coordinates but the last)
 of BLOCK_BYTES from prefix_blocks, their sign canon from leading_signs.
 """
 
@@ -35,9 +35,9 @@ DEFAULT_BUDGET = 5_000_000_000
 # the same for any number of workers (one worker takes the whole box at once).
 _CHUNKS = 32
 
-# Bytes per prefix block (prefix_blocks).  The blocks (and the census kernels'
-# dtypes) differ between one worker and several, but each yields exact
-# integer counts, so their sum does not.
+# Bytes per block of prefix_blocks, and of the census's root-set grid
+# (hyperelliptic._divisible).  The sieve's blocks differ between one worker
+# and several, but each yields exact integer counts, so their sum does not.
 BLOCK_BYTES = 1 << 20
 
 

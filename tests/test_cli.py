@@ -599,7 +599,7 @@ def test_census_budget_past_float_range(capsys):
 
 
 def test_census_budget_counts_column_work(capsys):
-    # the box at B = 12 holds 2.5e11 tuples; the genus-1 closed form needs ~5.8e4 steps
+    # the box at B = 12 holds 2.5e11 tuples; the genus-1 closed form needs ~5.5e4 steps
     code, out, _ = run_cli(["census", "--genus", "1", "--heights", "2,4,8,12"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "12,247429284466,11725994,two-torsion"
@@ -618,10 +618,37 @@ def test_census_genus1_closed_form_pins(heights, last, capsys):
     assert out.splitlines()[-1] == last
 
 
+@pytest.mark.parametrize("genus, heights, last", [
+    # the prefix walk's values (B = 3 was refused at 8.4e10 steps; the value
+    # is that of independent divisor-count prototypes)
+    ("2", "5/2", "2.5,2248004443898,1458933060,two-torsion"),
+    ("3", "3/2", "1.5,224056143464,1667513482,two-torsion"),
+    ("2", "3", "3,368571918830684,55698278880,two-torsion"),
+])
+def test_census_root_sets_pins(genus, heights, last, capsys):
+    code, out, _ = run_cli(["census", "--genus", genus, "--heights", heights], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("genus", ["1", "2"])
+def test_census_budget_charges_the_mertens_tables(genus, capsys):
+    # B + 1 entries of the dense Mertens table, charged before it is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["census", "--genus", genus, "--heights", str(10**15),
+                              "--thin", "none"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "budget"
+    assert str(10**15 + 1) in json.loads(err)["message"]
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("argv, last", [
-    # the closed form alone: no prefix is visited, so nothing is charged
+    # the closed form alone: no prefix is visited, so only the 301 entries
+    # of the Mertens table are charged
     (["--heights", "300"], "300,23596131875558449228905598,0,none"),
-    # only the singular search (6,407 steps), not the 5.1e6 prefixes
+    # only the singular search (6,407 steps) and the table's 41 entries, not
+    # the 5.1e6 prefixes
     (["--heights", "40", "--smooth-only", "--budget", "100000"],
      "40,41901374021791626,0,none"),
 ])

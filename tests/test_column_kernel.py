@@ -1,10 +1,13 @@
-"""Property tests of the census's two-torsion column kernel
-(hyperelliptic._two_torsion_columns), the genus-1 closed form
-(hyperelliptic._genus1_two_torsion), the exact root window, the scalar
+"""Property tests of the census's two-torsion counters: the divisor counter
+(hyperelliptic._divisible) against a remainder loop, the root-set count
+(hyperelliptic._root_sets) and the genus-1 closed form
+(hyperelliptic._genus1_two_torsion) against the column oracle
+_two_torsion_columns; and of that oracle, the exact root window, the scalar
 Cover.column_members and the census's level counter, against brute force,
 the scalar Fujiwara-width t-scan and a loop over members and cutoffs."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +28,35 @@ COVER_FILE = (
     "c 1 2:4,0,0 -3:0,2,0 1:2,1,0\n"
     "c 0 -1:0,0,1\n"
 )
+
+
+def _two_torsion_columns(X: np.ndarray, m: int) -> np.ndarray:
+    """The two-torsion members over a block of prefixes X (int64 or Python
+    ints), one row per prefix: the column kernel the census ran at genus
+    >= 2 before it counted root sets, kept as their oracle.
+
+    f(t) = t^{2g+1} + x_0 t^{2g-1} + ... + x_{2g-2} t + y has the integer root
+    t exactly when y = -t (t^{2g} + x_0 t^{2g-2} + ... + x_{2g-2}), and then
+    |y| <= m needs |t| <= T, the block's root window.  Row i of the result
+    holds those values for |t| <= T, by Horner over the columns of X, sorted,
+    with each repeat of the value before it overwritten by m + 1; so the
+    members of row i are its entries with |y| <= m, each once.  Arrays are
+    int32 (int64) while m + 1 and every value and Horner intermediate stay
+    below 2^31 (2^63), and Python ints otherwise, exact at any height.
+    """
+    cmax = np.abs(X).max(axis=0, initial=0).tolist()  # a block may have no row
+    T = hyp._root_window([*cmax, m])
+    reach = T ** (len(cmax) + 2) + sum(c * T**j for j, c in enumerate(reversed(cmax), start=1))
+    dtype = hyp._exact_dtype(max(reach, m + 1))
+    X, t = X.astype(dtype), np.arange(-T, T + 1).astype(dtype)
+    ys = t * t + X[:, :1]
+    for i in range(1, X.shape[1]):
+        ys *= t
+        ys += X[:, i: i + 1]
+    ys *= -t
+    ys.sort(axis=1)
+    np.putmask(ys[:, 1:], ys[:, 1:] == ys[:, :-1], m + 1)
+    return ys
 
 
 def scalar_column_members(cover, prefix, bound):
@@ -67,7 +99,7 @@ def _check_block(g, block, bound, reference):
     # the exact window loses no member: the block kernel equals the
     # reference and the scan over each row's Fujiwara window
     cover = covers.two_torsion_cover(g)
-    ys = hyp._two_torsion_columns(np.array(block, dtype=np.int64), bound)
+    ys = _two_torsion_columns(np.array(block, dtype=np.int64), bound)
     for i, prefix in enumerate(block):
         got = ys[i][abs(ys[i]) <= bound].tolist()
         assert got == reference(cover, prefix, bound), prefix
@@ -162,16 +194,21 @@ def test_column_members_is_the_one_row_kernel():
     for g, prefix in ((1, (-7,)), (1, (0,)), (1, (5,)), (2, (3, -4, 1)), (3, (1, 0, -2, 5, 0))):
         cover = covers.two_torsion_cover(g)
         got = cover.column_members(prefix, 200)
-        ys = hyp._two_torsion_columns(np.array([prefix], dtype=np.int64), 200)
+        ys = _two_torsion_columns(np.array([prefix], dtype=np.int64), 200)
         assert got == ys[0][abs(ys[0]) <= 200].tolist() == scalar_column_members(cover, prefix, 200)
         assert all(type(y) is int for y in got)
+
+
+def _whole(X, ys):
+    """The whole tuples (X[i], y) for every y in row i of ys."""
+    return np.column_stack([np.repeat(X, ys.shape[1], axis=0), ys.reshape(-1, 1)])
 
 
 @SETTINGS
 @given(data=st.data(), g=st.sampled_from((1, 2)), smooth=st.booleans(),
        dtype=st.sampled_from((np.int64, object)))
-def test_count_block_matches_member_loop(data, g, smooth, dtype):
-    # the census's level counter, on a block's singular values and on its
+def test_count_levels_matches_member_loop(data, g, smooth, dtype):
+    # the census's level counter, on a block's singular tuples and on its
     # column members, int64 or Python ints, against a loop over members and
     # cutoffs; it drops only the zero tuple, so the members of prefixes with
     # 2^{a_i} | x_i count too (the census inverts the weighted gcd by Moebius)
@@ -203,13 +240,19 @@ def test_count_block_matches_member_loop(data, g, smooth, dtype):
     S = np.full((len(sings), max(1, *map(len, sings))), Ms[last] + 1, dtype=dtype)
     for i, sing in enumerate(sings):
         S[i, : len(sing)] = sing
-    got_sing = hyp._count_block(X, S, cut).cumsum().tolist()
-    ys = hyp._two_torsion_columns(X, Ms[last]).astype(dtype)
+    got_sing = hyp._count_levels(_whole(X, S), cut).cumsum().tolist()
+    ys = _two_torsion_columns(X, Ms[last]).astype(dtype)
     for i, sing in enumerate(sings):
         for y in sing:
             ys[i][ys[i] == y] = Ms[last] + 1
-    got_thin = hyp._count_block(X, ys, cut).cumsum().tolist()
+    got_thin = hyp._count_levels(_whole(X, ys), cut).cumsum().tolist()
     assert (got_sing, got_thin) == (want_sing, want_thin)
+
+
+def _outer_cells(Q, box):
+    """The outer cells _divisible sums for a batch Q of one degree k: the
+    coordinates x_0..x_{2g-2-k} of the top box."""
+    return len(Q) * math.prod(2 * m + 1 for m in box[: max(0, len(box) - 1 - len(Q[0]))])
 
 
 @pytest.mark.parametrize("g, grid", [(1, [2, 3]), (2, [1, Fraction(5, 4)])])
@@ -228,28 +271,156 @@ def test_census_charges_the_elements_built(monkeypatch, g, grid):
         monkeypatch.setattr(hyp, "prefix_blocks", spy)
         boxes = {box for b in grid for _, box in moebius_boxes(wv, b, wv)}
         built.append(len(boxes) * hyp._root_window(max(boxes)))
-        charged = hyp._census_work(wv, grid[-1], "two-torsion", False, len(boxes))
-    else:  # the column kernel: prefixes x (2T+1)
-        solve = hyp._two_torsion_columns
+        charged = hyp._census_work(wv, grid, "two-torsion", False, len(boxes))
+    else:  # the root sets: each batch's outer cells
+        divisible = hyp._divisible
 
-        def spy(X, bound):
-            ys = solve(X, bound)
-            built.append(ys.size)
-            return ys
+        def spy(Q, boxes):
+            built.append(_outer_cells(Q, boxes[-1]))
+            return divisible(Q, boxes)
 
-        monkeypatch.setattr(hyp, "_two_torsion_columns", spy)
-        charged = hyp._census_work(wv, grid[-1], "two-torsion", False)
+        monkeypatch.setattr(hyp, "_divisible", spy)
+        charged = hyp._census_work(wv, grid, "two-torsion", False)
     hyp.census(g, grid)
     assert 0 < sum(built) <= charged
 
 
+def _divisible_loop(g, q, box):
+    """#{x in box : Q | f_x} for Q = t^k + q[k-1] t^{k-1} + ... + q[0], by a
+    loop over the free coefficients c_d of f, k <= d < 2g+1 (c_{2g} = 0):
+    f is 0 mod Q exactly when its lower coefficients are minus the remainder
+    of its free part, so x is counted when those fit the box."""
+    n, k, Q = 2 * g + 1, len(q), [*q, 1]
+    cut = [*reversed(box), 0]  # by degree
+    count = 0
+    for free in itertools.product(*(range(-cut[d], cut[d] + 1) for d in range(k, n))):
+        rem = [0] * k + [*free, 1]
+        for d in range(n, k - 1, -1):  # long division by the monic Q
+            c, rem[d] = rem[d], 0
+            for j in range(k):
+                rem[d - k + j] -= c * Q[j]
+        count += all(abs(rem[j]) <= cut[j] for j in range(k))
+    return count
+
+
+def _nested(boxes):
+    """Nested boxes from any boxes: running maxima, repeats dropped."""
+    return list(dict.fromkeys(itertools.accumulate(boxes, lambda a, b: tuple(map(max, a, b)))))
+
+
+@st.composite
+def _divisors(draw, k):
+    """Monic Q of degree k, as their k lower coefficients: any small ones
+    (zero, negative, at degree 2g+1 a nonzero t^{2g} term) or a product of
+    k linear factors t - r."""
+    def from_roots(rs):
+        P = [1]
+        for r in rs:
+            P = hyp._mul(P, [-r, 1])
+        return P[:-1]
+    coeffs = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    roots = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(from_roots)
+    return draw(st.lists(st.one_of(coeffs, roots), min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), g=st.sampled_from((1, 2, 3)), big=st.booleans())
+def test_divisible_matches_remainder_loop(data, g, big):
+    # nested boxes with M_i <= 3; with big, the coordinates Q fixes get
+    # cutoffs past 2^63, so the counter runs on Python ints
+    k = data.draw(st.integers(1, 2 * g + 1))
+    boxes = _nested(data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * (2 * g)),
+                                       min_size=1, max_size=3)))
+    if big:
+        boxes = [tuple(m + 2**64 * (i >= 2 * g - k) for i, m in enumerate(box)) for box in boxes]
+    Q = data.draw(_divisors(k))
+    got = hyp._divisible(Q, boxes)
+    assert got.shape == (len(Q), len(boxes))
+    for q, row in zip(Q, got.tolist()):
+        assert row == [_divisible_loop(g, q, box) for box in boxes], q
+        assert all(type(n) is int for n in row)
+
+
+@pytest.mark.parametrize("Q", [[[0], [-1]], [[-1]], [[-2]]])
+def test_divisible_int64_past_the_zero_slope_cutoff(Q):
+    # W M_3 = (2 M_2 + 1) M_3 passes 2^63 while every value stays in int64:
+    # f(0) = 0 fixes x_3 = 0 and f(1) = 0 or f(2) = 0 fixes an |x_3| <= M_3,
+    # so each Q divides the f of one tuple per (x_0, x_1, x_2)
+    box = (1, 2, 2**22, 2**41)
+    assert hyp._divisible(Q, [box]).tolist() == [[3 * 5 * (2**23 + 1)]] * len(Q)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 200, 4000])
+def test_divisible_blocks_agree(monkeypatch, block_bytes):
+    # small blocks batch Q a few rows at a time and loop over x_0, x_1, ...
+    # in Python; every block size gives the same counts
+    for g, grid in ((2, [1, Fraction(5, 4), Fraction(3, 2)]), (3, [1, Fraction(9, 8)])):
+        wv = hyp.moduli_weights(g)
+        boxes = sorted({box for b in grid for _, box in moebius_boxes(wv, b, wv)})
+        want = hyp._root_sets(boxes)
+        with monkeypatch.context() as mp:
+            mp.setattr(hyp, "BLOCK_BYTES", block_bytes)
+            assert hyp._root_sets(boxes) == want
+
+
+def _root_set_oracle(g, boxes):
+    """Each nested box's nonzero two-torsion tuples: the column oracle over
+    every prefix of the top box, then a loop over its members and cutoffs."""
+    top = boxes[-1]
+    X = np.array(list(itertools.product(*(range(-m, m + 1) for m in top[:-1]))), dtype=np.int64)
+    ys = _two_torsion_columns(X, top[-1])
+    want = [0] * len(boxes)
+    for prefix, row in zip(X.tolist(), ys.tolist()):
+        for y in row:
+            x = (*prefix, y)
+            if any(x):
+                for j, box in enumerate(boxes):
+                    want[j] += all(abs(v) <= m for v, m in zip(x, box))
+    return want
+
+
+@pytest.mark.parametrize("g, grid", [
+    (2, [1, Fraction(5, 4), Fraction(3, 2)]), (2, [Fraction(7, 4)]),
+    (3, [1, Fraction(9, 8), Fraction(7, 6)])])
+def test_root_sets_match_column_oracle_on_census_boxes(g, grid):
+    wv = hyp.moduli_weights(g)
+    boxes = sorted({box for b in grid for _, box in moebius_boxes(wv, b, wv)})
+    assert hyp._root_sets(boxes) == _root_set_oracle(g, boxes)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), g=st.sampled_from((2, 3)))
+def test_root_sets_match_column_oracle(data, g):
+    # any nested boxes, so also boxes whose cutoffs do not grow with the weight
+    caps = {2: (3, 5, 8, 12), 3: (1, 2, 2, 3, 4, 6)}[g]
+    boxes = _nested(data.draw(st.lists(st.tuples(*(st.integers(0, c) for c in caps)),
+                                       min_size=1, max_size=3)))
+    assert hyp._root_sets(boxes) == _root_set_oracle(g, boxes)
+
+
+@pytest.mark.parametrize("g, grid, want", [
+    (2, [1, Fraction(5, 4)], [42, 1088]), (3, [1, Fraction(9, 8)], None)])
+def test_root_sets_walk_no_prefix(monkeypatch, g, grid, want):
+    # genus >= 2 two-torsion is counted, not walked: no map_chunks piece, no
+    # prefix block
+    base = [r.thin for r in hyp.census(g, grid).rows]
+
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(hyp, "map_chunks", refuse)
+    monkeypatch.setattr(hyp, "prefix_blocks", refuse)
+    got = [r.thin for r in hyp.census(g, grid, workers=2).rows]
+    assert got == base and (want is None or got == want)
+
+
 def _kernel_genus1(boxes):
-    """Each nested box's two-torsion tuples at genus 1 by the column kernel
+    """Each nested box's two-torsion tuples at genus 1 by the column oracle
     over every prefix x_0 of the top box."""
     m0, m1 = boxes[-1]
     X = np.arange(-m0, m0 + 1, dtype=np.int64)[:, None]
-    ys = hyp._two_torsion_columns(X, m1)
-    return hyp._count_block(X, ys, np.array(boxes, dtype=np.int64)).cumsum().tolist()
+    ys = _two_torsion_columns(X, m1)
+    return hyp._count_levels(_whole(X, ys), np.array(boxes, dtype=np.int64)).cumsum().tolist()
 
 
 @SETTINGS

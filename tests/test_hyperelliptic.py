@@ -288,26 +288,27 @@ def test_census_validation():
         census(1, [1, 2], thin="nope")
     with pytest.raises(ValueError):
         census(2, [1], thin="disc-square")
-    with pytest.raises(BudgetExceededError):  # 46 steps (test_census_budget_counts_work_done)
+    with pytest.raises(BudgetExceededError):  # 51 steps (test_census_budget_counts_work_done)
         census(1, [1, 2], budget=10)
     # budget=None disables the guard
     census(1, [1], budget=None)
 
 
 def test_census_budget_counts_work_done():
-    # two-torsion at genus 1, the closed form: R (2R + 1) = 4 * 9 root-pair
-    # cells (R = isqrt(4 * 16 / 3) = 4) plus T = 5 (the largest t with
-    # t^3 - 16 t <= 64) for each of its 2 boxes; disc-square: the n <= 16 it
-    # factors; without a thin tester no prefix is visited and nothing is
-    # charged
-    for thin, work in (("two-torsion", 4 * 9 + 2 * 5), ("none", 0), ("disc-square", 16)):
+    # every census charges the floor(B) + 1 entries of each height's dense
+    # Mertens table: 2 + 3 = 5 for the grid [1, 2].  Two-torsion at genus 1,
+    # the closed form: R (2R + 1) = 4 * 9 root-pair cells (R = isqrt(4 * 16 /
+    # 3) = 4) plus T = 5 (the largest t with t^3 - 16 t <= 64) for each of
+    # its 2 boxes; disc-square: the n <= 16 it factors; without a thin
+    # tester no prefix is visited and only the tables are charged
+    for thin, work in (("two-torsion", 5 + 4 * 9 + 2 * 5), ("none", 5), ("disc-square", 5 + 16)):
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
     # smooth-only adds the bound on the singular finder's search: at genus 1
     # q = t + q_1 with |q_1| <= R = T + 1 = 6 (covers.root_window of the box
     # (16, 64) is T = 5), 13 leaves and no window
-    work = 13
+    work = 5 + 13
     census(1, [1, 2], thin="none", smooth_only=True, budget=work)
     with pytest.raises(BudgetExceededError):
         census(1, [1, 2], thin="none", smooth_only=True, budget=work - 1)

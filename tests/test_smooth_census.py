@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from test_column_kernel import _two_torsion_columns
 from wpsieve import arith, covers, hyperelliptic as hyp, wps
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -100,13 +101,14 @@ def test_g1_smooth_census_matches_singular_locus():
 
 
 def test_singular_two_torsion_columns_match_integer_roots():
-    # the census decides two-torsion on the singular tuples from the column
-    # kernel: exact, as every |y| <= m.  At genus 3 some singular f have no
-    # integer root, such as (t^2 + 1)^2 (t^3 - t + 1)
+    # the census decides two-torsion on the singular tuples by
+    # covers.has_integer_root; the column oracle agrees, exact as every
+    # |y| <= m.  At genus 3 some singular f have no integer root, such as
+    # (t^2 + 1)^2 (t^3 - t + 1)
     Ms = wps.box_cutoffs(hyp.moduli_weights(3), Fraction(9, 8))
     singular = sorted(hyp._singular_tuples(3, Ms, range(-Ms[0], Ms[0] + 1)))
     S = np.array(singular, dtype=np.int64)
-    keep = (hyp._two_torsion_columns(S[:, :-1], Ms[-1]) == S[:, -1:]).any(axis=1)
+    keep = (_two_torsion_columns(S[:, :-1], Ms[-1]) == S[:, -1:]).any(axis=1)
     assert keep.tolist() == [covers.has_integer_root(hyp._poly_from_coords(3, x))
                              for x in singular]
     assert 0 < keep.sum() < len(singular)
