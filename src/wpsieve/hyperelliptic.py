@@ -11,12 +11,12 @@ cutoffs, and log-log exponent fits of the census columns.
 
 A census column is wps.count's Moebius sum over wps.moebius_boxes, with a
 box's nonzero members in place of its volume (thin and singular sets are
-closed under x -> d.x both ways).  Two-torsion members are counted, not
-walked: in closed form at genus 1 (_genus1_two_torsion), at higher genus by
-inclusion-exclusion over sets of integer roots (_root_sets), each term one
-interval per cell of the other coordinates (_divisible).  Disc-square members
-(genus 1) and, with --smooth-only, the singular tuples f = q^2 h are listed
-(_disc_square_members, _singular_tuples) and counted by level, their first
+closed under x -> d.x both ways).  Members are counted, not walked, by
+inclusion-exclusion over sets of factors (_signed_sets), each term one
+interval per cell of the other coordinates (_divisible): two-torsion over
+integer roots (_root_sets; at genus 1 in closed form, _genus1_two_torsion),
+the --smooth-only singular tuples over squared irreducibles (_singular).
+Disc-square members (genus 1) are listed and counted by level, their first
 box (_count_levels).  The budget is charged before the work (_census_work).
 Discriminants are Sylvester determinants, by Bareiss elimination.
 Every route is checked against brute-force oracles in the tests.
@@ -143,12 +143,13 @@ def has_rational_two_torsion(h: HyperellipticPoint) -> bool:
 # --- the singular locus ------------------------------------------------------
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two polynomials, both given by coefficients in the same order."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def _mul(a, b) -> np.ndarray:
+    """Product of polynomials, coefficients in the same order along the last
+    axis; stacked rows multiply as numpy broadcasts them, lists as Python ints."""
+    a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
+    out = np.repeat(0 * a[..., :1] * b[..., :1], a.shape[-1] + b.shape[-1] - 1, axis=-1)
+    for j in range(b.shape[-1]):
+        out[..., j:j + a.shape[-1]] += a * b[..., j:j + 1]
     return out
 
 
@@ -160,63 +161,53 @@ def _root_window(Ms: Sequence[int]) -> int:
     return covers.root_window(len(Ms) + 1, Ms[-1], [*reversed(Ms[:-1]), 0])
 
 
-def _singular_tuples(g: int, Ms: Sequence[int], x0: range) -> set[tuple[int, ...]]:
-    """Every tuple of the box |x_i| <= Ms[i] with x_0 in the range x0 whose
-    curve polynomial f has a repeated root.
-
-    Then f = q^2 h, q and h monic in Z[t] (Gauss's lemma), k = deg q in 1..g.
-    With coefficients from the top, c_s of t^{n-s} (n = 2g+1), c_1 = 0 gives
-    h_1 = -2 q_1 and c_s = x_{s-2} must lie in its window.  For k < g, q comes
-    from the root box |q_j| <= C(k, j) R^j (R = _root_window + 1), each h_s
-    enters c_s with slope 1 and h's constant term enters c_s, s >= deg h,
-    with slope P_{s - deg h} (P = q^2): one interval.  For k = g only q_1
-    comes from the box, and q_s enters c_s with slope 2.  An f with several
-    repeated factors is found once per q, and kept once."""
-    n = 2 * g + 1
-    lo, hi = [0, 0, x0.start, *(-m for m in Ms[1:])], [0, 0, x0.stop - 1, *Ms[1:]]  # c_s's window
-    found: set[tuple[int, ...]] = set()
-
-    def walk(k, q, h, cs):
-        m, s = n - 2 * k, len(cs) + 2
-        P = _mul(q, q)
-        c = _mul(P, h + [0] * n)  # c_j over the known coefficients
-        a = 2 if len(q) == s <= k else 1 if len(h) == s < m else 0  # q_s or h_s enters c_s
-        if a:
-            for v in range(-((c[s] - lo[s]) // a), (hi[s] - c[s]) // a + 1):
-                walk(k, [*q, v] if a == 2 else q, h if a == 2 else [*h, v], [*cs, c[s] + a * v])
-        elif len(h) == s == m:  # h_m = v: c_j = P_{j-m} v + c[j] for j = m..n
-            vlo, vhi = lo[m] - c[m], hi[m] - c[m]  # P_0 = 1
-            for p, K, l, u in zip(P[1:], c[m + 1:], lo[m + 1:], hi[m + 1:]):
-                if p:
-                    e1, e2 = (l - K, u - K) if p > 0 else (u - K, l - K)
-                    vlo, vhi = max(vlo, -(-e1 // p)), min(vhi, e2 // p)
-                elif not l <= K <= u:
-                    return
-            for v in range(vlo, vhi + 1):
-                found.add((*cs, *(p * v + K for p, K in zip(P, c[m:n + 1]))))
-        elif s > n:
-            found.add(tuple(cs))
-        elif lo[s] <= c[s] <= hi[s]:
-            walk(k, q, h, [*cs, c[s]])
-
-    R = _root_window(Ms) + 1
-    for k in range(1, g + 1):
-        caps = [math.comb(k, j) * R**j for j in range(1, (k if k < g else 1) + 1)]
-        for head in itertools.product(*(range(-c, c + 1) for c in caps)):
-            walk(k, [1, *head], [1, -2 * head[0]], [])
-    return found
+def _factor_caps(Ms: Sequence[int]) -> list[list[int]]:
+    """Per degree d = 1..g, cutoffs of the lower coefficients (ascending) of a
+    monic q with q^2 | f, f in the box Ms: C(d, i) R^{d-i}, as q's roots are
+    f's, within R = T + 1, and C(d, i) M(q), where the Mahler measure has
+    M(q)^4 <= M(f)^2 <= |f|_2^2 <= 1 + sum M_i^2 (Landau; Mignotte 1974)."""
+    R, S = _root_window(Ms) + 1, 1 + sum(m * m for m in Ms)
+    return [[min(math.comb(d, i) * R ** (d - i), arith.iroot(math.comb(d, i) ** 4 * S, 4))
+             for i in range(d)] for d in range(1, len(Ms) // 2 + 1)]
 
 
-def _singular_work(g: int, Ms: Sequence[int]) -> int:
-    """A bound, known before the run, on the leaves of _singular_tuples'
-    search, mirroring it: per k, the q from its root box times the window
-    widths after it (2M+1 at slope 1, M+1 at slope 2)."""
-    R, work = _root_window(Ms) + 1, 0
-    for k in range(1, g + 1):
-        qs = math.prod(2 * math.comb(k, j) * R**j + 1 for j in range(1, (k if k < g else 1) + 1))
-        windows = [2 * m + 1 for m in Ms[: 2 * (g - k)]] if k < g else [m + 1 for m in Ms[: g - 1]]
-        work += qs * math.prod(windows)
-    return work
+def _irreducibles(Ms: Sequence[int]) -> list:
+    """Per degree d = 1..g, the monic q (rows, ascending) of the _factor_caps
+    box that are no product of a kept q of degree e <= d/2 and a q of the
+    degree-(d - e) box: the irreducibles, and reducibles whose square divides
+    no f of Ms; degree g, the largest box, as an iterator of prefix_blocks."""
+    caps, boxes, kept = _factor_caps(Ms), [], []
+    dtype = _exact_dtype((len(caps) + 1) * max(max(cs) for cs in caps) ** 2 + 1)  # products
+    for d, cs in enumerate(caps, 1):
+        sides = [2 * c + 1 for c in cs]
+        reducible = np.zeros(math.prod(sides), dtype=bool)  # by index in the box, C order
+        for A, B in zip(kept[: d // 2], boxes[::-1]):  # degrees e and d - e
+            for a in np.array_split(A, 1 + 8 * (d + 1) * len(A) * len(B) // BLOCK_BYTES):
+                low = _mul(a[:, None], B).reshape(-1, d + 1)[:, :-1] + cs
+                low = low[((low >= 0) & (low < sides)).all(axis=1)]
+                reducible[np.ravel_multi_index(low.T, sides)] = True
+        box = (np.hstack([X, X[:, :1] * 0 + 1]).astype(dtype)
+               for X in prefix_blocks([range(-c, c + 1) for c in cs], 8 * (2 * d + 2)))
+        if d == len(caps):
+            return [*kept, (q[~reducible[np.ravel_multi_index((q[:, :-1] + cs).T, sides)]]
+                            for q in box)]
+        boxes.append(np.vstack([*box]))
+        kept.append(boxes[-1][~reducible])
+
+
+def _singular(boxes, thin: str) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero singular tuples of each nested box, and those the tester
+    accepts (disc-square: all, D = 0 being a square).  f is singular exactly
+    when p^2 | f for a monic irreducible p of degree 1..g (Gauss's lemma): the
+    _signed_sets of the squares less f = t^{2g+1}, those of degree 2g alone.
+    For two-torsion, f = p^2 h with no integer root has 2 <= deg p < g (else
+    h is linear): the _root_sets headed by those p^2 come off."""
+    *lower, top = _irreducibles(boxes[-1])
+    squares = [_mul(q, q) for q in lower]
+    sing = _signed_sets(squares, boxes) - 1 + sum(_signed_sets([_mul(q, q)], boxes) for q in top)
+    if thin != "two-torsion":
+        return sing, sing * (thin == "disc-square")
+    return sing, sing - (_root_sets(boxes, squares[1:]) if squares[1:] else 0)
 
 
 # --- census ----------------------------------------------------------------
@@ -288,8 +279,8 @@ def census(
     of wps.moebius_boxes(wv, B, wv); the weights are even, so no sign fold.
     A closed form (two-torsion, genus 1), root sets (two-torsion, genus >= 2)
     or one pass over the n <= M_0 with x_0 = -n (disc-square) counts the
-    members of every box.  With smooth_only the singular tuples, listed as
-    f = q^2 h, come off the totals and, when thin, off the thin counts.
+    members of every box.  With smooth_only the singular tuples (_singular)
+    come off the totals and, those the tester accepts, off the thin counts.
     """
     t0 = time.perf_counter()
     wv = moduli_weights(g)
@@ -306,14 +297,16 @@ def census(
     check_budget(_census_work(wv, bounds, thin, smooth_only), budget, what)  # before the walk
     walks = [list(moebius_boxes(wv, b, wv)) for b in bounds]
     boxes = sorted({box for walk in walks for _, box in walk})  # nested, so in order
-    sings = thins = [0] * len(boxes)
-    if boxes and (smooth_only or thin == "disc-square"):
-        parts = map_chunks(_census_chunk, (g, boxes, thin, smooth_only), boxes[-1][:1], workers)
-        sings, thins = np.sum(parts, axis=0).cumsum(axis=1).tolist()
+    sings = accepted = np.zeros(len(boxes), dtype=object)
+    if boxes and smooth_only:
+        sings, accepted = _singular(boxes, thin)
+    thins = -accepted
+    if boxes and thin == "disc-square":
+        parts = map_chunks(_census_chunk, (boxes,), boxes[-1][:1], workers)
+        thins = thins + np.sum(parts, axis=0).cumsum().tolist()
     if boxes and thin == "two-torsion":  # the genus-1 closed form adds T a box
         check_budget(_census_work(wv, bounds, thin, smooth_only, len(boxes)), budget, what)
-        members = (_genus1_two_torsion if g == 1 else _root_sets)(boxes)
-        thins = [s + n for s, n in zip(thins, members)]
+        thins = thins + (_genus1_two_torsion if g == 1 else _root_sets)(boxes)
     totals = [math.prod(2 * q + 1 for q in box) - 1 - s for box, s in zip(boxes, sings)]
     level = {box: j for j, box in enumerate(boxes)}
     rows = []
@@ -329,38 +322,42 @@ def _census_work(wv, bounds, thin, smooth_only, nboxes=0) -> int:
     """Steps the census takes up to its top height, known before the run: each
     height's floor(B) + 1 dense Mertens entries (wps.moebius_boxes); for
     two-torsion the R (2R + 1) root pairs plus T for each of nboxes at genus
-    1, else _divisible's cells, C(2T+1, k) root sets of each size k times the
-    cells of x_0..x_{2g-2-k}; the M_0 disc-square factorisations; _singular_work."""
+    1, else the root sets' _sets_work; the M_0 disc-square factorisations;
+    with smooth_only the candidates, sieve products and sets of _singular."""
     Ms, g = box_cutoffs(wv, bounds[-1]), len(wv) // 2
-    work = sum(math.floor(b) + 1 for b in bounds) + smooth_only * _singular_work(g, Ms)
+    T, work = _root_window(Ms), sum(math.floor(b) + 1 for b in bounds)
+    roots = [(2 * T + 1, 1)]  # the t - r, |r| <= T
+    if smooth_only:
+        sizes = [math.prod(2 * c + 1 for c in cs) for cs in _factor_caps(Ms)]
+        squares = [(size, 2 * d) for d, size in enumerate(sizes, 1)]
+        work += sum(sizes) + sum(sizes[e - 1] * sizes[d - e - 1] for d in range(2, g + 1)
+                                 for e in range(1, d // 2 + 1)) + _sets_work(Ms, squares)
+        if thin == "two-torsion":  # the sets holding a square of degree 4..2g-2
+            work += _sets_work(Ms, [*squares[1:-1], *roots]) - _sets_work(Ms, roots)
     if thin != "two-torsion":
         return work + (thin == "disc-square") * Ms[0]
-    T = _root_window(Ms)
     if g == 1:
         R = math.isqrt(4 * Ms[0] // 3)
         return work + R * (2 * R + 1) + nboxes * T
-    return work + sum(math.comb(2 * T + 1, k) * math.prod(2 * m + 1 for m in Ms[::-1][k + 1:])
-                      for k in range(1, 2 * g + 2))
+    return work + _sets_work(Ms, roots)
 
 
-def _census_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """(singular, thin) nonzero tuples by level (box) over the x_0 range of one
-    piece: the singular tuples less their thin ones (two-torsion by has_integer_root,
-    all for disc-square as D = 0), then the disc-square members."""
-    g, boxes, thin, smooth_only, (x0,) = args
+def _sets_work(Ms, groups) -> int:
+    """The rows times cells _signed_sets sums at most over groups of (size,
+    degree) factors: its sets of each degree k <= 2g+1, counted by the
+    product of the (1 + t^d)^size, each over the cells of x_0..x_{2g-2-k}."""
+    n, sets = len(Ms) + 1, [1]
+    for size, d in groups:
+        sets = _mul(sets, [math.comb(size, m // d) * (m % d == 0) for m in range(n + 1)])[: n + 1]
+    return sum(c * math.prod(2 * M + 1 for M in Ms[: max(0, n - 2 - k)])
+               for k, c in enumerate(sets) if k)
+
+
+def _census_chunk(args) -> np.ndarray:
+    """The disc-square members by level (box) over the x_0 range of one piece."""
+    boxes, (x0,) = args
     cutoffs = np.array(boxes, dtype=np.int64 if max(boxes[-1]) < 2**63 else object)
-    sings = thins = np.zeros(len(boxes), dtype=np.int64)  # counts by level
-    if smooth_only:
-        S = [*_singular_tuples(g, boxes[-1], x0)]
-        sings = _count_levels(S, cutoffs)
-        if thin == "two-torsion":
-            S = [x for x in S if covers.has_integer_root(_poly_from_coords(g, x))]
-            thins = -_count_levels(S, cutoffs)
-        elif thin == "disc-square":
-            thins = -sings
-    if thin == "disc-square":
-        thins = thins + _count_levels(_disc_square_members(x0, boxes[-1][-1]), cutoffs)
-    return sings, thins
+    return _count_levels(_disc_square_members(x0, boxes[-1][-1]), cutoffs)
 
 
 def _disc_square_members(x0: range, m: int) -> list[tuple[int, int]]:
@@ -475,35 +472,55 @@ def _divisible(Q, boxes) -> np.ndarray:
     axes = np.ix_(*(np.array(range(-M, M + 1), dtype=dtype) for M in Ms[s:m]))
     grid = sum((t.T.astype(dtype).reshape(shape) * v for t, v in zip(outer[s:], axes)), 0)
     counts = np.zeros((len(Q), len(boxes)), dtype=object)
+    cuts = np.array([cut[: k + 1] for cut in cuts], dtype=dtype).T  # c_0..c_k: under the bound
     for head in itertools.product(*(range(-M, M + 1) for M in Ms[:s])):
         x = (b0 + sum(h * t for h, t in zip(head, heads))).reshape(shape) + grid
-        for j in reversed(range(len(boxes))):
-            if any(abs(h) > M for h, M in zip(head, boxes[j])):
-                break  # nor in any smaller box
-            cut, inner = cuts[j], [slice(Mt - M, Mt + M + 1) for Mt, M in zip(Ms, boxes[j])][s:m]
-            y, lo, hi = x[(..., *inner)], -cut[k], cut[k]
+        j0 = next(j for j, box in enumerate(boxes) if all(abs(h) <= M for h, M in zip(head, box)))
+        for j, end in [(j0, len(boxes))] if m == s else [(j, j + 1) for j in range(j0, len(boxes))]:
+            inner = [slice(Mt - M, Mt + M + 1) for Mt, M in zip(Ms, boxes[j])][s:m]
+            y = x[(..., *inner)]  # no inner grid: the boxes j..end-1 at once
+            cut = cuts[:, j:end].reshape(-1, end - j, *[1] * (y.ndim - 1))  # box, then Q and cells
+            lo, hi = -cut[k], cut[k]
             for i in range(k):
                 C = cut[i] + zero[i] * cut[i] * (W - 1) + zero[i] * cut[k]
                 lo, hi = np.maximum(lo, -((C + y[i]) // a[i])), np.minimum(hi, (C - y[i]) // a[i])
-            width = np.maximum(hi - lo + 1, 0).reshape(len(Q), -1)
-            counts[:, j] += width.sum(axis=1).astype(object)
+            width = np.maximum(hi - lo + 1, 0).reshape(end - j, len(Q), -1)
+            counts[:, j:end] += width.sum(axis=2).T.astype(object)
     return counts
 
 
-def _root_sets(boxes) -> list[int]:
+def _signed_sets(groups, boxes, heads=None) -> np.ndarray:
+    """Entry j: sum_S (-1)^{|S|+1} N(prod S) in box j (N: _divisible) over the
+    sets S of distinct factors, one at least from groups[:heads] (groups: one
+    degree each, rows ascending).  Sets grow in index order by the heads of
+    nonzero top-box count and the other factors, and stop at top-box count 0
+    or degree 2g+1.  One _divisible call per degree per set size."""
+    n, heads = len(boxes[-1]) + 1, len(groups) if heads is None else heads
+    ends = np.cumsum([len(F) for F in groups])
+    factors = [(F, np.arange(end - len(F), end)) for F, end in zip(groups, ends)]  # (rows, index)
+    sets, pool, sign, total = factors[:heads], None, 1, np.zeros(len(boxes), dtype=object)
+    while sets := [(P, last) for P, last in sets if len(P)]:
+        counted = []
+        for k in sorted({P.shape[1] for P, _ in sets}):
+            P, last = (np.concatenate(v) for v in zip(*(s for s in sets if s[0].shape[1] == k)))
+            N = _divisible(P[:, :-1], boxes)
+            total, keep = total + sign * N.sum(axis=0), N[:, -1] != 0
+            counted.append((P[keep].astype(object), last[keep]))
+        pool, sign = pool or [*counted, *factors[heads:]], -sign
+        sets = [(_mul(P[i], F[j]), at[j]) for P, last in counted for F, at in pool
+                if P.shape[1] + F.shape[1] <= n + 2 for i, j in [np.nonzero(last[:, None] < at)]]
+    return total
+
+
+def _root_sets(boxes, heads=()) -> list[int]:
     """The nonzero tuples of each nested box whose f has an integer root: f has
     the distinct roots S exactly when P_S = prod_{r in S} (t - r) divides it, so
-    sum_S (-1)^{|S|+1} N(P_S) over the sets of |r| <= T (the top box's root
-    window) less the zero tuple, f = t^n.  One _divisible call a size; only the
-    S whose P_S divides some f of the top box grow, up to size 2g+1."""
-    T, counts = _root_window(boxes[-1]), np.full(len(boxes), -1, dtype=object)
-    sets, sign = [(r, [-r, 1]) for r in range(-T, T + 1)], 1  # (max S, P_S)
-    while sets:
-        N = _divisible([P[:-1] for _, P in sets], boxes)
-        counts, sign = counts + sign * N.sum(axis=0), -sign
-        sets = [(r, _mul(P, [-r, 1])) for (top, P), row in zip(sets, N)
-                if row[-1] and len(P) <= len(boxes[-1]) + 1 for r in range(top + 1, T + 1)]
-    return counts.tolist()
+    the _signed_sets of the t - r, |r| <= T (the top box's root window), less
+    the zero tuple, f = t^n.  With heads (groups of factors prime to every
+    t - r), the _signed_sets holding a head and any of the t - r instead."""
+    T = _root_window(boxes[-1])
+    linears = np.array([[-r, 1] for r in range(-T, T + 1)], dtype=object)
+    return (_signed_sets([*heads, linears], boxes, len(heads) or 1) - (not heads)).tolist()
 
 
 # --- exponent fits ---------------------------------------------------------

@@ -11,9 +11,9 @@ d^{a_i} | x_i for every i, so a Moebius sum over d <= B gives the number of
 points (the plain gcd likewise, with d | x_i), one term per moebius_boxes
 box: count takes the boxes' volumes, the census their thin members, and the
 enumeration stays as their oracle.  The sieve's survivors walk a box: they
-cut the first coordinate across workers with map_chunks (as the census's
-listers do) and take int64 blocks of prefixes (all coordinates but the last)
-of BLOCK_BYTES from prefix_blocks, their sign canon from leading_signs.
+cut the first coordinate across workers with map_chunks (as the genus-1
+disc-square census does), take int64 blocks of prefixes (all but the last
+coordinate) of BLOCK_BYTES from prefix_blocks, signs from leading_signs.
 """
 
 from __future__ import annotations
@@ -266,7 +266,11 @@ def moebius_boxes(weights: WeightVector, bound, exponents: Sequence[int]) -> Ite
         d, before = end + 1, upto
 
 
-def _count(weights: WeightVector, bound, exponents: Sequence[int]) -> int:
+def _count(weights: WeightVector, bound, exponents: Sequence[int], budget) -> int:
+    # at most n blocks of d (n the last d of moebius_boxes) and L Mertens entries
+    n = max(arith.iroot(m, e) for m, e in zip(box_cutoffs(weights, bound), exponents))
+    L = n + 1 if max(exponents) > 1 else arith.iroot(n * n, 3) + 1  # dense, or about n^{2/3}
+    check_budget(n + L, budget, "count needs {} steps")
     # A box of sides 2 q_i + 1 holds prod_i (2 q_i + 1) - 1 nonzero tuples.
     # Negation fixes the tuples whose odd-weight coordinates are all 0 and
     # pairs off the rest, so the sign-canonical count is (N_all + N_fixed) / 2.
@@ -283,18 +287,16 @@ def count(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
     """Number of points of height <= B (weighted gcd 1, canonical sign).
 
     Computed by the Moebius sum over d <= B, taken over the blocks of d with
-    equal quotients floor(M_i / d^{a_i}), not by walking the box; the
-    budget still refuses a box of more than `budget` tuples."""
-    check_budget(box_volume(weights, bound), budget)
-    return _count(weights, bound, tuple(weights))
+    equal quotients floor(M_i / d^{a_i}), not by walking the box, and charged
+    its blocks and Mertens table (never more than the box volume)."""
+    return _count(weights, bound, tuple(weights), budget)
 
 
 def count_integral(weights: WeightVector, bound, *, budget=DEFAULT_BUDGET) -> int:
     """Number of gcd-1 canonical tuples of height <= B (Moebius sum over
     d <= max floor(B^{a_i}), taken over the blocks of d with equal
-    quotients floor(B^{a_i} / d))."""
-    check_budget(box_volume(weights, bound), budget)
-    return _count(weights, bound, (1,) * len(weights))
+    quotients floor(B^{a_i} / d)); the budget is charged as for count."""
+    return _count(weights, bound, (1,) * len(weights), budget)
 
 
 # --- partitioning ------------------------------------------------------------

@@ -565,7 +565,10 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 def test_budget_exit_and_force(capsys):
-    argv = ["count", "--weights", "1,1", "--height-max", "3", "--budget", "10"]
+    # count is charged n + L = 3 + 3: the last d = 3 and a Mertens table of
+    # iroot(3^2, 3) + 1 entries (the box holds 49 tuples)
+    argv = ["count", "--weights", "1,1", "--height-max", "3", "--budget", "5"]
+    assert run_cli([*argv[:-1], "6"], capsys)[:2] == (0, "B,count\n3,16\n")
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert json.loads(err)["error"] == "budget"
@@ -631,6 +634,19 @@ def test_census_root_sets_pins(genus, heights, last, capsys):
     assert out.splitlines()[-1] == last
 
 
+@pytest.mark.parametrize("genus, heights, last", [
+    # the singular-tuple lister's values (56.5 s and 48 s with one worker);
+    # the square-factor counter runs them within the default budget
+    ("2", "3", "3,368571916023708,55695471904,two-torsion"),
+    ("3", "3/2", "1.5,224051721540,1663093836,two-torsion"),
+])
+def test_census_smooth_only_pins(genus, heights, last, capsys):
+    code, out, _ = run_cli(["census", "--genus", genus, "--heights", heights, "--smooth-only"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
 @pytest.mark.parametrize("genus", ["1", "2"])
 def test_census_budget_charges_the_mertens_tables(genus, capsys):
     # B + 1 entries of the dense Mertens table, charged before it is built
@@ -647,8 +663,9 @@ def test_census_budget_charges_the_mertens_tables(genus, capsys):
     # the closed form alone: no prefix is visited, so only the 301 entries
     # of the Mertens table are charged
     (["--heights", "300"], "300,23596131875558449228905598,0,none"),
-    # only the singular search (6,407 steps) and the table's 41 entries, not
-    # the 5.1e6 prefixes
+    # only the square-factor counter (8,482 steps: 4,241 linear candidates
+    # and one cell for each of their squares) and the table's 41 entries,
+    # not the 5.1e6 prefixes
     (["--heights", "40", "--smooth-only", "--budget", "100000"],
      "40,41901374021791626,0,none"),
 ])

@@ -212,13 +212,15 @@ def test_count_levels_matches_member_loop(data, g, smooth, dtype):
     # column members, int64 or Python ints, against a loop over members and
     # cutoffs; it drops only the zero tuple, so the members of prefixes with
     # 2^{a_i} | x_i count too (the census inverts the weighted gcd by Moebius)
+    from test_smooth_census import _singular_tuples  # it imports this module
+
     wv = hyp.moduli_weights(g)
     cutoffs = [box_cutoffs(wv, b) for b in (1, Fraction(3, 2), 2)]
     last = len(wv) - 1
     Ms = cutoffs[-1]
     block = list(dict.fromkeys(data.draw(_blocks(Ms[:-1], [2**a for a in wv.weights[:-1]]))))
     cover = covers.two_torsion_cover(g)
-    singular = hyp._singular_tuples(g, Ms, range(-Ms[0], Ms[0] + 1)) if smooth else set()
+    singular = _singular_tuples(g, Ms, range(-Ms[0], Ms[0] + 1)) if smooth else set()
     sings = []
     want_sing, want_thin = [0] * len(cutoffs), [0] * len(cutoffs)
     for prefix in block:
@@ -255,33 +257,42 @@ def _outer_cells(Q, box):
     return len(Q) * math.prod(2 * m + 1 for m in box[: max(0, len(box) - 1 - len(Q[0]))])
 
 
-@pytest.mark.parametrize("g, grid", [(1, [2, 3]), (2, [1, Fraction(5, 4)])])
-def test_census_charges_the_elements_built(monkeypatch, g, grid):
-    # the budget is at least what the census builds
+@pytest.mark.parametrize("g, grid, smooth_only", [
+    (1, [2, 3], False), (2, [1, Fraction(5, 4)], False), (1, [2, 3], True),
+    (2, [1, Fraction(5, 4)], True), (3, [1, Fraction(9, 8)], True)],
+    ids=["1-grid0", "2-grid1", "1-smooth", "2-smooth", "3-smooth"])
+def test_census_charges_the_elements_built(monkeypatch, g, grid, smooth_only):
+    # the budget is at least what the census builds: at genus 1 the closed
+    # form's root-pair cells and one t-window row per box; with smooth_only
+    # the candidates of each degree's box (both in prefix_blocks) and the
+    # sieve's products; each _divisible batch's outer cells (root sets and
+    # square-factor sets)
     wv = hyp.moduli_weights(g)
-    built = []
-    if g == 1:  # the closed form: its root-pair cells, one t-window row per box
-        blocks = hyp.prefix_blocks
+    boxes = sorted({box for b in grid for _, box in moebius_boxes(wv, b, wv)})
+    built = [len(boxes) * hyp._root_window(boxes[-1])] if g == 1 else []
+    blocks, divisible, irreducibles = hyp.prefix_blocks, hyp._divisible, hyp._irreducibles
 
-        def spy(ranges, row_bytes):
-            for X in blocks(ranges, row_bytes):
-                built.append(len(X))
-                yield X
+    def spy_blocks(ranges, row_bytes):
+        for X in blocks(ranges, row_bytes):
+            built.append(len(X))
+            yield X
 
-        monkeypatch.setattr(hyp, "prefix_blocks", spy)
-        boxes = {box for b in grid for _, box in moebius_boxes(wv, b, wv)}
-        built.append(len(boxes) * hyp._root_window(max(boxes)))
-        charged = hyp._census_work(wv, grid, "two-torsion", False, len(boxes))
-    else:  # the root sets: each batch's outer cells
-        divisible = hyp._divisible
+    def spy_divisible(Q, boxes):
+        built.append(_outer_cells(Q, boxes[-1]))
+        return divisible(Q, boxes)
 
-        def spy(Q, boxes):
-            built.append(_outer_cells(Q, boxes[-1]))
-            return divisible(Q, boxes)
+    def spy_irreducibles(Ms):
+        kept = irreducibles(Ms)
+        sizes = [math.prod(2 * c + 1 for c in cs) for cs in hyp._factor_caps(Ms)]
+        built.extend(len(kept[e - 1]) * sizes[d - e - 1]
+                     for d in range(1, len(sizes) + 1) for e in range(1, d // 2 + 1))
+        return kept
 
-        monkeypatch.setattr(hyp, "_divisible", spy)
-        charged = hyp._census_work(wv, grid, "two-torsion", False)
-    hyp.census(g, grid)
+    monkeypatch.setattr(hyp, "prefix_blocks", spy_blocks)
+    monkeypatch.setattr(hyp, "_divisible", spy_divisible)
+    monkeypatch.setattr(hyp, "_irreducibles", spy_irreducibles)
+    hyp.census(g, grid, smooth_only=smooth_only)
+    charged = hyp._census_work(wv, grid, "two-torsion", smooth_only, len(boxes))
     assert 0 < sum(built) <= charged
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_smooth_census import _singular_tuples
 from wpsieve import cli, covers, hyperelliptic as hyp, wps
 from wpsieve.hyperelliptic import (
     CensusRow,
@@ -155,7 +156,7 @@ def test_singular_column_finder_matches_scan():
         (2, [(0, 0, 0), (1, -2, 3), (-4, 0, 2)], 30),
     ):
         box = (*(max(abs(p[i]) for p in prefixes) for i in range(2 * g - 1)), bound)
-        S = hyp._singular_tuples(g, box, range(-box[0], box[0] + 1))
+        S = _singular_tuples(g, box, range(-box[0], box[0] + 1))
         for prefix in prefixes:
             want = [
                 y
@@ -167,7 +168,7 @@ def test_singular_column_finder_matches_scan():
 
 def test_singular_column_finder_large_window():
     # the cusp family (-3m^2, +-2m^3) at m = 2: y = +-16 at a = -12
-    S = hyp._singular_tuples(1, (12, 500), range(-12, 13))
+    S = _singular_tuples(1, (12, 500), range(-12, 13))
     for prefix in ((0,), (3,), (-6,), (-12,)):
         want = [
             y
@@ -305,10 +306,11 @@ def test_census_budget_counts_work_done():
         census(1, [1, 2], thin=thin, budget=work)
         with pytest.raises(BudgetExceededError):
             census(1, [1, 2], thin=thin, budget=work - 1)
-    # smooth-only adds the bound on the singular finder's search: at genus 1
-    # q = t + q_1 with |q_1| <= R = T + 1 = 6 (covers.root_window of the box
-    # (16, 64) is T = 5), 13 leaves and no window
-    work = 5 + 13
+    # smooth-only adds the square-factor counter's work: at genus 1 the 13
+    # candidates q = t + q_0, |q_0| <= min(R, M(q)) = 6 (R = T + 1, T = 5 the
+    # covers.root_window of the box (16, 64); M(q)^4 <= 1 + 16^2 + 64^2), no
+    # sieve product, and one cell for each of the 13 squares q^2
+    work = 5 + 13 + 13
     census(1, [1, 2], thin="none", smooth_only=True, budget=work)
     with pytest.raises(BudgetExceededError):
         census(1, [1, 2], thin="none", smooth_only=True, budget=work - 1)

@@ -388,9 +388,17 @@ def test_integral_vs_rational():
 
 
 def test_budget_guard():
+    # count is charged its Moebius blocks and Mertens table, about 2B here,
+    # not the box of about 4 B^10 tuples (that enumerate still walks)
+    assert wps.count(W46, 1000) == 3996025652278090938348230069350
     with pytest.raises(wps.BudgetExceededError) as exc:
-        wps.count(W46, 40)
+        wps.count(W46, 10**10)
     assert exc.value.volume > exc.value.budget
+    with pytest.raises(wps.BudgetExceededError):
+        wps.count(W46, 1000, budget=2000)
+    wps.count(W46, 1000, budget=2001)
+    with pytest.raises(wps.BudgetExceededError):
+        list(wps.enumerate_points(W46, 40))
     with pytest.raises(wps.BudgetExceededError):
         list(wps.enumerate_points(W11, 10, budget=10))
     # budget=None disables the guard
