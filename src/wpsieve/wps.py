@@ -18,6 +18,7 @@ coordinate) of BLOCK_BYTES from prefix_blocks, signs from leading_signs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,8 +72,9 @@ class WeightVector:
     def min_weight(self) -> int:
         return min(self.weights)
 
-    @property
+    @functools.cached_property
     def lcm(self) -> int:
+        # kept in the instance dict, outside the fields that eq and hash read
         return math.lcm(*self.weights)
 
     def __len__(self) -> int:

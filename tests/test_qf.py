@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -70,6 +73,41 @@ def test_quadint_errors():
         F2.epsilon ** 1.5
 
 
+def test_quadint_contract():
+    F = QuadField.get(2)
+    x = QuadInt(3, -1, 2)
+    copies = [pickle.loads(pickle.dumps(x, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in (*copies, copy.copy(x), copy.deepcopy(x), copy.deepcopy((x, x))[0]):
+        assert type(y) is QuadInt and (y.a, y.b, y.D) == (3, -1, 2)
+        assert y == x and hash(y) == hash(x)
+    for name in ("a", "b", "D"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.c = 0
+    assert (x.a, x.b, x.D) == (3, -1, 2)
+    # equal, with the hash of (a, b, D), only to a QuadInt with the same a, b, D
+    assert x == F.element(3, -1) == F.element(3, 1).conj()
+    assert hash(x) == hash(F.element(3, -1)) == hash((3, -1, 2))
+    for other in (QuadInt(3, -1, 3), QuadInt(3, 1, 2), QuadInt(-3, -1, 2), (3, -1, 2), 3):
+        assert x != other and not x == other
+    assert not isinstance(x, tuple)
+    match x:
+        case QuadInt(a, b, D):
+            assert (a, b, D) == (3, -1, 2)
+    # bool is an int, as before; float, str and None are not
+    assert QuadInt(True, 0, 2) == F.element(True) == F.element(1)
+    for bad in (1.5, "1", None):
+        for args in ((bad, 0, 2), (0, bad, 2), (0, 0, bad)):
+            with pytest.raises(TypeError):
+                QuadInt(*args)
+        for args in ((bad,), (bad, 0), (0, bad)):
+            with pytest.raises(TypeError):
+                F.element(*args)
+
+
 def test_quadfield_vetting_and_cache():
     assert QuadField.get(2) is QuadField.get(2)
     for bad in (5, 10, 13, -2, 1):
@@ -86,6 +124,10 @@ def test_log_embed_examples():
     r1, r2 = log_embed(F.element(0, 1))
     assert abs(r1 - 0.34657359027997264) < 1e-12
     assert abs(r2 - r1) < 1e-15
+    # |σ₁x| = |σ₂x| when x is rational or rational·√D: both logs alike
+    assert r1 == r2 and log_embed(F.element(-5)) == (math.log(5), math.log(5))
+    s1, s2 = log_embed(QuadField.get(19).element(0, 403))
+    assert s1 == s2
     with pytest.raises(ValueError):
         log_embed(F.element(0))
 
@@ -259,6 +301,91 @@ def test_reduction_exact_under_unit_translates(D, weights, pairs, j):
         assert not in_domain(qf._unit_translate(y, spec, step), spec, INFINITE)
 
 
+def _maxima_oracle(y, weights):
+    """`qf._maxima` as it was before the per-spec plan: every coordinate
+    powered by `_pow` (also at exponent 1), and σ₁'s sign from `_sign_quad`."""
+    L, D = weights.lcm, y[0].D
+    best1 = best2 = None
+    for yi, ai in zip(y, weights):
+        if yi.is_zero():
+            continue
+        a, b = qf._pow((yi.a, yi.b), L // ai, D)
+        if qf._sign_quad(a, b, D) < 0:
+            a, b = -a, -b
+        if best1 is None or qf._sign_quad(a - best1[0], b - best1[1], D) > 0:
+            best1 = (a, b)
+        c = (a, -b) if a * a > D * b * b else (-a, b)  # ±w̄ᵢ, σ₁ > 0
+        if best2 is None or qf._sign_quad(c[0] - best2[0], c[1] - best2[1], D) > 0:
+            best2 = c
+    return best1, best2
+
+
+def _in_domain_oracle(x, spec, T):
+    """`qf.in_domain` as it was: both walls on `_maxima_oracle`'s pair, the
+    step ε^{−2L} read from the unit table, then the cap T^{2L}."""
+    D, L = spec.field.D, spec.weights.lcm
+    best1, best2 = _maxima_oracle(x, spec.weights)
+    low = qf._mul(best1, spec.field._unit_pow(-2 * L), D)
+    if qf._cmp1(best1, best2, D) < 0 or qf._cmp1(low, best2, D) >= 0:
+        return False
+    if T == INFINITE:
+        return True
+    t = Fraction(T) ** (2 * L)
+    z = qf._mul(best1, best2, D)
+    return qf._sign_quad(t.denominator * z[0] - t.numerator, t.denominator * z[1], D) <= 0
+
+
+def _reduce_oracle(x, spec):
+    """`qf.reduce_to_domain` as it was: guess k from the logs, step the
+    walls with `_mul`, and translate through the checked `QuadInt`."""
+    D, L = spec.field.D, spec.weights.lcm
+    best1, best2 = _maxima_oracle(x, spec.weights)
+    u11, u12 = spec.field._unit_logs
+    l1, l2 = (log_embed(QuadInt(*v, D))[0] for v in (best1, best2))
+    k = -math.floor((l1 - l2) / (L * (u11 - u12)))
+    up, down = spec.field._unit_pow(2 * L), spec.field._unit_pow(-2 * L)
+    u = qf._mul(best1, spec.field._unit_pow(2 * L * k), D)
+    while qf._cmp1(u, best2, D) < 0:
+        u, k = qf._mul(u, up, D), k + 1
+    while qf._cmp1(qf._mul(u, down, D), best2, D) >= 0:
+        u, k = qf._mul(u, down, D), k - 1
+    return tuple(QuadInt(*qf._mul((xi.a, xi.b), spec.field._unit_pow(k * ai), D), D)
+                 for xi, ai in zip(x, spec.weights)), k
+
+
+_COORD = st.one_of(st.just((0, 0)), st.tuples(st.integers(-10**30, 10**30),
+                                              st.integers(-10**30, 10**30)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    D=st.sampled_from(VETTED_D),
+    weights=st.sampled_from([(1,), (1, 2), (2, 3), (3, 4)]),
+    pairs=st.lists(_COORD, min_size=2, max_size=2),
+    wall=st.booleans(),
+    j=st.integers(-12, 12),
+    T=st.sampled_from([INFINITE, 1, Fraction(7, 2), 10**15, 10**40]),
+)
+def test_reduction_and_membership_against_oracle(D, weights, pairs, wall, j, T):
+    # on a wall, every coordinate is rational or a rational multiple of √D,
+    # so |σ₁xᵢ| = |σ₂xᵢ|, s(x) = 0, and ε^j·x lies on the wall s = j
+    F = QuadField.get(D)
+    spec = DomainSpec(F, weights)
+    if wall:
+        pairs = [(a, 0) if abs(a) >= abs(b) else (0, b) for a, b in pairs]
+    base = tuple(F.element(a, b) for a, b in pairs[: len(weights)])
+    assume(not all(v.is_zero() for v in base))
+    x = tuple(v * F.epsilon ** (j * ai) for v, ai in zip(base, weights))
+    assert qf._maxima(x, spec._exps, D) == _maxima_oracle(x, spec.weights)
+    y, k = reduce_to_domain(x, spec)
+    assert (y, k) == _reduce_oracle(x, spec)
+    if wall:
+        assert k == -j and y == base
+    for z in (x, y, qf._unit_translate(y, spec, 1), qf._unit_translate(y, spec, -1)):
+        assert in_domain(z, spec, T) == _in_domain_oracle(z, spec, T)
+    assert _in_domain_oracle(y, spec, INFINITE)
+
+
 _POW_MAX = qf._UNIT_POW_MAX
 
 
@@ -328,7 +455,7 @@ def test_maxima_pairs_against_quadint(D, weights, pairs):
         v = v if _sigma1(v, D) > 0 else -v
         return (v.a, v.b)
 
-    best1, best2 = qf._maxima(y, WeightVector(weights))
+    best1, best2 = qf._maxima(y, DomainSpec(F, weights)._exps, D)
     assert best1 == top(ws)
     assert best2 == top([w.conj() for w in ws])
     assert _sigma1(F.element(*best1), D) > 0 and _sigma1(F.element(*best2), D) > 0
@@ -366,6 +493,11 @@ def test_height_examples():
     assert height_infty_k((F.epsilon,), (1,)) == pytest.approx(1.0)
     # zero coordinates are skipped in the max
     assert height_infty_k((F.element(0), F.element(2)), (1, 2)) == pytest.approx(2.0)
+    # equal weights power nothing: H_(d,d) = H_(1,1)^(1/d), with no ε^{2d} made
+    x, t = (F.element(3, 1), F.element(5, -2)), time.perf_counter()
+    h = height_infty_k(x, (1000003, 1000003))
+    assert time.perf_counter() - t < 0.5
+    assert h == pytest.approx(height_infty_k(x, (1, 1)) ** (1 / 1000003))
     with pytest.raises(ValueError):
         height_infty_k((), (1,))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +27,19 @@ def test_weight_vector_derived_fields():
         WeightVector((0, 2))
     with pytest.raises(ValueError):
         WeightVector(())
+
+
+def test_weight_vector_lcm_is_cached_outside_eq_and_hash():
+    # map_chunks pickles WeightVectors to its workers, cached lcm or not
+    w = WeightVector((4, 6))
+    assert w.lcm == 12 and vars(w)["lcm"] == 12
+    fresh = WeightVector((4, 6))
+    assert "lcm" not in vars(fresh)
+    assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+    assert w != WeightVector((6, 4)) and WeightVector((6, 4)).lcm == 12
+    for v in (w, fresh):
+        back = pickle.loads(pickle.dumps(v))
+        assert back == fresh and hash(back) == hash(fresh) and back.lcm == 12
 
 
 def test_wgcd_examples():
