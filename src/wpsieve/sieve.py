@@ -9,10 +9,10 @@ is computed exactly; so is the bound shape prod_i (B^{a_i} + Q^{2m}) / G(Q).
 A fully explicit large-sieve inequality over Q (no hidden constants) is
 decided exactly against the survivor count, from one bracket of its right
 side, whose 64-bit lower end is the reported rhs.  The survivors are counted
-from one bit table per prime, built once: a packed row of the allowed last
-coordinates for each prefix residue that Omega mentions.  Blocks of prefixes
-(wps.BLOCK_BYTES each) AND one sign row with one table row per prime and
-count the set bits, so no tuple is tested on its own.  An Omega is an
+from one bit table per prime, built once: the allowed last coordinates,
+packed 64 to a uint64 word, for each prefix residue that Omega mentions.
+Blocks of prefixes AND one sign row with one table row per prime and count
+the words' set bits, so no tuple is tested on its own.  An Omega is an
 explicit set of residue tuples, or (for the bound alone) a bare density.
 """
 
@@ -55,8 +55,7 @@ class Omega:
             raise ValueError(f"Omega modulus base must be prime, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"modulus exponent must be a positive integer: {m!r}")
-        self.p = p
-        self.m = m
+        self.p, self.m = p, m
         q = p**m
         if residues is not None:
             res = frozenset(tuple(r) for r in residues)
@@ -84,18 +83,16 @@ class Omega:
         """Is the tuple excluded?  A tuple of another width than the
         explicit ones raises ValueError."""
         t = tuple(residue_tuple)
-        res = self.explicit_residues()
         if self.width not in (None, len(t)):
             raise ValueError(f"residue {t} has width {len(t)}, Omega at "
                              f"p={self.p} has tuples of width {self.width}")
-        return t in res
+        return t in self.explicit_residues()
 
     def explicit_residues(self) -> frozenset:
         """The excluded set of residue tuples."""
         if self.residues is None:
-            raise ValueError(
-                f"Omega at p={self.p} has only a density; cannot materialize"
-            )
+            raise ValueError(f"Omega at p={self.p} has only a density; "
+                             "cannot materialize")
         return self.residues
 
 
@@ -111,9 +108,8 @@ class ResidueSystem:
             if om.p != p:
                 raise ValueError(f"entry key {p} disagrees with Omega prime {om.p}")
             if om.m != self.m:
-                raise ValueError(
-                    f"entry at p={p} has exponent {om.m}, system has {self.m}"
-                )
+                raise ValueError(f"entry at p={p} has exponent {om.m}, "
+                                 f"system has {self.m}")
 
     def density(self, p: int) -> Fraction:
         om = self.entries.get(p)
@@ -130,8 +126,15 @@ class ResidueSystem:
 
     @classmethod
     def constant_density(cls, primes: Iterable[int], m: int, density):
-        d = Fraction(density)
-        return cls(m, {p: Omega(p, m, density=d) for p in primes})
+        """One density-only Omega per prime; m and the density checked once."""
+        d = Omega(2, m, density=density).density
+        entries = {}
+        for p in primes:  # Omega's other checks ran once, above
+            if not arith.is_prime(p):
+                raise ValueError(f"Omega modulus base must be prime, got {p!r}")
+            om = entries[p] = object.__new__(Omega)
+            om.p, om.m, om.residues, om.width, om.density = p, m, None, None, d
+        return cls(m, entries)
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,8 @@ def sieve_upper_bound(params: SieveParams, rs: ResidueSystem, G=None) -> Fractio
     G = compute_G(params.Q, rs) if G is None else G
     if G <= 0:
         raise ValueError("sieve mass must be positive")
-    shift = Fraction(params.Q) ** (2 * rs.m)
-    prod = Fraction(1)
-    b = params.bound
-    for a in params.weights:
-        prod *= b**a + shift
-    return prod / G
+    shift = params.Q ** (2 * rs.m)
+    return math.prod(params.bound**a + shift for a in params.weights) / G
 
 
 # --- survivors -------------------------------------------------------------
@@ -194,11 +193,11 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
 
     A prefix's key is its residues mod q = p^m dotted with the mixed radix.
     keys are the sorted keys that occur in Omega; rows[j] packs one bit per
-    y in [-mlast, mlast], set when y mod q is allowed after prefix keys[j],
-    and the last row is all ones, for every prefix Omega does not mention.
-    The tuples have the box's width (_check_widths)."""
+    y in [-mlast, mlast] into uint64 words, set when y mod q is allowed after
+    prefix keys[j] (padding bits set), and the last row is all ones, for every
+    prefix Omega does not mention.  The tuples have the box's width (_check_widths)."""
     nbits = 2 * mlast + 1
-    allowed = np.empty(nbits, dtype=bool)
+    allowed = np.ones(nbits + -nbits % 64, dtype=bool)  # whole words
     tables = []
     for p in arith.primes_up_to(Q):
         om = rs.entries.get(p)
@@ -210,12 +209,12 @@ def _survivor_tables(rs: ResidueSystem, Q: int, width: int, mlast: int):
         for r in om.explicit_residues():
             by_key.setdefault(sum(c * w for c, w in zip(r, radix)), []).append(r[-1])
         keys = sorted(by_key)
-        rows = np.full((len(keys) + 1, (nbits + 7) // 8), 0xFF, dtype=np.uint8)
+        rows = np.full((len(keys) + 1, allowed.size // 64), ~np.uint64(0))
         for j, key in enumerate(keys):
-            allowed[:] = True
+            allowed[:nbits] = True
             for e in by_key[key]:
-                allowed[(e + mlast) % q :: q] = False  # index i holds y = i - mlast
-            rows[j] = np.packbits(allowed)
+                allowed[(e + mlast) % q : nbits : q] = False  # index i holds y = i - mlast
+            rows[j] = np.packbits(allowed).view(np.uint64)
         dtype = np.int64 if q ** max(width - 1, 1) < 2**63 else object
         tables.append((q, np.array(radix, dtype=dtype), np.array(keys, dtype=dtype), rows))
     return tables
@@ -225,18 +224,19 @@ def _survivors_chunk(args) -> int:
     params, rs, ranges = args
     weights = params.weights
     mlast = box_cutoffs(weights, params.bound)[-1]
+    nbits = 2 * mlast + 1
     tables = _survivor_tables(rs, params.Q, len(weights), mlast)
     # Base rows, indexed by (y < 0 dropped) + 2 * (y = 0 dropped): all y,
-    # y >= 0, and each of those without y = 0 for the zero prefix.
-    base = np.ones((4, 2 * mlast + 1), dtype=bool)
+    # y >= 0, and each of those without y = 0 for the zero prefix; no padding.
+    base = np.tile(np.arange(nbits + -nbits % 64) < nbits, (4, 1))
     base[1::2, :mlast] = False
     base[2:, mlast] = False
-    bases = np.packbits(base, axis=1)
+    bases = np.packbits(base, axis=1).view(np.uint64)
     odd_last = weights.weights[-1] % 2
     total = 0
-    # Counted as np.count_nonzero(np.unpackbits(mask)) (numpy 1.24 has it; it
-    # beats a byte table), so a prefix costs its mask unpacked, 8 bytes a byte.
-    for X in prefix_blocks(ranges, 8 * bases.shape[1]):
+    # Counted by a word popcount (np.bitwise_count, numpy >= 2.0), so a prefix
+    # costs its mask and one gathered table row, 8 bytes a word.
+    for X in prefix_blocks(ranges, 16 * bases.shape[1]):
         # Sign canon of (prefix, y): a prefix whose sign is nonzero keeps all
         # y (sign 1) or none (-1); otherwise an odd last weight keeps y >= 0.
         sign = leading_signs(X, weights)
@@ -246,7 +246,7 @@ def _survivors_chunk(args) -> int:
             k = (X.astype(radix.dtype, copy=False) % q) @ radix
             j = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
             mask &= table[np.where(keys[j] == k, j, len(keys))]
-        total += int(np.count_nonzero(np.unpackbits(mask)))
+        total += int(np.bitwise_count(mask).sum())
     return total
 
 

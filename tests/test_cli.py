@@ -94,6 +94,18 @@ def test_sieve_bound_computes_G_once(monkeypatch, capsys):
     assert out == "B,Q,m,G,bound\n1,300,1,57.8125,140111221.639\n"
 
 
+def test_sieve_bound_density_at_large_Q(capsys):
+    # 216,816 density-only Omegas, their density checked once: a bad one
+    # still exits 2
+    argv = ["sieve-bound", "--weights", "1,1", "--height-max", "1", "--Q", "3000000"]
+    code, out, _ = run_cli([*argv, "--density", "1/3"], capsys)
+    assert code == 0
+    assert out == "B,Q,m,G,bound\n1,3000000,1,357969.03125,2.26276557269e+20\n"
+    for bad in ("1", "3/2"):
+        code, out, _ = run_cli([*argv, "--density", bad], capsys)
+        assert (code, out) == (2, ""), bad
+
+
 def test_sieve_bound_past_float_range(tmp_path, capsys):
     rs = write_rs(tmp_path, "2 1 1 2\n")
     # the last bound has an integer part past Python's 4,300-digit str() limit

@@ -181,9 +181,10 @@ def _isin_walk(params, rs):
 
 
 # (weights, bound).  The last coordinate has 2M+1 bits, always odd, so never
-# a multiple of 8: 7 and 23 stop one bit short of a byte boundary, 9, 17 and
-# 33 end one bit past one, 3, 5 and 11 fill part of one or two bytes.
-# (2, 4) has no odd weight, so -1 acts trivially.
+# a multiple of 64: 3 to 33 fill part of one word; 63 and 127 stop one bit
+# short of a word edge and 65 and 129 end one bit past one, under an even
+# last weight (1, 2) and an odd one (after an odd prefix weight in (1, 3), an
+# even one in (2, 3)).  (2, 4) has no odd weight, so -1 acts trivially.
 _SURVIVOR_CASES = [
     ((1, 1), 3),
     ((1, 1), 4),
@@ -195,6 +196,14 @@ _SURVIVOR_CASES = [
     ((4, 6), Fraction(3, 2)),
     ((1, 2, 3), Fraction(3, 2)),
     ((1, 2, 3), 2),
+    ((1, 2), Fraction(28, 5)),
+    ((1, 2), Fraction(17, 3)),
+    ((1, 2), Fraction(127, 16)),
+    ((1, 2), 8),
+    ((1, 3), Fraction(19, 6)),
+    ((1, 3), Fraction(16, 5)),
+    ((2, 3), Fraction(191, 48)),
+    ((2, 3), 4),
 ]
 
 
@@ -239,30 +248,49 @@ def test_survivor_tables_match_isin_walk(weights, bound, data):
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_survivors_across_many_capped_blocks(data):
-    # (1, 1, 3) at B = 3: a 55-bit last coordinate (7 bytes, not a byte
-    # multiple) and 25 sign-canonical prefixes.  A block budget of 3 rows (two
-    # int64 prefix columns and the mask unpacked) splits one chunk into many
-    # blocks; each must be capped at 3 rows.
+    # (1, 1, 3) at B = 3: a 55-bit last coordinate (one uint64 word, 9 padding
+    # bits) and 25 sign-canonical prefixes.  A block budget of 3 rows (two
+    # int64 prefix columns, the mask word and one gathered table word) splits
+    # one chunk into many blocks; each must be capped at 3 rows.
     wv = WeightVector((1, 1, 3))
     Q, rs = data.draw(_residue_systems(len(wv)))
     params = SieveParams(wv, 3, Q)
-    row_bytes = (2 * wps.box_cutoffs(wv, 3)[-1] + 1 + 7) // 8
-    assert row_bytes == 7
+    row_words = (2 * wps.box_cutoffs(wv, 3)[-1] + 1 + 63) // 64
+    assert row_words == 1
     want = _isin_walk(params, rs)
     assert want == _survivor_oracle(params, rs)
     shapes = []
-    unpack = np.unpackbits
+    popcount = np.bitwise_count
 
     def spy(a, *args, **kw):
         shapes.append(a.shape)
-        return unpack(a, *args, **kw)
+        return popcount(a, *args, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wps, "BLOCK_BYTES", (8 * 2 + 8 * row_bytes) * 3 + 5)
-        mp.setattr(np, "unpackbits", spy)
+        mp.setattr(wps, "BLOCK_BYTES", (8 * 2 + 16 * row_words) * 3 + 5)
+        mp.setattr(np, "bitwise_count", spy)
         assert sieve.survivors(params, rs, workers=1) == want
         assert len(shapes) > 8 and all(rows <= 3 for rows, _ in shapes), shapes
         assert sieve.survivors(params, rs, workers=2) == want
+
+
+# The residue file of the word-edge pins (weights 1,1, Q = 3).
+_WORD_EDGE_RS = "2 1 explicit 0,0\n3 1 explicit 1,2\n3 1 explicit 2,0\n"
+
+
+@pytest.mark.parametrize("height,side,want", [
+    (31, 63, 1168), (32, 65, 1216), (63, 127, 4736), (64, 129, 4832)])
+def test_survivors_at_word_edges(tmp_path, height, side, want):
+    # The last side 2M + 1 one bit short of and one bit past a 64-bit word
+    # (one and two words, two and three words); counts checked by brute force.
+    path = tmp_path / "rs.txt"
+    path.write_text(_WORD_EDGE_RS)
+    rs = sieve.load_residue_system(path)
+    params = SieveParams(W11, height, 3)
+    assert 2 * wps.box_cutoffs(W11, height)[-1] + 1 == side
+    assert _survivor_oracle(params, rs) == want
+    for workers in (1, 2):
+        assert sieve.survivors(params, rs, workers=workers) == want, workers
 
 
 def test_survivor_tables_keys_past_int64():
@@ -456,6 +484,24 @@ def test_omega_width_is_checked():
     assert empty.width is None
     assert not empty.contains((0, 0, 0))
     assert Omega(2, 1, density=Fraction(1, 4)).width is None
+
+
+def test_constant_density_checks_m_and_density_once():
+    ps = arith.primes_up_to(50)
+    rs = ResidueSystem.constant_density(iter(ps), 2, "1/3")
+    assert rs.m == 2 and list(rs.entries) == ps
+    for p, om in rs.entries.items():
+        full = Omega(p, 2, density=Fraction(1, 3))
+        assert [getattr(om, k) for k in Omega.__slots__] == \
+            [getattr(full, k) for k in Omega.__slots__]
+        with pytest.raises(ValueError):
+            om.explicit_residues()
+    # refused even when no prime carries them
+    for m, d in ((1, 1), (1, Fraction(-1, 2)), (1, None), (0, 0), (1.0, 0)):
+        with pytest.raises(ValueError):
+            ResidueSystem.constant_density([], m, d)
+    with pytest.raises(ValueError, match="prime, got 9"):
+        ResidueSystem.constant_density([2, 3, 9], 1, 0)
 
 
 def test_residue_system_density_units():
