@@ -6,12 +6,12 @@ of integers is Z[√D].  `QuadInt(a, b, D)` is the checked public constructor;
 ring operations, `QuadField.element` on ints and the reduction's output build
 theirs through the unchecked `_quad`.  The arithmetic runs on plain int pairs
 (a, b) ↦ a + b√D (`_mul`, `_pow`).  A `DomainSpec` plans its weights once
-(the exponents L/aᵢ, L = lcm(a), and the wall steps ε^{±2L}); domain
-membership (both walls and the height cap) is decided exactly from one pair
-(`_maxima`), and floats only guess the reducing unit exponent and give
-`log_embed` and `height_infty_k`.  Each `QuadField` tables the pairs of ε^k,
-|k| ≤ `_UNIT_POW_MAX`, on first use, so a batch of reductions powers each
-unit once; larger |k| is never stored.
+(the exponents L/aᵢ, L = lcm(a), and the wall steps ε^{±2L}).  Domain
+membership (both walls and the height cap) and a reduction with |s| < 1 are
+decided exactly from one pair (`_maxima`); floats only guess the unit
+exponent of a tuple one or more whole steps out (|s| ≥ 1) and give
+`log_embed` and `height_infty_k`.  Each `QuadField` tables the pairs of
+ε^k, |k| ≤ `_UNIT_POW_MAX`, on first use; larger |k| is never stored.
 """
 
 from __future__ import annotations
@@ -277,14 +277,13 @@ def in_domain(x: Sequence[QuadInt], spec: DomainSpec, T) -> bool:
     counted once: s(x) ≥ 0 > s(ε⁻¹x), two comparisons on the pair.  With
     L = lcm(a), (M₁M₂)^L = σ₁(best₁·best₂) > 0 is compared with T^{2L}."""
     x = _check_tuple(x, spec.field, spec.weights)
-    finite = T != INFINITE
-    if finite and T <= 0:
+    if T <= 0:
         raise ValueError(f"height cap must be positive, got {T!r}")
     D = spec.field.D
     best1, best2 = _maxima(x, spec._exps, D)
     if _cmp1(best1, best2, D) < 0 or _cmp1(_mul(best1, spec._steps[1], D), best2, D) >= 0:
         return False
-    if not finite:
+    if T == INFINITE:
         return True
     t = Fraction(T) ** (2 * spec.weights.lcm)
     z = _mul(best1, best2, D)
@@ -292,7 +291,9 @@ def in_domain(x: Sequence[QuadInt], spec: DomainSpec, T) -> bool:
 
 
 def _unit_translate(x, spec: DomainSpec, k: int) -> tuple[QuadInt, ...]:
-    """ε^k·x, that is xᵢ ↦ ε^{k aᵢ} xᵢ, as `QuadInt`s."""
+    """ε^k·x, that is xᵢ ↦ ε^{k aᵢ} xᵢ, as `QuadInt`s; x itself for k = 0."""
+    if not k:
+        return tuple(x)
     D, pw, out = spec.field.D, spec.field._unit_pow, []
     for xi, ai in zip(x, spec.weights):
         (u, v), a, b = pw(k * ai), xi.a, xi.b
@@ -344,23 +345,24 @@ def reduce_to_domain(x: Sequence[QuadInt], spec: DomainSpec):
     """The unit translate of x lying in S_{F,a}(∞) and the exponent applied.
 
     ε^k acts by xᵢ ↦ ε^{k aᵢ} xᵢ and moves the decomposition coordinate s
-    to s + k.  Float logs guess k = −⌊s⌋; exact walls on the pair of
-    `_maxima` then move k by ±1, and x is translated once, by the final k."""
+    to s + k.  Exact walls on the `_maxima` pair step k by ±1 from 0, so
+    |s| < 1 takes no float; past one step, float logs guess k = −⌊s⌋ once."""
     field, L, D = spec.field, spec.weights.lcm, spec.field.D
     x = _check_tuple(x, field, spec.weights)
     best1, (c, d) = _maxima(x, spec._exps, D)
-    u11, u12 = field._unit_logs
-    k = -math.floor((_log1(*best1, D) - _log1(c, d, D)) / (L * (u11 - u12)))
-    (pa, pb), (qa, qb) = spec._steps  # ε^{±2L}
-    # s(ε^k x) ≥ 0 iff σ₁(a + b√D) ≥ σ₁best₂ = σ₁(c + d√D)
-    a, b = _mul(best1, field._unit_pow(2 * L * k), D)
-    while _sign_quad(a - c, b - d, D) < 0:
-        a, b, k = a * pa + D * b * pb, a * pb + b * pa, k + 1
+    # s(ε^k x) ≥ 0 iff σ₁(a + b√D) ≥ σ₁best₂ = σ₁(c + d√D), (a, b) = ε^{2Lk}best₁
+    (a, b), k, guess = best1, 0, True
     while True:
-        e, f = a * qa + D * b * qb, a * qb + b * qa  # s(ε^{k−1} x) ≥ 0?
-        if _sign_quad(e - c, f - d, D) < 0:
-            return _unit_translate(x, spec, k), k
-        a, b, k = e, f, k - 1
+        up = _sign_quad(a - c, b - d, D) < 0
+        (p, q), j = spec._steps[not up], k + 1 if up else k - 1  # ε^{±2L}
+        e, f = a * p + D * b * q, a * q + b * p
+        if (_sign_quad(e - c, f - d, D) >= 0) == up:  # s crosses 0 between k and j
+            return _unit_translate(x, spec, max(k, j)), max(k, j)
+        if guess:  # |s| ≥ 1: float logs guess k = −⌊s⌋, once
+            u11, u12 = field._unit_logs
+            j = -math.floor((_log1(*best1, D) - _log1(c, d, D)) / (L * (u11 - u12)))
+            (e, f), guess = _mul(best1, field._unit_pow(2 * L * j), D), False
+        a, b, k = e, f, j
 
 
 def height_infty_k(x: Sequence[QuadInt], weights) -> float:

@@ -154,14 +154,12 @@ def compute_G(Q: int, rs: ResidueSystem) -> Fraction:
     `arith.squarefree_mass` walk over the primes with nu > 0."""
     if not isinstance(Q, int) or Q < 1:
         raise ValueError(f"Q must be a positive integer, got {Q!r}")
-    primes, ratios = [], []
-    for p in sorted(p for p in rs.entries if p <= Q):
-        n, d = rs.density(p).as_integer_ratio()
-        if n == d:
-            raise ValueError(f"density 1 at p={p} makes the mass diverge")
-        if n:
-            primes.append(p)
-            ratios.append(Fraction(n, d - n))  # nu / (1 - nu)
+    primes = sorted(p for p in rs.entries if p <= Q and rs.entries[p].density)
+    ratios, last = [], None
+    for nu in [rs.entries[p].density for p in primes]:
+        if nu is not last:  # one ratio per run of one density object
+            last, r = nu, nu / (1 - nu)
+        ratios.append(r)
     return arith.squarefree_mass(primes, ratios, Q)
 
 

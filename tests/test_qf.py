@@ -249,9 +249,16 @@ LARGE_D7 = (7, (2, 3), (
     (10620044093846930, -4013999369265611),
     (80984046172328467560643, -30609092333679054619239),
 ))
+# (3+√2)·ε¹⁰⁰, (−5+7√2)·ε²⁰⁰: past the unit table, k = −100 from the float guess
+LARGE_D2 = (2, (1, 2), (
+    (418207559550014075580497053189064681355, 295717401301291846408189800060446959253),
+    (87954565009733008239431878436881770929434797000491038452287389915937722234507,
+     62193269354695247487949972923960299928623269217533008747269442603277283019919),
+))
 
 
-@pytest.mark.parametrize("D, weights, pairs, k", [LARGE_D19 + (7,), LARGE_D7 + (7,)])
+@pytest.mark.parametrize("D, weights, pairs, k",
+                         [LARGE_D19 + (7,), LARGE_D7 + (7,), LARGE_D2 + (-100,)])
 def test_qf_reduce_large_coordinates(D, weights, pairs, k, capsys):
     coords = ",".join(f"{a}:{b}" for a, b in pairs)
     argv = ["qf-reduce", "--D", str(D), "--weights", ",".join(map(str, weights)),
@@ -384,6 +391,56 @@ def test_reduction_and_membership_against_oracle(D, weights, pairs, wall, j, T):
     for z in (x, y, qf._unit_translate(y, spec, 1), qf._unit_translate(y, spec, -1)):
         assert in_domain(z, spec, T) == _in_domain_oracle(z, spec, T)
     assert _in_domain_oracle(y, spec, INFINITE)
+
+
+@pytest.mark.parametrize("D", [2, 19])
+@pytest.mark.parametrize("weights", [(1,), (1, 2)])
+@pytest.mark.parametrize("j", [-1, 0, 1])
+@pytest.mark.parametrize("off", [-1, 0, 1])
+def test_reduction_at_and_beside_the_walls(D, weights, j, off):
+    # the first coordinate N + off·√D dominates (the second is 1): off = 0
+    # puts x on the wall s = j, off = 1 just inside [j, j + 1), off = -1 just
+    # outside it, below the wall; the first step from k = 0 settles s ∈ [-1, 1)
+    F = QuadField.get(D)
+    spec = DomainSpec(F, weights)
+    base = (F.element(10**12, off), F.element(1))[: len(weights)]
+    x = qf._unit_translate(base, spec, j)
+    y, k = reduce_to_domain(x, spec)
+    assert (y, k) == _reduce_oracle(x, spec)
+    assert k == -j + (off < 0)
+    assert y == qf._unit_translate(base, spec, k + j)
+    assert in_domain(x, spec, INFINITE) == _in_domain_oracle(x, spec, INFINITE) == (k == 0)
+    assert in_domain(y, spec, INFINITE) and _in_domain_oracle(y, spec, INFINITE)
+
+
+def test_reduction_near_zero_takes_no_float(monkeypatch):
+    # |s| < 1 is settled by the exact walls alone: a k = 0 tuple comes back
+    # as itself, a k = 1 tuple by one translate, and no float log is taken
+    F = QuadField.get(2)
+    spec = DomainSpec(F, (1, 2))
+    x0 = (F.element(3, 1), F.element(-5, 7))
+    x1 = qf._unit_translate(x0, spec, -1)
+
+    def no_float(*args):
+        raise AssertionError("float guess taken")
+
+    monkeypatch.setattr(qf, "_log1", no_float)
+    y, k = reduce_to_domain(x0, spec)
+    assert k == 0 and y is x0
+    assert reduce_to_domain(x1, spec) == (x0, 1)
+    assert qf._unit_translate(x0, spec, 0) == x0
+
+
+@pytest.mark.parametrize("K", [100, -100])
+def test_reduction_frozen_large_k(K):
+    # (3+√2)·ε^K, (−5+7√2)·ε^{2K} with weights (1,2) over Q(√2): past the
+    # unit table, so the float guess sets k; results checked on the
+    # float-first reduction
+    F = QuadField.get(2)
+    spec = DomainSpec(F, (1, 2))
+    y0 = (F.element(3, 1), F.element(-5, 7))
+    x = tuple(v * F.epsilon ** (K * a) for v, a in zip(y0, (1, 2)))
+    assert reduce_to_domain(x, spec) == (y0, -K) == _reduce_oracle(x, spec)
 
 
 _POW_MAX = qf._UNIT_POW_MAX

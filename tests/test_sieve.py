@@ -51,6 +51,29 @@ def test_compute_G_rejects_full_density():
         Omega(2, 1, density=Fraction(1))  # nu = 1 rejected at construction
 
 
+def test_compute_G_shared_and_distinct_densities():
+    # runs of one shared density object (constant_density), a shared zero
+    # density between them, and an equal value held by a distinct object:
+    # every prime keeps its own nu / (1 - nu), checked against a direct sum
+    # over squarefree q
+    half = ResidueSystem.constant_density([2, 3, 7], 1, Fraction(1, 2))
+    zero = ResidueSystem.constant_density([5, 11], 1, 0)
+    third = ResidueSystem.constant_density([13, 17], 1, Fraction(1, 3))
+    rs = ResidueSystem(1, {**half.entries, **zero.entries, **third.entries,
+                           19: Omega(19, 1, density=Fraction(1, 2))})
+    for Q in range(1, 80):
+        want = Fraction(0)
+        for q in range(1, Q + 1):
+            term, n = Fraction(1), q
+            for p in arith.primes_up_to(q):
+                if n % p == 0:
+                    nu = rs.density(p)
+                    term *= nu / (1 - nu) if n % (p * p) else 0
+                    n //= p
+            want += term
+        assert sieve.compute_G(Q, rs) == want, Q
+
+
 def test_compute_G_monotone():
     rng = random.Random(21)
     for _ in range(50):
